@@ -13,9 +13,9 @@ from .trees import (FiniteTree, FullBinary, SinglePath, LevelRule,
 from .spaces import (SpaceName, validate_prefix, validate_name, name_of,
                      name_of_tree, truncate, gr_to_egr, f_convert, pc,
                      IotaTrace)
-from .decide import (Embedding, Verdict, fin_subgraph, semidecide_s,
-                     decide_is_egr_noncomplete, CertTree, CertForest,
-                     to_cert_forest, predicate_tf, wf2)
+from .decide import (Embedding, Verdict, embeddings, fin_subgraph,
+                     semidecide_s, decide_is_egr_noncomplete, CertTree,
+                     CertForest, to_cert_forest, predicate_tf, wf2)
 from .gadgets import (GadgetOutput, sigma1_gadget, sigma2_gadget,
                       forests_lift, ForestGraph, p_complete_generator,
                       acc_gadget, acc_decode, lim2_to_embR, embR_decode,

@@ -62,13 +62,13 @@ def cmd_convert(args):
     report = _base_report(args)
     if args.f:
         out, trace = _spaces.f_convert(name)
-        image = sorted(trace.image())
+        prefix = out.stream.prefix(args.fuel)  # runs the stages it reads
         report.update({
             "conversion": "egr-to-gr",
-            "image": image,
+            "image": sorted(trace.image()),
             "injuries": sorted((v, trace.injury_count(v))
                                for v in trace.first_emission),
-            "prefix": out.stream.prefix(args.fuel),
+            "prefix": prefix,
         })
     else:
         out = _spaces.gr_to_egr(name)
@@ -110,10 +110,13 @@ def cmd_decide(args):
     from .decide import Verdict, decide_is_egr_noncomplete, semidecide_s
     if args.mode == "is" and host.space == "EGr":
         try:
-            bit = decide_is_egr_noncomplete(pattern, host)
-            verdict = (Verdict.found(_trivial_embedding(pattern, host,
-                                                        args.fuel))
-                       if bit else Verdict.refuted("induced copy impossible"))
+            if not decide_is_egr_noncomplete(pattern, host):
+                verdict = Verdict.refuted("induced copy impossible")
+            else:
+                # decided positively; "found" needs a witness
+                emb = _is_witness(pattern, host, args.fuel)
+                verdict = (Verdict.found(emb) if emb is not None
+                           else Verdict.unknown(args.fuel))
             return _verdict_exit(report, verdict, args)
         except StreamGraphsError:
             pass  # fall back to the fueled semidecider
@@ -122,13 +125,15 @@ def cmd_decide(args):
     return _verdict_exit(report, verdict, args)
 
 
-def _trivial_embedding(pattern, host, fuel):
-    from .decide import fin_subgraph
+def _is_witness(pattern, host, fuel):
+    """Least induced copy within the fuel window, else the least one in the
+    window a finite-stream certificate reads; None when neither holds one."""
+    from .decide import certified_window, fin_subgraph
     emb = fin_subgraph(pattern, _spaces.truncate(host, fuel), induced=True)
     if emb is None:
-        # decided positively but the witness lies beyond the fuel window
-        from .decide import Embedding
-        return Embedding({})
+        window = certified_window(host)
+        if window is not None:
+            emb = fin_subgraph(pattern, window, induced=True)
     return emb
 
 

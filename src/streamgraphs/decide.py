@@ -1,4 +1,4 @@
-"""Decision layer: brute-force finite embedding search, fueled semideciders
+"""Decision layer: pruned backtracking embedding search, fueled semideciders
 against stream-named hosts, quantifier predicates for the omega-branching
 tree/forest families, and the decidable well-foundedness test for certified
 binary trees.
@@ -86,40 +86,71 @@ class Verdict:
         return "Unknown(fuel=%d)" % self.fuel_spent
 
 
-def fin_subgraph(g, h, induced=False):
-    """Lexicographically least embedding of g into h, or None.
+def embeddings(g, h, induced=False):
+    """Every (induced) embedding of g into h as a dict, in lexicographic
+    order of the images taken over the sorted vertices of g.
 
-    Exhaustive backtracking over the sorted vertex lists; "least" refers to
-    the association list ordered by source vertex.
+    Backtracks over the sorted pattern vertices. A pattern vertex's
+    candidates are the common neighbours of the images of its mapped
+    neighbours (every host vertex when it has none), in sorted order, minus
+    the used ones, those of smaller degree and, when induced, those adjacent
+    to the image of a mapped non-neighbour (Ullmann 1976; Cordella et al.
+    2004). Every pruned candidate fails the plain adjacency test or has too
+    few neighbours to extend, so the order of the hits is that of the
+    exhaustive search.
     """
     gs = sorted(g.vertices)
-    hs = sorted(h.vertices)
+    n = len(gs)
+    gadj, hadj = g.adjacency, h.adjacency
+    if n > len(hadj):
+        return
+    if n == 0:
+        yield {}
+        return
+    need = [len(gadj[v]) for v in gs]
+    mapped_nbrs = [[j for j in range(i) if gs[j] in gadj[v]]
+                   for i, v in enumerate(gs)]
+    mapped_non = [[j for j in range(i) if gs[j] not in gadj[v]]
+                  if induced else [] for i, v in enumerate(gs)]
+    hs = sorted(hadj)
+    free = [None if mapped_nbrs[i] else
+            [u for u in hs if len(hadj[u]) >= need[i]] for i in range(n)]
+    image = []
+    used = set()
 
-    def extend(assigned):
-        if len(assigned) == len(gs):
-            return dict(zip(gs, assigned))
-        a = gs[len(assigned)]
-        for cand in hs:
-            if cand in assigned:
-                continue
-            ok = True
-            for b, img in zip(gs, assigned):
-                ge = g.has_edge(a, b)
-                he = h.has_edge(cand, img)
-                if ge and not he:
-                    ok = False
-                    break
-                if induced and not ge and he:
-                    ok = False
-                    break
-            if ok:
-                res = extend(assigned + [cand])
-                if res is not None:
-                    return res
-        return None
+    def candidates(i):
+        blocked = used.union(*[hadj[image[j]] for j in mapped_non[i]])
+        nbrs = mapped_nbrs[i]
+        if not nbrs:
+            return iter([u for u in free[i] if u not in blocked])
+        common = set.intersection(*[hadj[image[j]] for j in nbrs])
+        d = need[i]
+        return iter([u for u in sorted(common)
+                     if u not in blocked and len(hadj[u]) >= d])
 
-    res = extend([])
-    return Embedding(res) if res is not None else None
+    stack = [candidates(0)]
+    while stack:
+        if len(image) == len(stack):
+            used.discard(image.pop())
+        u = next(stack[-1], None)
+        if u is None:
+            stack.pop()
+            continue
+        image.append(u)
+        used.add(u)
+        if len(image) == n:
+            yield dict(zip(gs, image))
+        else:
+            stack.append(candidates(len(image)))
+
+
+def fin_subgraph(g, h, induced=False):
+    """Lexicographically least embedding of g into h, or None: the first
+    hit of `embeddings`, "least" referring to the association list ordered
+    by source vertex."""
+    for m in embeddings(g, h, induced):
+        return Embedding(m)
+    return None
 
 
 def _host_exhausted(name, fuel):
@@ -196,6 +227,17 @@ def _algebra_parts(g):
     return None
 
 
+def certified_window(host):
+    """The whole graph named by an EGr host whose stream is EventuallyConstant
+    or Periodic (its emitted code set is then finite and shows within the
+    head plus one period), else None."""
+    s = host.stream
+    if not isinstance(s, (EventuallyConstant, Periodic)):
+        return None
+    horizon = len(s.head) + (len(s.period) if isinstance(s, Periodic) else 1)
+    return truncate(host, horizon)
+
+
 def decide_is_egr_noncomplete(g, host):
     """Decide g <=_is denoted(host) for a non-complete finite pattern g
     against a certified enumeration name.
@@ -208,11 +250,8 @@ def decide_is_egr_noncomplete(g, host):
         raise BadParam("pattern must not be complete")
     if host.space != "EGr":
         raise BadParam("expected an EGr name")
-    s = host.stream
-    if isinstance(s, (EventuallyConstant, Periodic)):
-        horizon = len(s.head) + (len(s.period) if isinstance(s, Periodic)
-                                 else 1)
-        fin = truncate(host, horizon)
+    fin = certified_window(host)
+    if fin is not None:
         return fin_subgraph(g, fin, induced=True) is not None
     meta = host.meta
     if "sigma2" in meta:

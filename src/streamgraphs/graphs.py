@@ -10,6 +10,7 @@ exact degrees in ℕ ∪ {ω}.
 import itertools
 import json
 from collections import deque
+from functools import cached_property
 
 from .errors import (BadParam, DegreeUnknown, NotATree,
                      PreconditionUnverifiable, PromiseViolation)
@@ -65,16 +66,25 @@ class FinGraph:
     def has_vertex(self, v):
         return v in self.vertices
 
+    @cached_property
+    def adjacency(self):
+        """vertex -> set of its neighbours, built on first use; read-only."""
+        adj = {v: set() for v in self.vertices}
+        for a, b in self.edges:
+            adj[a].add(b)
+            adj[b].add(a)
+        return adj
+
     def has_edge(self, a, b):
-        return a != b and (min(a, b), max(a, b)) in self.edges
+        return b in self.adjacency.get(a, ())
 
     def neighbors(self, v):
-        return sorted(b if a == v else a for a, b in self.edges if v in (a, b))
+        return sorted(self.adjacency.get(v, ()))
 
     def degree(self, v):
         if v not in self.vertices:
             raise BadParam("vertex %r not present" % v)
-        return len(self.neighbors(v))
+        return len(self.adjacency[v])
 
     def induced(self, vs):
         vs = frozenset(vs) & self.vertices
@@ -146,15 +156,6 @@ class FinGraph:
             return cls(obj["v"], obj["e"])
         except (KeyError, TypeError, ValueError) as e:
             raise BadParam("bad FinGraph JSON: %s" % e) from e
-
-    def to_dot(self, name="g"):
-        lines = ["graph %s {" % name]
-        for v in sorted(self.vertices):
-            lines.append("  %d;" % v)
-        for a, b in sorted(self.edges):
-            lines.append("  %d -- %d;" % (a, b))
-        lines.append("}")
-        return "\n".join(lines) + "\n"
 
 
 def distance(g, v, w):

@@ -4,7 +4,7 @@ constructive strategy appropriate to each pattern shape."""
 
 import itertools
 
-from .decide import fin_subgraph, predicate_tf
+from .decide import embeddings, fin_subgraph, predicate_tf
 from .errors import (BadParam, CensusUnstable, DegreeUnknown, FuelExhausted,
                      NoInfiniteDegreeVertex, OracleRefused, PatternNeverSeen,
                      PredicateUnsupported, PromiseViolation)
@@ -73,21 +73,6 @@ def find_s_finite(g, host, fuel=None):
 # Induced finite patterns via closed choice over N
 # ---------------------------------------------------------------------------
 
-def _induced_embeddings(g, fin):
-    """All induced embeddings of g into fin, lexicographically ordered."""
-    out = []
-    gs = sorted(g.vertices)
-    hs = sorted(fin.vertices)
-    if len(gs) > len(hs):
-        return out
-    for image in itertools.permutations(hs, len(gs)):
-        m = dict(zip(gs, image))
-        if all((g.has_edge(a, b) == fin.has_edge(m[a], m[b]))
-               for a, b in itertools.combinations(gs, 2)):
-            out.append(m)
-    return out
-
-
 def find_is_via_cn(g, host, cn_oracle, stage_cap=40):
     """Induced copy of a finite non-complete pattern via a closed-choice
     oracle over N.
@@ -103,10 +88,8 @@ def find_is_via_cn(g, host, cn_oracle, stage_cap=40):
 
     def decode(code):
         s, idx = unpair(code)
-        embs = _induced_embeddings(g, truncate(host, s))
-        if idx >= len(embs):
-            return None
-        return embs[idx]
+        embs = embeddings(g, truncate(host, s), induced=True)
+        return next(itertools.islice(embs, idx, None), None)
 
     def rejected(code, at_stage):
         s, _ = unpair(code)

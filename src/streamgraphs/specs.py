@@ -159,7 +159,14 @@ def parse_name(text):
     if m.group(2):
         if space != "egr":
             raise ParseError("schedules apply to egr names only")
-        schedule = ("random", int(m.group(3)), float(m.group(4)))
+        try:
+            stutter = float(m.group(4))
+        except ValueError:
+            raise ParseError("bad stutter %r" % m.group(4))
+        if not 0 <= stutter < 1:
+            raise ParseError("stutter must lie in [0, 1), got %r"
+                             % m.group(4))
+        schedule = ("random", int(m.group(3)), stutter)
     if space == "egr" and schedule is None and not isinstance(
             graph, FinGraph):
         try:

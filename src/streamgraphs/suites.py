@@ -43,23 +43,31 @@ def _random_certified_stream(rng, values=2):
     return Periodic(head, period)
 
 
-def _naive_least_embedding(g, h, induced=False):
+def _naive_embeddings(g, h, induced=False):
+    """Brute-force oracle, independent of the search engine: every injection
+    of g's sorted vertices into h, in lexicographic order, kept when it maps
+    edges to edges (and, induced, non-edges to non-edges). It reads the edge
+    sets, not the adjacency maps the engine uses."""
     gs = sorted(g.vertices)
     hs = sorted(h.vertices)
     if len(gs) > len(hs):
-        return None
+        return
     for image in itertools.permutations(hs, len(gs)):
         m = dict(zip(gs, image))
         ok = True
         for a, b in itertools.combinations(gs, 2):
-            ge = g.has_edge(a, b)
-            he = h.has_edge(m[a], m[b])
+            x, y = m[a], m[b]
+            ge = (a, b) in g.edges
+            he = (min(x, y), max(x, y)) in h.edges
             if (ge and not he) or (induced and not ge and he):
                 ok = False
                 break
         if ok:
-            return m
-    return None
+            yield m
+
+
+def _naive_least_embedding(g, h, induced=False):
+    return next(_naive_embeddings(g, h, induced), None)
 
 
 def _materialize_gr(name, max_vertex):

@@ -1,33 +1,10 @@
-"""Shared brute-force oracles and random instance factories for the tests."""
+"""Shared random instance factories for the tests.
 
-import itertools
-import random
+The brute-force embedding oracle is `streamgraphs.suites._naive_embeddings`
+(and its first hit, `_naive_least_embedding`): the shipped `bruteforce`
+suite needs it, so the tests import it from there."""
 
 from streamgraphs import graphs as G
-
-
-def naive_least_embedding(g, h, induced=False):
-    """All-injections enumeration, returning the lexicographically least
-    valid mapping (as a dict) or None."""
-    gs = sorted(g.vertices)
-    hs = sorted(h.vertices)
-    if len(gs) > len(hs):
-        return None
-    for image in itertools.permutations(hs, len(gs)):
-        m = dict(zip(gs, image))
-        ok = True
-        for a, b in itertools.combinations(gs, 2):
-            ge = g.has_edge(a, b)
-            he = h.has_edge(m[a], m[b])
-            if ge and not he:
-                ok = False
-                break
-            if induced and not ge and he:
-                ok = False
-                break
-        if ok:
-            return m
-    return None
 
 
 def random_fin_graph(rng, min_v=1, max_v=6, density=0.4, spread=2):

@@ -4,6 +4,7 @@ import pytest
 
 from streamgraphs import cli
 from streamgraphs import specs
+from streamgraphs.decide import Embedding
 from streamgraphs.errors import ParseError
 from streamgraphs.graphs import FinGraph, Layered, OmegaCopies, TwoWayRay
 
@@ -43,6 +44,13 @@ class TestSpecLanguage:
         with pytest.raises(ParseError):
             specs.parse_name("c3")  # missing space prefix
 
+    def test_stutter_outside_unit_interval(self):
+        with pytest.raises(ParseError):
+            specs.parse_name("egr(1,1.0):c3")
+        with pytest.raises(ParseError):
+            specs.parse_name("egr(1,1.2.3):c3")
+        specs.parse_name("egr(1,0.5):c3")
+
     def test_dense_egr_name_is_valid(self):
         from streamgraphs import spaces as SP
         name = specs.parse_name("egr:ray")
@@ -67,6 +75,19 @@ class TestDecide:
                         "--host", "egr:c4", "--fuel", "60")
         assert code == 0
         assert json.loads(out)["verdict"] == "refuted"
+
+    def test_is_witness_beyond_fuel_on_certified_host(self, capsys):
+        # the copy lies beyond the fuel; the witness comes from the
+        # certificate's window and is a real induced copy
+        host = "egr(372612,0.827):du(r3,r5,c5)"
+        code, out = run(capsys, "decide", "--pattern", "r4", "--host", host,
+                        "--mode", "is", "--fuel", "50")
+        report = json.loads(out)
+        assert code == 0 and report["verdict"] == "found"
+        emb = Embedding(report["witness"])
+        assert emb.check(specs.parse_pattern("r4"),
+                         specs.parse_graph("du(r3,r5,c5)").materialize(),
+                         induced=True)
 
 
 class TestGadgetThenDecide:
@@ -155,6 +176,16 @@ class TestCompose:
         code, _ = run(capsys, "compose", "--gadget", "acc",
                       "--oracle", "embray", "--in", "ec:[0];0")
         assert code == 1
+
+
+class TestConvert:
+    def test_f_convert_reports_forced_stages(self, capsys):
+        code, out = run(capsys, "convert", "--f", "--in", "egr:komega",
+                        "--fuel", "20")
+        report = json.loads(out)
+        assert code == 0
+        assert report["image"] == [1, 2, 6]
+        assert report["injuries"] == [[0, 0], [1, 0], [2, 1]]
 
 
 class TestSuiteCommand:

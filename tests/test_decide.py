@@ -1,8 +1,9 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from helpers import naive_least_embedding, random_fin_graph
+from helpers import random_fin_graph
 
 from streamgraphs import decide as D
 from streamgraphs import graphs as G
@@ -12,6 +13,7 @@ from streamgraphs.errors import (BadParam, PredicateUnsupported,
                                  PromiseViolation,
                                  UndecidableWithoutCertificate)
 from streamgraphs.streams import EventuallyConstant, Periodic, pair
+from streamgraphs.suites import _naive_embeddings, _naive_least_embedding
 
 
 def k(n):
@@ -35,25 +37,33 @@ class TestFinSubgraph:
         assert D.fin_subgraph(r(3), k(3), induced=False) is not None
 
     def test_empty_host(self):
-        assert D.fin_subgraph(k(1), G.FinGraph([])) is None
+        empty = G.FinGraph([])
+        assert D.fin_subgraph(k(1), empty) is None
+        for induced in (False, True):
+            assert list(D.embeddings(empty, empty, induced)) == [{}]
+            assert list(D.embeddings(k(1), empty, induced)) == []
+            assert list(D.embeddings(r(4), r(3), induced)) == []
 
     def test_witness_is_checkable(self):
         emb = D.fin_subgraph(r(3), c(5), induced=True)
         assert emb is not None
         assert emb.check(r(3), c(5), induced=True)
 
-    def test_matches_naive_enumeration(self):
-        rng = random.Random(3)
-        for _ in range(300):
-            g = random_fin_graph(rng, min_v=1, max_v=5)
-            h = random_fin_graph(rng, min_v=0 or 1, max_v=7)
-            for induced in (False, True):
-                expect = naive_least_embedding(g, h, induced)
-                got = D.fin_subgraph(g, h, induced)
-                if expect is None:
-                    assert got is None
-                else:
-                    assert got is not None and got.mapping == expect
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.booleans())
+    @example(3, False)
+    def test_matches_naive_enumeration(self, seed, induced):
+        """The engine against the brute-force oracle of `suites`, first hit
+        and enumerating, on non-contiguous labels; min_v=0 brings empty
+        graphs and patterns larger than the host."""
+        rng = random.Random(seed)
+        g = random_fin_graph(rng, min_v=0, max_v=5, density=rng.random())
+        h = random_fin_graph(rng, min_v=0, max_v=7, density=rng.random())
+        assert (list(D.embeddings(g, h, induced))
+                == list(_naive_embeddings(g, h, induced)))
+        got = D.fin_subgraph(g, h, induced)
+        assert ((None if got is None else got.mapping)
+                == _naive_least_embedding(g, h, induced))
 
     def test_deterministic(self):
         a = D.fin_subgraph(r(4), c(6))

@@ -2,8 +2,7 @@ import random
 
 import pytest
 
-from helpers import naive_least_embedding, random_fin_graph, \
-    random_certified_stream
+from helpers import random_certified_stream, random_fin_graph
 
 from streamgraphs import decide as D
 from streamgraphs import gadgets as GD
@@ -15,6 +14,7 @@ from streamgraphs.errors import (BadParam, HeightExceeded, MalformedInstance,
 from streamgraphs.streams import (EventuallyConstant, GeneratorBacked,
                                   Periodic, exists_one, infinitely_often,
                                   limit, pair, unpair)
+from streamgraphs.suites import _naive_least_embedding
 
 
 def k(n):
@@ -149,7 +149,7 @@ class TestSigma2:
             else:
                 fuel = host.meta["sigma2_stable_fuel"]
                 window = SP.truncate(host, fuel + 20 * (2 * n + n * n))
-                assert got == (naive_least_embedding(g, window, True)
+                assert got == (_naive_least_embedding(g, window, True)
                                is not None)
 
 

@@ -26,6 +26,17 @@ class TestFinGraph:
         assert G.FinGraph.from_json(g.to_json()) == g
         assert g.to_json() == '{"v":[0,1,2],"e":[[0,1],[1,2]]}'
 
+    def test_adjacency_queries(self):
+        g = G.FinGraph([1, 4, 9, 12], [(4, 1), (9, 4), (1, 9)])
+        assert g.neighbors(4) == [1, 9]
+        assert g.neighbors(12) == [] and g.neighbors(7) == []
+        assert [g.degree(v) for v in (1, 4, 9, 12)] == [2, 2, 2, 0]
+        assert g.has_edge(9, 1) and g.has_edge(1, 9)
+        assert not g.has_edge(1, 1) and not g.has_edge(1, 12)
+        assert not g.has_edge(7, 1)
+        with pytest.raises(BadParam):
+            g.degree(7)
+
     def test_no_self_loops(self):
         with pytest.raises(BadParam):
             G.FinGraph([0], [(0, 0)])
