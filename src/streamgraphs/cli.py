@@ -19,9 +19,7 @@ from . import specs as _specs
 from . import suites as _suites
 from .errors import (FuelExhausted, OracleRefused, PatternNeverSeen,
                      StreamGraphsError, UnknownSuite)
-from .graphs import standard
 from .streams import parse_stream
-from .trees import string_decode
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -207,7 +205,7 @@ def cmd_gadget(args):
         report["prefix"] = out.stream.prefix(fuel)
         if args.pattern:
             from .decide import fin_subgraph
-            fin = _suites._materialize_gr(out, 20)
+            fin = _spaces.gr_window(out, 20)
             emb = fin_subgraph(_specs.parse_pattern(args.pattern), fin,
                                induced=True)
             report["contains"] = emb is not None
@@ -226,10 +224,12 @@ def cmd_gadget(args):
         from .decide import predicate_tf
         report["predicate_t1"] = predicate_tf("T", 1, forest)
     elif name == "acc":
-        out = _gadgets.acc_gadget(parse_stream(spec))
+        p = parse_stream(spec)
+        out = _gadgets.acc_gadget(p)
         report["prefix"] = out.name.stream.prefix(min(fuel, 200))
         if args.decode:
-            report["decoded"] = _gadgets.acc_decode(out.name)
+            report["decoded"] = _gadgets.acc_decode(
+                _gadgets.acc_canonical_solution(p))
     elif name == "lim2":
         q = parse_stream(spec)
         out = _gadgets.lim2_to_embR(q)
@@ -428,6 +428,9 @@ def main(argv=None):
         return EXIT_USAGE
     if hasattr(args, "fuel") and args.fuel is None:
         args.fuel = default_fuel()
+    if getattr(args, "fuel", 0) < 0:
+        print("fuel must be >= 0, got %d" % args.fuel, file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.fn(args)
     except (FuelExhausted, OracleRefused, PatternNeverSeen) as exc:

@@ -532,6 +532,42 @@ def embR_canonical_solution(q):
     return GeneratorBacked(value)
 
 
+def ray_solution(path_vertex):
+    """EGr name of the ray v0 - v1 - v2 - ... given by the vertex function."""
+    def emission(n):
+        if n == 0:
+            v = path_vertex(0)
+            return pair(v, v) + 1
+        step, phase = divmod(n - 1, 2)
+        a, b = path_vertex(step), path_vertex(step + 1)
+        if phase == 0:
+            return pair(b, b) + 1
+        return pair(min(a, b), max(a, b)) + 1
+    return SpaceName("EGr", GeneratorBacked(emission))
+
+
+def acc_canonical_solution(complement_enum):
+    """The ray a solver finds in the ACC graph of a certified input, as an
+    EGr name: 1, ..., n, then 0, then the tail after the initial segment
+    once n >= 1 is removed; 1, 2, 3, ... when nothing (or 0) is removed."""
+    s = complement_enum
+    if not isinstance(s, (EventuallyConstant, Periodic)):
+        raise BadParam("the ACC input needs an EventuallyConstant or "
+                       "Periodic certificate")
+    machine = _AccMachine(s)
+    horizon = len(s.head) + (len(s.period) if isinstance(s, Periodic) else 1)
+    while machine.stages <= horizon:   # stage t + 1 reads input value t
+        machine.run_stage()
+    n, top = machine.removed or 0, machine.top
+
+    def vertex(t):
+        if not n or t < n:
+            return t + 1
+        return 0 if t == n else top + t - n
+
+    return ray_solution(vertex)
+
+
 # ---------------------------------------------------------------------------
 # Cycles with boxes: path search through an ill-founded tree
 # ---------------------------------------------------------------------------

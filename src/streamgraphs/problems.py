@@ -16,10 +16,10 @@ from .errors import (BadParam, DegreeUnknown, FuelExhausted,
                      HarnessContractViolation, MalformedInstance,
                      OracleRefused, PromiseViolation,
                      UndecidableWithoutCertificate)
-from .graphs import (CompleteOmega, ConnectedUnion, DisjointUnion, FinGraph,
+from .graphs import (CompleteOmega, ConnectedUnion, DisjointUnion,
                      OmegaCopies, Ray, TreeAsGraph, TwoWayRay, construction,
                      standard)
-from .spaces import SpaceName, name_of
+from .spaces import SpaceName, name_of, truncate
 from .streams import (CertifiedStream, EventuallyConstant, GeneratorBacked,
                       Periodic, exists_one, is_binary, limit, pair, unpair)
 from .trees import (DisjointTreeUnion, FiniteTree, FullBinary, SinglePath,
@@ -206,95 +206,32 @@ def _child_nodes(tree, sigma):
     return [sigma + (d,) for d in tree.children(sigma)]
 
 
-def _has_node_at_depth(tree, sigma, depth):
-    """Does some node of length `depth` extend sigma?  BFS over children."""
-    frontier = [sigma]
-    while frontier and len(frontier[0]) < depth:
-        frontier = [child for node in frontier
-                    for child in _child_nodes(tree, node)]
-    return bool(frontier)
-
-
-class _GreedyLeftmost:
+class _Leftmost:
     """Leftmost path through a finitely-branching ill-founded tree, each
-    digit chosen by a depth-lookahead viability probe (Koenig's lemma)."""
+    digit chosen by a depth-lookahead viability probe (Koenig's lemma).
+    With a fuel budget, every node a probe visits costs one unit of fuel;
+    running dry raises FuelExhausted (the engine's Unknown) instead of
+    guessing."""
 
-    def __init__(self, tree, lookahead):
+    def __init__(self, tree, lookahead, fuel=None):
         self.tree = tree
         self.lookahead = lookahead
-        self.path = ()
-
-    def digit(self, n):
-        while len(self.path) <= n:
-            target = len(self.path) + self.lookahead
-            pick = None
-            for child in _child_nodes(self.tree, self.path):
-                if _has_node_at_depth(self.tree, child, target):
-                    pick = child
-                    break
-            if pick is None:
-                raise PromiseViolation(
-                    "no viable child at %r: instance not ill-founded"
-                    % (self.path,))
-            self.path = pick
-        return self.path[n]
-
-
-def _validate_ccantor(tree):
-    _certified_tree(tree)
-    # trees without the flag (single paths, full binary, finite) are
-    # finitely branching by construction
-    if not getattr(tree, "finitely_branching", True):
-        raise UndecidableWithoutCertificate(
-            "C_Cantor needs a finitely-branching certificate")
-
-
-def _ccantor_solve(tree, fuel):
-    if isinstance(tree, FiniteTree):
-        raise MalformedInstance("well-founded instance has no path")
-    if isinstance(tree, SinglePath):
-        return _single_path_stream(tree)
-    if isinstance(tree, FullBinary):
-        return GeneratorBacked(lambda n: 0)
-    if isinstance(tree, DisjointTreeUnion):
-        for i, part in enumerate(tree.parts):
-            if not wf2(part):
-                return _prepend(i, _ccantor_solve(part, fuel))
-        raise MalformedInstance("every part is well-founded")
-    return GeneratorBacked(_GreedyLeftmost(tree, fuel).digit)
-
-
-def _path_in_tree(tree, path, depth):
-    sigma = tuple(path.eval(i) for i in range(depth))
-    return all(tree.contains(sigma[:k]) for k in range(depth + 1))
-
-
-CCANTOR = Problem("ccantor", _validate_ccantor, _ccantor_solve,
-                  checker=lambda t, out: _path_in_tree(t, out, 50),
-                  fuel_policy=16)
-
-
-class _FueledLeftmost:
-    """Like _GreedyLeftmost but every node visited during viability probes
-    costs one unit of fuel; running dry raises FuelExhausted (the engine's
-    Unknown) instead of guessing."""
-
-    def __init__(self, tree, fuel, lookahead=8):
-        self.tree = tree
         self.fuel = fuel
-        self.lookahead = lookahead
         self.path = ()
 
     def _viable(self, sigma, depth):
+        """Does some node of length `depth` extend sigma?  BFS over
+        children."""
         frontier = [sigma]
         while frontier and len(frontier[0]) < depth:
             nxt = []
             for node in frontier:
                 for child in _child_nodes(self.tree, node):
-                    self.fuel -= 1
-                    if self.fuel < 0:
-                        raise FuelExhausted("leftmost path search",
-                                            spent=self.fuel)
+                    if self.fuel is not None:
+                        self.fuel -= 1
+                        if self.fuel < 0:
+                            raise FuelExhausted("leftmost path search",
+                                                spent=self.fuel)
                     nxt.append(child)
             frontier = nxt
         return bool(frontier)
@@ -315,7 +252,19 @@ class _FueledLeftmost:
         return self.path[n]
 
 
-def _cbaire_solve(tree, fuel):
+def _validate_ccantor(tree):
+    _certified_tree(tree)
+    # trees without the flag (single paths, full binary, finite) are
+    # finitely branching by construction
+    if not getattr(tree, "finitely_branching", True):
+        raise UndecidableWithoutCertificate(
+            "C_Cantor needs a finitely-branching certificate")
+
+
+def _path_solve(tree, fuel, budgeted):
+    """A path through an ill-founded tree. C_Cantor (budgeted False) looks
+    `fuel` levels ahead for free; C_Baire looks 8 levels ahead and pays one
+    unit of `fuel` for every node it probes."""
     if isinstance(tree, FiniteTree):
         raise MalformedInstance("well-founded instance has no path")
     if isinstance(tree, SinglePath):
@@ -325,12 +274,25 @@ def _cbaire_solve(tree, fuel):
     if isinstance(tree, DisjointTreeUnion):
         for i, part in enumerate(tree.parts):
             if not wf2(part):
-                return _prepend(i, _cbaire_solve(part, fuel))
+                return _prepend(i, _path_solve(part, fuel, budgeted))
         raise MalformedInstance("every part is well-founded")
-    return GeneratorBacked(_FueledLeftmost(tree, fuel).digit)
+    leftmost = _Leftmost(tree, 8, fuel) if budgeted else _Leftmost(tree, fuel)
+    return GeneratorBacked(leftmost.digit)
 
 
-CBAIRE = Problem("cbaire", _certified_tree, _cbaire_solve, fuel_policy=1000)
+def _path_in_tree(tree, path, depth):
+    sigma = tuple(path.eval(i) for i in range(depth))
+    return all(tree.contains(sigma[:k]) for k in range(depth + 1))
+
+
+CCANTOR = Problem("ccantor", _validate_ccantor,
+                  lambda t, fuel: _path_solve(t, fuel, False),
+                  checker=lambda t, out: _path_in_tree(t, out, 50),
+                  fuel_policy=16)
+
+
+CBAIRE = Problem("cbaire", _certified_tree,
+                 lambda t, fuel: _path_solve(t, fuel, True), fuel_policy=1000)
 
 
 # ---------------------------------------------------------------------------
@@ -357,13 +319,6 @@ def problem_by_name(name):
 # Component labeling (the problem D)
 # ---------------------------------------------------------------------------
 
-def _finite_gr_graph(stream):
-    ones = [c for c in range(len(stream.head)) if stream.eval(c) == 1]
-    vs = sorted({unpair(c)[0] for c in ones if unpair(c)[0] == unpair(c)[1]})
-    es = [unpair(c) for c in ones if unpair(c)[0] < unpair(c)[1]]
-    return FinGraph(vs, es)
-
-
 def d_components(h):
     """Component labeling of a certified Gr name: a stream f with
     f(v1) = f(v2) iff v1 and v2 are connected, labels being least vertices.
@@ -371,7 +326,7 @@ def d_components(h):
     if not isinstance(h, SpaceName) or h.space != "Gr":
         raise BadParam("a Gr name is required")
     if isinstance(h.stream, EventuallyConstant) and h.stream.tail == 0:
-        fin = _finite_gr_graph(h.stream)
+        fin = truncate(h, len(h.stream.head))
         labels = {}
         for v in sorted(fin.vertices):
             if v not in labels:
@@ -506,12 +461,14 @@ def ray_embedding_problem(fuel=2000, steps=4):
         def lim_oracle(q):
             if driver is not None and isinstance(
                     driver, (EventuallyConstant, Periodic)):
-                # q stabilizes with the certified driver: past the driver's
-                # head only the infinite side keeps growing.
-                probe_at = len(driver.head) + steps + 2
+                # q(t) compares the two sides within the vertices below t.
+                # The finite side lies below vertex 2 * len(head) + 2, so
+                # from t = 4 * len(head) + 4 on the infinite side holds
+                # more vertices there and q(t) has reached its limit: the
+                # tail of q from that probe is constant, with q's limit.
+                probe_at = 4 * len(driver.head) + 4
                 return oracle_call(
-                    LIM2, EventuallyConstant(q.prefix(probe_at),
-                                             q.eval(probe_at)))
+                    LIM2, EventuallyConstant([], q.eval(probe_at)))
             return q.eval(budget // 8)
 
         walk = emb_ray_r(host, lim_oracle, fuel=budget, steps=steps)

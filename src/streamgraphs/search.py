@@ -2,6 +2,7 @@
 concrete copy (vertex/edge emissions plus the inclusion map), following the
 constructive strategy appropriate to each pattern shape."""
 
+import functools
 import itertools
 
 from .decide import embeddings, fin_subgraph, predicate_tf
@@ -9,7 +10,7 @@ from .errors import (BadParam, CensusUnstable, DegreeUnknown, FuelExhausted,
                      NoInfiniteDegreeVertex, OracleRefused, PatternNeverSeen,
                      PredicateUnsupported, PromiseViolation)
 from .graphs import OMEGA, FinGraph
-from .spaces import SpaceName, truncate
+from .spaces import HostView, SpaceName, gr_window, truncate
 from .streams import EventuallyConstant, GeneratorBacked, pair, unpair
 from .trees import comparable, is_prefix, string_decode
 
@@ -29,17 +30,6 @@ class SolutionStream:
         return sorted(self.inclusion.items())
 
 
-def _window(host, fuel):
-    """Finite view of a host name: emission truncation for EGr, bit window
-    for Gr."""
-    if host.space == "EGr":
-        return truncate(host, fuel)
-    vs = [v for v in range(fuel) if host.stream.eval(pair(v, v)) == 1]
-    es = [(a, b) for a, b in itertools.combinations(vs, 2)
-          if host.stream.eval(pair(a, b)) == 1]
-    return FinGraph(vs, es)
-
-
 def _copy_name(g, mapping):
     """Gr name of the image of g under the mapping (subgraph copy)."""
     image = set(mapping.values())
@@ -57,15 +47,20 @@ def _copy_name(g, mapping):
 
 def find_s_finite(g, host, fuel=None):
     """Stage-search the host truncations for the first subgraph embedding of
-    the finite pattern g, then freeze it."""
+    the finite pattern g, then freeze it. A stage that brought only padding
+    shows the graph already searched, so it is not searched again."""
+    view = HostView(host)
+    fin = None
     s = 1
     while True:
         if fuel is not None and s > fuel:
             raise FuelExhausted("no copy found", spent=fuel)
-        emb = fin_subgraph(g, truncate(host, s))
-        if emb is not None:
-            return SolutionStream(_copy_name(g, emb.mapping),
-                                  dict(emb.mapping))
+        prev, fin = fin, view.graph(s)
+        if fin is not prev:
+            emb = fin_subgraph(g, fin)
+            if emb is not None:
+                return SolutionStream(_copy_name(g, emb.mapping),
+                                      dict(emb.mapping))
         s += 1
 
 
@@ -85,10 +80,11 @@ def find_is_via_cn(g, host, cn_oracle, stage_cap=40):
     n = len(g.vertices)
     if len(g.edges) == n * (n - 1) // 2:
         raise BadParam("use find_s_finite for complete patterns")
+    view = HostView(host)
 
     def decode(code):
         s, idx = unpair(code)
-        embs = embeddings(g, truncate(host, s), induced=True)
+        embs = embeddings(g, view.graph(s), induced=True)
         return next(itertools.islice(embs, idx, None), None)
 
     def rejected(code, at_stage):
@@ -98,7 +94,7 @@ def find_is_via_cn(g, host, cn_oracle, stage_cap=40):
         m = decode(code)
         if m is None:
             return True
-        later = truncate(host, at_stage)
+        later = view.graph(at_stage)
         return not all(
             (g.has_edge(a, b) == later.has_edge(m[a], m[b]))
             for a, b in itertools.combinations(sorted(g.vertices), 2))
@@ -145,7 +141,7 @@ class _ComponentsMachine:
     def __init__(self, exceptional, recurring, host):
         self.exceptional = list(exceptional)
         self.recurring = list(recurring)
-        self.host = host
+        self.view = HostView(host)
         self.used = set()
         self.out = []
         self.fuel = 0
@@ -172,7 +168,7 @@ class _ComponentsMachine:
 
     def step(self):
         self.fuel += 10
-        fin = truncate(self.host, self.fuel)
+        fin = self.view.graph(self.fuel)
         if not self.exceptional_done:
             # all exceptional parts must fit disjointly in one shot
             free = fin.induced(set(fin.vertices) - self.used)
@@ -239,13 +235,14 @@ def _wait_for(predicate, fuel):
     raise PatternNeverSeen("no witness within fuel %d" % fuel)
 
 
-def _extend_walk(host, walk, banned, fuel):
-    """Least fresh neighbor of the walk's tip, waiting on the enumeration."""
+def _extend_walk(window, walk, banned, fuel):
+    """Least fresh neighbor of the walk's tip, waiting on the growing finite
+    windows window(s) of the host."""
     tip = walk[-1]
     seen = set(walk) | set(banned)
 
     def probe(s):
-        fin = truncate(host, s)
+        fin = window(s)
         if tip not in fin.vertices:
             return None
         cands = [w for w in fin.neighbors(tip) if w not in seen]
@@ -261,11 +258,14 @@ def ray_follow(kind, host, fuel=2000, steps=10):
     kind: "TwoWayRay" | ("CycleTailRay", n) | ("CompleteTailRay", m) |
     "FullBinaryTree".
     """
+    view = HostView(host)
     banned = set()
     if kind == "TwoWayRay" or kind == "FullBinaryTree":
-        start = _wait_for(
-            lambda s: min(truncate(host, s).vertices)
-            if truncate(host, s).vertices else None, fuel)
+        def first_vertex(s):
+            vs = view.graph(s).vertices
+            return min(vs) if vs else None
+
+        start = _wait_for(first_vertex, fuel)
     elif isinstance(kind, tuple) and kind[0] in ("CycleTailRay",
                                                  "CompleteTailRay"):
         shape, size = kind
@@ -279,7 +279,7 @@ def ray_follow(kind, host, fuel=2000, steps=10):
         pend = FinGraph(range(size + 1), list(core.edges) + [(0, size)])
 
         def find_pendant(s):
-            emb = fin_subgraph(pend, truncate(host, s))
+            emb = fin_subgraph(pend, view.graph(s))
             if emb is None:
                 return None
             return emb.mapping
@@ -291,24 +291,29 @@ def ray_follow(kind, host, fuel=2000, steps=10):
         raise BadParam("unknown follower kind %r" % (kind,))
     walk = [start]
     while len(walk) < steps:
-        walk.append(_extend_walk(host, walk, banned, fuel))
+        walk.append(_extend_walk(view.graph, walk, banned, fuel))
     return walk
 
 
 def emb_ray_r(host, lim_oracle, fuel=2000, steps=10):
     """Embed into a host isomorphic to the one-way ray: probe which side of
     the first discovered edge is the infinite one (a convergent bit stream,
-    answered by the oracle), then walk that way."""
+    answered by the oracle), then walk that way. An EGr host is read by
+    prefixes, a Gr host by vertex windows."""
+    if host.space == "EGr":
+        window = HostView(host).graph
+    else:
+        window = functools.partial(gr_window, host)
 
     def first_edge(s):
-        fin = _window(host, s)
+        fin = window(s)
         es = sorted(fin.edges)
         return es[0] if es else None
 
     v, w = _wait_for(first_edge, fuel)
 
     def q_bit(t):
-        fin = _window(host, max(t, 4))
+        fin = window(max(t, 4))
         if v not in fin.vertices or w not in fin.vertices:
             return 0
         side_w = fin.induced(set(fin.vertices) - {v}).component_of(w)
@@ -317,22 +322,8 @@ def emb_ray_r(host, lim_oracle, fuel=2000, steps=10):
 
     choice = lim_oracle(GeneratorBacked(q_bit))
     walk = [w, v] if choice == 0 else [v, w]
-
-    def extend(walk):
-        tip = walk[-1]
-        seen = set(walk)
-
-        def probe(s):
-            fin = _window(host, s)
-            if tip not in fin.vertices:
-                return None
-            cands = [u for u in fin.neighbors(tip) if u not in seen]
-            return min(cands) if cands else None
-
-        return _wait_for(probe, fuel)
-
     while len(walk) < steps:
-        walk.append(extend(walk))
+        walk.append(_extend_walk(window, walk, (), fuel))
     return walk
 
 
@@ -408,7 +399,7 @@ def path_from_solution(mode, solution, fuel=2000, steps=6):
 
 class _ConnectedRestriction:
     def __init__(self, host, v):
-        self.host = host
+        self.view = HostView(host)
         self.v = v
         self.fuel = 0
         self.emitted_v = set()
@@ -417,7 +408,7 @@ class _ConnectedRestriction:
 
     def step(self):
         self.fuel += 5
-        fin = truncate(self.host, self.fuel)
+        fin = self.view.graph(self.fuel)
         if self.v not in fin.vertices:
             return
         comp = fin.component_of(self.v)

@@ -14,13 +14,15 @@ a dedicated symbol; an all-padding stream denotes the empty graph.
 """
 
 import random
+from bisect import bisect_left
 from collections import namedtuple
+from itertools import chain, combinations
 
-from .errors import BadParam, FuelExhausted, MalformedInstance
+from .errors import BadParam, FuelExhausted
 from .streams import (CertifiedStream, EventuallyConstant, GeneratorBacked,
-                      Periodic, pair, unpair)
+                      pair, unpair)
 from .trees import string_decode
-from .graphs import OMEGA, CountableGraph, FinGraph, Finite
+from .graphs import OMEGA, FinGraph, Finite
 
 SPACES = ("Gr", "EGr", "Tr", "Tr2")
 
@@ -197,39 +199,76 @@ def name_of_tree(tree, space="Tr"):
 
 
 # ---------------------------------------------------------------------------
-# Truncation
+# Reading a name: prefixes (HostView, truncate) and vertex windows
 # ---------------------------------------------------------------------------
+
+class HostView:
+    """Reader of a Gr or EGr name that evaluates and decodes each position
+    only once.
+
+    graph(s) is the finite graph that the first s positions decide, for any
+    s >= 0 and in any order; it never reads position s or beyond. While only
+    padding has arrived since the previous call, it returns the same object.
+    """
+
+    def __init__(self, name):
+        if name.space not in ("Gr", "EGr"):
+            raise BadParam("truncate expects a graph name")
+        self.name = name
+        self._read = 0     # positions evaluated so far
+        self._pos = []     # positions that carry a vertex or an edge
+        self._pairs = []   # what each of them carries, as (i, j)
+        self._count = -1   # how many of them the last graph holds
+        self._graph = None
+
+    def _read_to(self, s):
+        value = self.name.stream.eval
+        pos, pairs = self._pos, self._pairs
+        n = self._read
+        try:   # if a position raises, the next call resumes at it
+            if self.name.space == "Gr":
+                for n in range(self._read, s):
+                    if value(n) == 1:
+                        pairs.append(unpair(n))
+                        pos.append(n)
+            else:
+                for n in range(self._read, s):
+                    v = value(n)
+                    if v:
+                        pairs.append(unpair(v - 1))
+                        pos.append(n)
+            n = s
+        finally:
+            self._read = n
+
+    def graph(self, s):
+        if s < 0:
+            raise BadParam("fuel must be >= 0, got %r" % (s,))
+        if s > self._read:
+            self._read_to(s)
+        count = bisect_left(self._pos, s)
+        if count != self._count:
+            pairs = self._pairs[:count]
+            self._count = count
+            self._graph = FinGraph(chain.from_iterable(pairs),
+                                   [p for p in pairs if p[0] != p[1]])
+        return self._graph
+
 
 def truncate(name, fuel):
     """Finite graph decided by the first `fuel` positions of the name."""
-    if name.space == "Gr":
-        vertices = set()
-        edges = []
-        for n in range(fuel):
-            if name.stream.eval(n) != 1:
-                continue
-            i, j = unpair(n)
-            if i == j:
-                vertices.add(i)
-            else:
-                vertices.add(i)
-                vertices.add(j)
-                edges.append((i, j))
-        return FinGraph(vertices, edges)
-    if name.space == "EGr":
-        vertices = set()
-        edges = []
-        for n in range(fuel):
-            v = name.stream.eval(n)
-            if v == 0:
-                continue
-            i, j = unpair(v - 1)
-            vertices.add(i)
-            vertices.add(j)
-            if i != j:
-                edges.append((i, j))
-        return FinGraph(vertices, edges)
-    raise BadParam("truncate expects a graph name")
+    return HostView(name).graph(fuel)
+
+
+def gr_window(name, top):
+    """Finite graph on the vertices below `top` of a Gr name: the vertex
+    bits pair(v, v) for v < top, then the edge bits among those vertices."""
+    if name.space != "Gr":
+        raise BadParam("gr_window expects a Gr name")
+    bit = name.stream.eval
+    vs = [v for v in range(top) if bit(pair(v, v)) == 1]
+    return FinGraph(vs, [(a, b) for a, b in combinations(vs, 2)
+                         if bit(pair(a, b)) == 1])
 
 
 # ---------------------------------------------------------------------------
@@ -535,10 +574,8 @@ class _PCBuilder:
 
     def bit(self, n):
         a, b = unpair(n)
-        exhausted = not self.ensure_labels(max(a, b) + 1)
+        self.ensure_labels(max(a, b) + 1)
         if a >= len(self.order) or b >= len(self.order):
-            if exhausted:
-                return 0
             return 0
         if a == b:
             return 1

@@ -99,6 +99,9 @@ class Periodic(CertifiedStream):
         return "Periodic(%r, %r)" % (list(self._prefix), list(self.period))
 
 
+_MISSING = object()
+
+
 class GeneratorBacked(CertifiedStream):
     """Stream computed on demand by a total step function, memoized.
 
@@ -112,23 +115,15 @@ class GeneratorBacked(CertifiedStream):
         self._lock = threading.Lock()
 
     def eval(self, n):
-        hit = self._cache.get(n)
-        if hit is not None:
-            return hit
-        if n in self._cache:
-            return self._cache[n]
-        v = self.step(n)
-        with self._lock:
-            self._cache.setdefault(n, v)
-        return self._cache[n]
+        v = self._cache.get(n, _MISSING)
+        if v is _MISSING:
+            v = self.step(n)
+            with self._lock:
+                v = self._cache.setdefault(n, v)
+        return v
 
     def __repr__(self):
         return "GeneratorBacked(%r)" % (self.step,)
-
-
-def eval_at(s, n):
-    """Module-level form of CertifiedStream.eval, to match the op signature."""
-    return s.eval(n)
 
 
 # ---------------------------------------------------------------------------

@@ -109,6 +109,16 @@ class TestGadgetThenDecide:
         assert code == 0
         assert json.loads(out)["decoded"] == 0
 
+    def test_acc_decode_avoids_removed_number(self, capsys):
+        for spec, removed in (("ec:[0,0,0,3];0", 2), ("ec:[2];0", 1),
+                              ("ec:[0];0", None), ("ec:[1];0", 0),
+                              ("per:[0];[0,0,4]", 3)):
+            code, out = run(capsys, "gadget", "--name", "acc", "--in", spec,
+                            "--decode", "--fuel", "20")
+            assert code == 0
+            decoded = json.loads(out)["decoded"]
+            assert decoded != removed and decoded >= 1, spec
+
     def test_enuminf_decode(self, capsys):
         code, out = run(capsys, "gadget", "--name", "enuminf",
                         "--in", "[0,1,0]", "--decode")
@@ -176,6 +186,27 @@ class TestCompose:
         code, _ = run(capsys, "compose", "--gadget", "acc",
                       "--oracle", "embray", "--in", "ec:[0];0")
         assert code == 1
+
+
+class TestFuel:
+    def test_negative_fuel_rejected(self, capsys):
+        for argv in (["truncate", "--in", "egr:c4"],
+                     ["decide", "--pattern", "k2", "--host", "egr:c4"],
+                     ["search", "--solver", "finds", "--pattern", "k2",
+                      "--host", "egr:c4"]):
+            code = cli.main(argv + ["--fuel", "-5"])
+            captured = capsys.readouterr()
+            assert code == 1 and captured.out == ""
+            assert captured.err.count("\n") == 1 and "-5" in captured.err
+
+    def test_negative_default_fuel_rejected(self, capsys, monkeypatch):
+        monkeypatch.setenv("WG_FUEL_DEFAULT", "-3")
+        code, out = run(capsys, "truncate", "--in", "egr:c4")
+        assert code == 1 and out == ""
+        monkeypatch.setenv("WG_FUEL_DEFAULT", "0")
+        code, out = run(capsys, "truncate", "--in", "egr:c4")
+        assert code == 0
+        assert json.loads(out)["graph"] == {"e": [], "v": []}
 
 
 class TestConvert:

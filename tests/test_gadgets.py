@@ -29,36 +29,14 @@ def c(n):
     return G.standard("CycleN", n).materialize()
 
 
-def materialize_gr(name, max_vertex):
-    vs = [v for v in range(max_vertex)
-          if name.stream.eval(pair(v, v)) == 1]
-    es = [(a, b) for a in vs for b in vs
-          if a < b and name.stream.eval(pair(a, b)) == 1]
-    return G.FinGraph(vs, es)
-
-
-def ray_solution(path_vertex):
-    """EGr name of the ray v0 - v1 - v2 - ... given by the vertex function."""
-    def emission(n):
-        if n == 0:
-            v = path_vertex(0)
-            return pair(v, v) + 1
-        step, phase = divmod(n - 1, 2)
-        a, b = path_vertex(step), path_vertex(step + 1)
-        if phase == 0:
-            return pair(b, b) + 1
-        return pair(min(a, b), max(a, b)) + 1
-    return SP.SpaceName("EGr", GeneratorBacked(emission))
-
-
 class TestSigma1:
     def test_all_zero_is_empty(self):
         name = GD.sigma1_gadget(EventuallyConstant([], 0), k(2))
-        assert materialize_gr(name, 12) == G.FinGraph([])
+        assert SP.gr_window(name, 12) == G.FinGraph([])
 
     def test_one_hit_places_copy(self):
         name = GD.sigma1_gadget(EventuallyConstant([0, 0, 1], 0), c(3))
-        fin = materialize_gr(name, 12)
+        fin = SP.gr_window(name, 12)
         assert sorted(fin.vertices) == [2, 3, 4]
         assert G.isomorphic(fin, c(3))
 
@@ -79,7 +57,7 @@ class TestSigma1:
             p = random_certified_stream(rng)
             name = GD.sigma1_gadget(p, g)
             window = 8 + len(g.vertices)
-            fin = materialize_gr(name, window)
+            fin = SP.gr_window(name, window)
             found = D.fin_subgraph(g, fin, induced=True) is not None
             assert found == exists_one(p, 1)
 
@@ -280,22 +258,22 @@ class TestAcc:
             machine = out.decoder_hint
             machine.value(300)  # drive the construction far enough
             if n == 0:
-                solutions = [ray_solution(lambda t: t + 1)]
+                solutions = [GD.ray_solution(lambda t: t + 1)]
             else:
                 top = machine.top
                 up = list(range(1, n + 1)) + [0] \
                     + list(range(top + 1, top + 400))
                 down = list(range(top, n - 1, -1)) + [0] \
                     + list(range(top + 1, top + 400))
-                solutions = [ray_solution(lambda t, s=up: s[t]),
-                             ray_solution(lambda t, s=down: s[t])]
+                solutions = [GD.ray_solution(lambda t, s=up: s[t]),
+                             GD.ray_solution(lambda t, s=down: s[t])]
             for sol in solutions:
                 answer = GD.acc_decode(sol)
                 assert answer != n
 
     def test_decode_terminates_without_removal(self):
         out = GD.acc_gadget(EventuallyConstant([], 0))
-        assert GD.acc_decode(ray_solution(lambda t: t + 1)) >= 2
+        assert GD.acc_decode(GD.ray_solution(lambda t: t + 1)) >= 2
         assert isinstance(GD.acc_decode(out.name), int)
 
 
@@ -306,7 +284,7 @@ class TestLim2:
 
     def test_graph_is_a_ray(self):
         name = GD.lim2_to_embR(EventuallyConstant([1], 0))
-        fin = materialize_gr(name, 14)
+        fin = SP.gr_window(name, 14)
         assert fin.is_acyclic() and fin.is_connected()
         assert all(fin.degree(v) <= 2 for v in fin.vertices)
 

@@ -1,0 +1,143 @@
+"""Byte-identity guard for the "same output for fixed argv" contract.
+
+Each case is either a fixed `sgraph` argv (stdout and exit code are
+recorded; every argv that takes a fuel names it, so WG_FUEL_DEFAULT plays
+no part) or a library-only solver whose output is recorded.
+The expected values live in golden.json next to this file. After an
+intended contract change, regenerate them with
+
+    PYTHONPATH=src python tests/test_golden.py --write
+
+and name every changed entry in CHANGES.md.
+"""
+
+import contextlib
+import io
+import json
+import os
+import sys
+
+from streamgraphs import cli
+from streamgraphs import search as S
+from streamgraphs import specs
+from streamgraphs.errors import StreamGraphsError
+from streamgraphs.graphs import OMEGA
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                      "golden.json")
+
+CLI_CASES = [
+    ["truncate", "--in", "egr:komega", "--fuel", "60"],
+    ["truncate", "--in", "gr:c5", "--fuel", "40"],
+    ["truncate", "--in", "egr(7,0.5):du(c4,k3)", "--fuel", "50"],
+    ["export", "json", "--in", "egr:omega(c4)", "--fuel", "50"],
+    ["export", "json", "--in", "gr:l", "--fuel", "30"],
+    ["decide", "--pattern", "k3", "--host", "egr:komega", "--fuel", "100"],
+    ["decide", "--pattern", "c4", "--host", "gr:omega(c4)", "--fuel", "200"],
+    ["decide", "--pattern", "k3", "--host", "egr:l", "--fuel", "80"],
+    ["decide", "--pattern", "r3", "--host", "egr:c5", "--mode", "is",
+     "--fuel", "100"],
+    ["decide", "--pattern", "r4", "--host", "gr:omega(c5)", "--mode", "is",
+     "--fuel", "300"],
+    ["decide", "--pattern", "r3", "--host", "egr(11,0.3):du(r3,c5)",
+     "--mode", "is", "--fuel", "30"],
+    ["search", "--solver", "finds", "--pattern", "c4",
+     "--host", "egr:omega(c4)", "--fuel", "200"],
+    ["search", "--solver", "finds", "--pattern", "k3", "--host", "egr:l",
+     "--fuel", "40"],
+    ["search", "--solver", "rayfollow:L", "--host", "egr:l", "--fuel", "500"],
+    ["search", "--solver", "rayfollow:c3", "--host", "egr:cu(c3,ray)",
+     "--fuel", "2000", "--steps", "6"],
+    ["search", "--solver", "rayfollow:fbt", "--host", "gr:fbt",
+     "--fuel", "1000", "--steps", "5"],
+    ["search", "--solver", "embray", "--host", "gr:ray", "--fuel", "400",
+     "--steps", "8"],
+    ["gadget", "--name", "sigma1", "--in", "ec:[0,0,1];0", "--pattern", "k2",
+     "--fuel", "30"],
+    ["gadget", "--name", "acc", "--in", "ec:[0,0,0,3];0", "--decode",
+     "--fuel", "40"],
+    ["compose", "--gadget", "lim2", "--oracle", "embray",
+     "--in", "ec:[0,0,0];1", "--fuel", "1000"],
+    ["oracle", "--problem", "ccantor", "--in", "path(ec:[1,0];1)",
+     "--fuel", "100"],
+    ["oracle", "--problem", "cbaire", "--in", "path(ec:[3,0,2];1)",
+     "--fuel", "100"],
+    ["suite", "search-witnesses", "--seed", "0"],
+    ["suite", "f-convert", "--seed", "0"],
+    ["suite", "gadget-soundness", "--seed", "0"],
+]
+
+
+def _components():
+    host = specs.parse_name("egr:omega(k3)")
+    sol = S.find_s_components([(specs.parse_pattern("k2"), OMEGA)], host)
+    return sol.name.stream.prefix(60)
+
+
+def _components_exceptional():
+    host = specs.parse_name("egr:du(k3,omega(k1))")
+    sol = S.find_s_components([(specs.parse_pattern("k3"), 1),
+                               (specs.parse_pattern("k1"), OMEGA)], host)
+    return sol.name.stream.prefix(40)
+
+
+def _connected():
+    host = specs.parse_name("egr:du(c4,ray)")
+    return S.restrict_to_connected(host, 0).stream.prefix(80)
+
+
+def _is_via_cn(host, stage_cap):
+    def run():
+        sol = S.find_is_via_cn(specs.parse_pattern("r3"),
+                               specs.parse_name(host),
+                               S.cn_by_stabilization, stage_cap=stage_cap)
+        return sol.inclusion_pairs()
+    return run
+
+
+LIBRARY_CASES = {
+    "find_s_components k2 in egr:omega(k3)": _components,
+    "find_s_components k3+omega(k1) in egr:du(k3,omega(k1))":
+        _components_exceptional,
+    "restrict_to_connected egr:du(c4,ray) at 0": _connected,
+    "find_is_via_cn r3 in egr:du(k2,r3)": _is_via_cn("egr:du(k2,r3)", 40),
+    "find_is_via_cn r3 in egr(4,0.3):du(k2,r3)":
+        _is_via_cn("egr(4,0.3):du(k2,r3)", 60),
+    "find_is_via_cn r3 in egr:du(k3,c5), all rejected":
+        _is_via_cn("egr:du(k3,c5)", 40),
+}
+
+
+def run_cli(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(list(argv))
+    return {"exit": code, "stdout": out.getvalue()}
+
+
+def current():
+    got = {" ".join(argv): run_cli(argv) for argv in CLI_CASES}
+    for key, fn in LIBRARY_CASES.items():
+        try:
+            got[key] = json.loads(json.dumps(fn()))
+        except StreamGraphsError as exc:
+            got[key] = {"raises": "%s: %s" % (type(exc).__name__, exc)}
+    return got
+
+
+def test_matches_golden():
+    with open(GOLDEN) as fh:
+        want = json.load(fh)
+    got = current()
+    assert sorted(got) == sorted(want)
+    for key in want:
+        assert got[key] == want[key], key
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: test_golden.py --write")
+    with open(GOLDEN, "w") as fh:
+        json.dump(current(), fh, indent=1, sort_keys=True)
+        fh.write("\n")

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -236,6 +237,19 @@ class TestCompose:
         oracle = P.ray_embedding_problem()
         assert P.compose(harness, oracle, EC([1], 0)) == 0
         assert P.compose(harness, oracle, EC([0, 0, 1], 1)) == 1
+
+    def test_lim2_gadget_every_short_head(self):
+        # the direction probe must wait until the infinite side has
+        # outgrown the finite one, whatever the head
+        harness = P.ReductionHarness(
+            lambda q: GD.lim2_to_embR(q),
+            lambda _x, walk: GD.embR_decode(walk))
+        oracle = P.ray_embedding_problem(fuel=50)
+        for length in range(5):
+            for head in itertools.product((0, 1), repeat=length):
+                for tail in (0, 1):
+                    q = EC(list(head), tail)
+                    assert P.compose(harness, oracle, q) == tail, q
 
     def test_strong_mode_violation(self):
         harness = P.ReductionHarness(

@@ -12,8 +12,7 @@ from streamgraphs import trees as T
 from streamgraphs.errors import (BadParam, CensusUnstable, FuelExhausted,
                                  NoInfiniteDegreeVertex, PatternNeverSeen,
                                  PredicateUnsupported, PromiseViolation)
-from streamgraphs.streams import (EventuallyConstant, GeneratorBacked, pair,
-                                  unpair)
+from streamgraphs.streams import EventuallyConstant, pair, unpair
 from streamgraphs.suites import _naive_least_embedding
 
 
@@ -29,17 +28,10 @@ def c(n):
     return G.standard("CycleN", n).materialize()
 
 
-def gr_window(name, top):
-    vs = [v for v in range(top) if name.stream.eval(pair(v, v)) == 1]
-    es = [(a, b) for a, b in itertools.combinations(vs, 2)
-          if name.stream.eval(pair(a, b)) == 1]
-    return G.FinGraph(vs, es)
-
-
 class TestFindSFinite:
     def test_k2_in_c3(self):
         sol = S.find_s_finite(k(2), SP.name_of("EGr", c(3)))
-        fin = gr_window(sol.name, 8)
+        fin = SP.gr_window(sol.name, 8)
         assert G.isomorphic(fin, k(2))
 
     def test_identity_copy(self):
@@ -67,7 +59,7 @@ class TestFindSFinite:
             host = SP.name_of("EGr", host_fin,
                               ("random", rng.randrange(10**6), 0.2))
             sol = S.find_s_finite(g, host)
-            image = gr_window(sol.name, 4 * (max(host_fin.vertices) + 1))
+            image = SP.gr_window(sol.name, 4 * (max(host_fin.vertices) + 1))
             assert _naive_least_embedding(g, image) is not None
             # re-validation: the copy's edges exist in the host
             big = SP.truncate(host, 4000)
@@ -76,13 +68,19 @@ class TestFindSFinite:
             assert len(set(inc.values())) == len(inc)
 
 
+    def test_empty_pattern_at_stage_one_on_padding(self):
+        host = SP.SpaceName("EGr", EventuallyConstant([], 0))
+        sol = S.find_s_finite(G.FinGraph([]), host, fuel=1)
+        assert sol.inclusion_pairs() == []
+
+
 class TestFindIsViaCn:
     def test_avoids_complete_part(self):
         host_fin = G.disjoint_union(
             [G.standard("CompleteN", 2), G.standard("RayN", 3)]).materialize()
         host = SP.name_of("EGr", host_fin)
         sol = S.find_is_via_cn(r(3), host, S.cn_by_stabilization)
-        image = gr_window(sol.name, 30)
+        image = SP.gr_window(sol.name, 30)
         assert G.isomorphic(image, r(3))
         # induced in the host: the K_2 part cannot host an induced R_3
         inc = dict(sol.inclusion_pairs())
@@ -92,7 +90,7 @@ class TestFindIsViaCn:
     def test_identity(self):
         sol = S.find_is_via_cn(r(3), SP.name_of("EGr", r(3)),
                                S.cn_by_stabilization)
-        assert G.isomorphic(gr_window(sol.name, 20), r(3))
+        assert G.isomorphic(SP.gr_window(sol.name, 20), r(3))
 
     def test_emitted_ones_match_chosen_embedding(self):
         host = SP.name_of("EGr", r(3))

@@ -1,6 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from helpers import random_fin_graph, reference_truncate
 
 from streamgraphs import graphs as G
 from streamgraphs import spaces as SP
@@ -18,14 +21,6 @@ def r(n):
 
 def c(n):
     return G.standard("CycleN", n).materialize()
-
-
-def random_fin_graph(rng, max_v=6):
-    n = rng.randrange(1, max_v + 1)
-    vs = sorted(rng.sample(range(2 * max_v), n))
-    es = [(a, b) for i, a in enumerate(vs) for b in vs[i + 1:]
-          if rng.random() < 0.4]
-    return G.FinGraph(vs, es)
 
 
 class TestValidatePrefix:
@@ -119,6 +114,73 @@ class TestTruncate:
             assert prev.vertices <= cur.vertices
             assert set(prev.edges) <= set(cur.edges)
             prev = cur
+
+
+class TestHostView:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.booleans())
+    def test_matches_reference_in_any_order(self, seed, gr):
+        """Random binary Gr heads (valid or not) and random EGr schedules
+        with padding and repeated emissions, read at shuffled stages."""
+        rng = random.Random(seed)
+        if gr:
+            head = [rng.randrange(2) for _ in range(rng.randrange(60))]
+            name = SP.SpaceName("Gr", EventuallyConstant(head, 0))
+        else:
+            fin = random_fin_graph(rng, min_v=0, max_v=6,
+                                   density=rng.random())
+            name = SP.name_of("EGr", fin, ("random", rng.randrange(10 ** 6),
+                                           rng.random() * 0.9))
+        view = SP.HostView(name)
+        stages = [rng.randrange(80) for _ in range(12)]
+        for s in stages:
+            assert view.graph(s) == reference_truncate(name, s)
+
+    def test_reads_only_below_the_stage(self):
+        seen = []
+        name = SP.SpaceName("EGr", GeneratorBacked(
+            lambda n: seen.append(n) or 0))
+        view = SP.HostView(name)
+        view.graph(7)
+        view.graph(3)
+        assert seen == list(range(7))
+
+    def test_resumes_at_a_position_that_raised(self):
+        failed = []
+
+        def step(n):
+            if n == 5 and not failed:
+                failed.append(n)
+                raise FuelExhausted("not yet")
+            return pair(n, n) + 1
+
+        name = SP.SpaceName("EGr", GeneratorBacked(step))
+        view = SP.HostView(name)
+        with pytest.raises(FuelExhausted):
+            view.graph(9)
+        for s in (9, 7, 3, 0, 12):
+            assert view.graph(s) == reference_truncate(name, s)
+
+    def test_same_object_across_padding(self):
+        name = SP.SpaceName("EGr", EventuallyConstant(
+            [1, 0, 0, pair(1, 1) + 1, 0], 0))
+        view = SP.HostView(name)
+        one = view.graph(1)
+        assert view.graph(2) is one and view.graph(3) is one
+        two = view.graph(5)
+        assert two != one and view.graph(40) is two
+        assert view.graph(1) == one
+
+    def test_negative_stage_rejected(self):
+        name = SP.name_of("EGr", c(3))
+        with pytest.raises(BadParam):
+            SP.HostView(name).graph(-1)
+        with pytest.raises(BadParam):
+            SP.truncate(name, -5)
+
+    def test_only_graph_names(self):
+        with pytest.raises(BadParam):
+            SP.HostView(SP.SpaceName("Tr", EventuallyConstant([1], 0)))
 
 
 class TestGrToEgr:
@@ -220,19 +282,10 @@ class TestFConvert:
             SP.f_convert(SP.name_of("Gr", k(2)))
 
 
-def _materialize_gr(name, max_vertex):
-    codes = [(a, b) for a in range(max_vertex) for b in range(max_vertex)]
-    vs = [v for v in range(max_vertex) if name.stream.eval(pair(v, v)) == 1]
-    es = [(a, b) for a, b in codes
-          if a < b and a in vs and b in vs
-          and name.stream.eval(pair(a, b)) == 1]
-    return G.FinGraph(vs, es)
-
-
 class TestPC:
     def test_already_prompt(self):
         out = SP.pc(SP.name_of("Gr", r(5)))
-        fin = _materialize_gr(out, 8)
+        fin = SP.gr_window(out, 8)
         assert G.is_promptly_connected(fin)
         assert G.isomorphic(fin, r(5))
 
@@ -240,7 +293,7 @@ class TestPC:
         src = G.FinGraph([0, 1, 2], [(0, 2), (2, 1)])
         assert not G.is_promptly_connected(src)
         out = SP.pc(SP.name_of("Gr", src))
-        fin = _materialize_gr(out, 5)
+        fin = SP.gr_window(out, 5)
         assert G.is_promptly_connected(fin)
         assert G.isomorphic(fin, src)
 
@@ -248,7 +301,7 @@ class TestPC:
         # path 9-7-5-3-1: label order disagrees with path order
         src = G.FinGraph([1, 3, 5, 7, 9], [(9, 7), (7, 5), (5, 3), (3, 1)])
         out = SP.pc(SP.name_of("Gr", src))
-        fin = _materialize_gr(out, 8)
+        fin = SP.gr_window(out, 8)
         assert G.is_promptly_connected(fin)
         assert G.isomorphic(fin, r(5))
 
@@ -260,7 +313,7 @@ class TestPC:
 
     def test_infinite_input(self):
         out = SP.pc(SP.name_of("Gr", G.standard("Ray")))
-        fin = _materialize_gr(out, 10)
+        fin = SP.gr_window(out, 10)
         assert G.is_promptly_connected(fin)
         assert G.isomorphic(fin, r(10))
 
@@ -273,6 +326,6 @@ class TestPC:
                 continue
             done += 1
             out = SP.pc(SP.name_of("Gr", fin))
-            got = _materialize_gr(out, len(fin.vertices) + 1)
+            got = SP.gr_window(out, len(fin.vertices) + 1)
             assert G.is_promptly_connected(got)
             assert G.isomorphic(got, fin)
