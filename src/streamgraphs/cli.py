@@ -7,6 +7,7 @@ and 1 on usage or parse errors.  Reports are deterministic for fixed argv.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -347,7 +348,9 @@ class _Usage(Exception):
     pass
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser():
+    """The argument parser, built once: parse_args keeps no state in it."""
     top = argparse.ArgumentParser(
         prog="sgraph",
         description="certified streams, countable graphs and their solvers")

@@ -3,6 +3,8 @@ into a graph (name) whose containment structure encodes the answer, each
 paired with the decoder that extracts information back from a solution.
 """
 
+import threading
+
 from .decide import CertForest, CertTree
 from .errors import (BadParam, HeightExceeded, MalformedInstance,
                      NoIllFoundedCertificate, NotConvergent, NotInB)
@@ -440,11 +442,14 @@ def acc_decode(solution, hint=None, fuel=4000):
         i, j = unpair(v - 1)
         if i == j:
             continue
-        edges.add((min(i, j), max(i, j)))
-        for a, b in sorted(edges):
-            # a >= 1 keeps the detour edge (1, 0) from faking a triple
-            if a >= 1 and b == a + 1 and (a + 1, a + 2) in edges:
-                return a + 1
+        a, b = min(i, j), max(i, j)
+        edges.add((a, b))
+        # no triple held before this edge, so one that holds now runs
+        # through it, with middle a or a + 1 (the lesser first); middles
+        # >= 2 keep the detour edge (0, 1) from faking one
+        for m in (a, a + 1):
+            if m >= 2 and (m - 1, m) in edges and (m, m + 1) in edges:
+                return m
     raise MalformedInstance("no consecutive triple in solution")
 
 
@@ -746,14 +751,20 @@ def cycles_box_decode(box, solution_vertices, levels):
 # EnumInf: recovering a characteristic function from any infinite subset
 # ---------------------------------------------------------------------------
 
+_PRIMES = [2]   # the least primes in order; appended to under the lock
+_PRIMES_LOCK = threading.Lock()
+
+
 def _first_primes(k):
-    out = []
-    n = 2
-    while len(out) < k:
-        if all(n % q for q in out):
-            out.append(n)
-        n += 1
-    return out
+    """The first k primes, sliced from one table that only grows, so a
+    concurrent reader never sees it half-built."""
+    with _PRIMES_LOCK:
+        n = _PRIMES[-1]
+        while len(_PRIMES) < k:
+            n += 1
+            if all(n % p for p in _PRIMES):
+                _PRIMES.append(n)
+    return _PRIMES[:k]
 
 
 class CertifiedPiSet:

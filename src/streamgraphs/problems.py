@@ -217,6 +217,7 @@ class _Leftmost:
         self.tree = tree
         self.lookahead = lookahead
         self.fuel = fuel
+        self.budget = fuel
         self.path = ()
 
     def _viable(self, sigma, depth):
@@ -231,7 +232,7 @@ class _Leftmost:
                         self.fuel -= 1
                         if self.fuel < 0:
                             raise FuelExhausted("leftmost path search",
-                                                spent=self.fuel)
+                                                spent=self.budget)
                     nxt.append(child)
             frontier = nxt
         return bool(frontier)

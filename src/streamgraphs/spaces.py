@@ -15,7 +15,7 @@ a dedicated symbol; an all-padding stream denotes the empty graph.
 
 import random
 from bisect import bisect_left
-from collections import namedtuple
+from collections import deque, namedtuple
 from itertools import chain, combinations
 
 from .errors import BadParam, FuelExhausted
@@ -278,37 +278,21 @@ def gr_window(name, top):
 def _egr_step_factory(bit_at):
     """Synchronous transducer: output step n consumes input code n; queued
     emissions drain one per step, padding otherwise."""
-    state = {"next_code": 0, "queue": [], "emitted": set(), "out": []}
-
-    def advance():
-        c = state["next_code"]
-        state["next_code"] += 1
-        if bit_at(c) != 1:
-            return
-        i, j = unpair(c)
-        if i == j:
-            if c not in state["emitted"]:
-                state["emitted"].add(c)
-                state["queue"].append(c)
-        else:
-            for v in (i, j):
-                vc = pair(v, v)
-                if vc not in state["emitted"]:
-                    state["emitted"].add(vc)
-                    state["queue"].append(vc)
-            canon = pair(min(i, j), max(i, j))
-            if canon not in state["emitted"]:
-                state["emitted"].add(canon)
-                state["queue"].append(canon)
+    emitted, queue, out = set(), deque(), []
 
     def step(n):
-        while len(state["out"]) <= n:
-            advance()
-            if state["queue"]:
-                state["out"].append(state["queue"].pop(0) + 1)
-            else:
-                state["out"].append(0)
-        return state["out"][n]
+        while len(out) <= n:
+            c = len(out)
+            if bit_at(c) == 1:
+                i, j = unpair(c)
+                # both vertices, then the edge; all three are c when i == j
+                for code in (pair(i, i), pair(j, j),
+                             pair(min(i, j), max(i, j))):
+                    if code not in emitted:
+                        emitted.add(code)
+                        queue.append(code)
+            out.append(queue.popleft() + 1 if queue else 0)
+        return out[n]
 
     return step
 
@@ -337,14 +321,16 @@ def gr_to_egr(name):
 
 class IotaTrace:
     """Record of the injury construction: the stage maps' limit, first
-    emission stages, and the injury log (stage, source vertex, old code,
-    new code)."""
+    emission stages, the injury log (stage, source vertex, old code,
+    new code), and the output positions set to 1 so far. Every other
+    position pair(i, j) with max(i, j) < stages_run is 0."""
 
     def __init__(self):
         self.iota = {}
         self.first_emission = {}
         self.injuries = []
         self.stages_run = 0
+        self.ones = set()
 
     def injury_count(self, v):
         return sum(1 for (_, u, _, _) in self.injuries if u == v)
@@ -358,30 +344,35 @@ class IotaTrace:
 
 
 class _FConvert:
+    """Stage s reads emission s. Position pair(i, j) is frozen once stage
+    max(i, j) has finished: it stays 0 unless it was set to 1 by then, and
+    a 1 is only ever written at a position that is not yet frozen."""
+
     def __init__(self, stream):
         self.stream = stream
         self.trace = IotaTrace()
-        self.decided = {}
-        self.edge_events = []  # (stage, u, w) in source labels
+        self.ones = self.trace.ones
+        self.used = set()      # the codes in iota's image
+        self.partners = {}     # source vertex -> its emitted neighbours
         self.stage = 0
 
     def _fresh(self):
-        used = set(self.trace.iota.values())
         m = self.stage + 1
-        while m in used:
+        while m in self.used:
             m += 1
         return m
 
-    def _set(self, pos, bit):
-        if pos not in self.decided:
-            self.decided[pos] = bit
+    def _assign(self, u, m):
+        """Move source vertex u to the new vertex code m."""
+        self.used.discard(self.trace.iota.get(u))
+        self.used.add(m)
+        self.trace.iota[u] = m
+        self.ones.add(pair(m, m))
 
     def _add_vertex(self, u):
         if u in self.trace.iota:
             return
-        m = self._fresh()
-        self.decided[pair(m, m)] = 1
-        self.trace.iota[u] = m
+        self._assign(u, self._fresh())
         self.trace.first_emission.setdefault(u, self.stage)
 
     def run_stage(self):
@@ -389,23 +380,18 @@ class _FConvert:
         v = self.stream.eval(s)
         if v != 0:
             u, w = unpair(v - 1)
-            if u == w:
-                self._add_vertex(u)
-            else:
-                self._add_vertex(u)
+            self._add_vertex(u)
+            if u != w:
                 self._add_vertex(w)
-                self.edge_events.append((s, u, w))
+                self.partners.setdefault(u, []).append(w)
+                self.partners.setdefault(w, []).append(u)
                 a, b = self.trace.iota[u], self.trace.iota[w]
-                p1, p2 = pair(a, b), pair(b, a)
-                if self.decided.get(p1) == 0 or self.decided.get(p2) == 0:
+                p1 = pair(a, b)
+                if max(a, b) < s and p1 not in self.ones:
                     self._injure(u, w)
                 else:
-                    self.decided[p1] = 1
-                    self.decided[p2] = 1
-        # erase p up to stage s
-        for i in range(s + 1):
-            for j in range(s + 1):
-                self._set(pair(i, j), 0)
+                    self.ones.add(p1)
+                    self.ones.add(pair(b, a))
         self.stage += 1
 
     def _injure(self, u, w):
@@ -414,20 +400,12 @@ class _FConvert:
         victim = w if ku < kw else u
         old = self.trace.iota[victim]
         m = self._fresh()
-        self.decided[pair(m, m)] = 1
-        self.trace.iota[victim] = m
+        self._assign(victim, m)
         self.trace.injuries.append((self.stage, victim, old, m))
-        for (_, x, y) in self.edge_events:
-            if victim not in (x, y):
-                continue
-            other = y if x == victim else x
-            if other not in self.trace.iota:
-                continue
+        for other in self.partners[victim]:
             c = self.trace.iota[other]
-            if c == m:
-                continue
-            self.decided[pair(m, c)] = 1
-            self.decided[pair(c, m)] = 1
+            self.ones.add(pair(m, c))
+            self.ones.add(pair(c, m))
 
     def run_until(self, stages):
         while self.stage < stages:
@@ -437,7 +415,7 @@ class _FConvert:
     def bit(self, n):
         i, j = unpair(n)
         self.run_until(max(i, j) + 1)
-        return self.decided.get(n, 0)
+        return 1 if n in self.ones else 0
 
 
 def f_convert(name):
@@ -454,11 +432,12 @@ def f_convert(name):
     if isinstance(s, EventuallyConstant) and s.tail == 0:
         # after the prefix only padding arrives: the construction stabilizes
         conv.run_until(len(s.head))
-        ones = sorted(p for p, b in conv.decided.items() if b == 1)
-        top = (ones[-1] + 1) if ones else 0
-        out = SpaceName("Gr", EventuallyConstant(
-            [1 if conv.decided.get(c) == 1 else 0 for c in range(top)], 0),
-            meta={"trace": conv.trace})
+        ones = conv.ones
+        head = [0] * ((max(ones) + 1) if ones else 0)
+        for c in ones:
+            head[c] = 1
+        out = SpaceName("Gr", EventuallyConstant(head, 0),
+                        meta={"trace": conv.trace})
         return out, conv.trace
     out = SpaceName("Gr", GeneratorBacked(conv.bit), meta={"trace": conv.trace})
     return out, conv.trace

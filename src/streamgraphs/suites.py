@@ -172,16 +172,15 @@ def suite_f_convert(seed=0):
         snapshots = {}
 
         def live_degree(conv, v):
-            return sum(1 for p, b in conv.decided.items()
-                       if b == 1 and v in unpair(p)
-                       and unpair(p)[0] != unpair(p)[1])
+            return sum(1 for p in conv.trace.ones
+                       if v in unpair(p) and unpair(p)[0] != unpair(p)[1])
 
         for _stage in range(horizon):
             replay.run_stage()
             for (s, _, old, _) in replay.trace.injuries:
                 if (old, s) not in snapshots:
                     snapshots[(old, s)] = live_degree(replay, old)
-        final = {p for p, b in replay.decided.items() if b == 1}
+        final = set(replay.trace.ones)
         for (old, s), deg in snapshots.items():
             final_deg = sum(1 for p in final
                             if old in unpair(p)

@@ -209,6 +209,21 @@ class TestFuel:
         assert json.loads(out)["graph"] == {"e": [], "v": []}
 
 
+class TestParserReuse:
+    def test_calls_share_no_state(self, capsys, monkeypatch):
+        # r3 sits in C3 as a subgraph but not as an induced subgraph
+        code, out = run(capsys, "decide", "--pattern", "r3",
+                        "--host", "egr:c3", "--mode", "is", "--fuel", "50")
+        assert code == 0 and json.loads(out)["verdict"] == "refuted"
+        code, out = run(capsys, "decide", "--pattern", "r3",
+                        "--host", "egr:c3", "--fuel", "50")
+        assert code == 0 and json.loads(out)["verdict"] == "found"
+        for fuel in (7, 9):
+            monkeypatch.setenv("WG_FUEL_DEFAULT", str(fuel))
+            code, out = run(capsys, "truncate", "--in", "egr:komega")
+            assert code == 0 and json.loads(out)["fuel_spent"] == fuel
+
+
 class TestConvert:
     def test_f_convert_reports_forced_stages(self, capsys):
         code, out = run(capsys, "convert", "--f", "--in", "egr:komega",

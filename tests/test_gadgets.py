@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 
 import pytest
 
@@ -276,6 +278,23 @@ class TestAcc:
         assert GD.acc_decode(GD.ray_solution(lambda t: t + 1)) >= 2
         assert isinstance(GD.acc_decode(out.name), int)
 
+    @staticmethod
+    def _edges_solution(edges):
+        return SP.SpaceName("EGr", EventuallyConstant(
+            [pair(v, v) + 1 for v in range(6)]
+            + [pair(a, b) + 1 for a, b in edges], 0))
+
+    def test_decode_answers_the_least_middle(self):
+        # (2, 3) completes both 1-2-3 and 2-3-4
+        sol = self._edges_solution([(3, 4), (0, 1), (1, 2), (2, 3)])
+        assert GD.acc_decode(sol) == 2
+        # (2, 3) completes only 2-3-4
+        assert GD.acc_decode(self._edges_solution([(3, 4), (2, 3)])) == 3
+        # the detour edge (0, 1) never makes a triple
+        with pytest.raises(MalformedInstance):
+            GD.acc_decode(self._edges_solution([(0, 1), (1, 2), (3, 4)]),
+                          fuel=40)
+
 
 class TestLim2:
     def test_validates_as_gr(self):
@@ -406,6 +425,33 @@ class TestEnumInf:
     def test_bad_level(self):
         with pytest.raises(BadParam):
             GD.CertifiedPiSet(lambda n: 0, level=3)
+
+    def test_prime_table_grows_under_concurrent_readers(self, monkeypatch):
+        want = [n for n in range(2, 400) if all(n % d for d in range(2, n))]
+        seen = []
+
+        def read(start):
+            start.wait(timeout=30)
+            seen.append(GD._first_primes(len(want)) == want)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(30):
+                monkeypatch.setattr(GD, "_PRIMES", [2])
+                start = threading.Barrier(4)
+                threads = [threading.Thread(target=read, args=(start,))
+                           for _ in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                assert not any(t.is_alive() for t in threads)
+                # a doubled append would show as a repeated prime
+                assert GD._PRIMES == want
+        finally:
+            sys.setswitchinterval(interval)
+        assert seen == [True] * 120
 
 
 class TestSigma11Choice:

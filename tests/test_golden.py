@@ -62,6 +62,10 @@ CLI_CASES = [
      "--fuel", "100"],
     ["oracle", "--problem", "cbaire", "--in", "path(ec:[3,0,2];1)",
      "--fuel", "100"],
+    ["convert", "--f", "--in", "egr:komega", "--fuel", "500"],
+    ["convert", "--f", "--in", "egr:omega(c4)", "--fuel", "1000"],
+    ["convert", "--f", "--in", "egr(7,0.3):du(c5,k4,r3)", "--fuel", "400"],
+    ["convert", "--in", "gr:komega", "--fuel", "300"],
     ["suite", "search-witnesses", "--seed", "0"],
     ["suite", "f-convert", "--seed", "0"],
     ["suite", "gadget-soundness", "--seed", "0"],

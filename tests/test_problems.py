@@ -155,6 +155,12 @@ class TestCBaire:
         with pytest.raises(FuelExhausted):
             path.eval(0)
 
+    def test_fuel_exhaustion_reports_the_budget_spent(self):
+        path = P.oracle_call(P.CBAIRE, T.LevelRule(lambda s: [0, 1, 2]), 20)
+        with pytest.raises(FuelExhausted) as info:
+            path.eval(0)
+        assert info.value.spent == 20
+
     def test_wellfounded_promise_violation(self):
         def rule(sigma):
             return [0] if len(sigma) < 2 else []

@@ -3,10 +3,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import random_fin_graph, reference_truncate
+from helpers import random_fin_graph, reference_f_convert, reference_truncate
 
 from streamgraphs import graphs as G
 from streamgraphs import spaces as SP
+from streamgraphs import specs
 from streamgraphs.errors import BadParam, FuelExhausted
 from streamgraphs.streams import EventuallyConstant, GeneratorBacked, pair
 
@@ -258,8 +259,8 @@ class TestFConvert:
             replay = SP._FConvert(name.stream)
             degs = {}
             def live_degree(conv, v):
-                return sum(1 for p, b in conv.decided.items()
-                           if b == 1 and v in SP.unpair(p)
+                return sum(1 for p in conv.trace.ones
+                           if v in SP.unpair(p)
                            and SP.unpair(p)[0] != SP.unpair(p)[1])
 
             for stage in range(horizon):
@@ -268,7 +269,7 @@ class TestFConvert:
                     if (old, s) not in degs:
                         # snapshot at the abandonment stage only
                         degs[(old, s)] = live_degree(replay, old)
-            final = {p for p, b in replay.decided.items() if b == 1}
+            final = set(replay.trace.ones)
             for (old, s), deg_at_end in degs.items():
                 final_deg = sum(
                     1 for p in final
@@ -280,6 +281,41 @@ class TestFConvert:
     def test_requires_egr(self):
         with pytest.raises(BadParam):
             SP.f_convert(SP.name_of("Gr", k(2)))
+
+    @staticmethod
+    def _assert_matches_reference(name, out, trace, stages):
+        ref = reference_f_convert(name.stream, stages)
+        assert trace.stages_run == ref.stages_run == stages
+        assert trace.iota == ref.iota
+        assert trace.first_emission == ref.first_emission
+        assert trace.injuries == ref.injuries
+        assert trace.ones == {p for p, b in ref.decided.items() if b == 1}
+        for i in range(stages):
+            for j in range(stages):
+                n = pair(i, j)
+                assert out.stream.eval(n) == ref.decided[n]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2 ** 32))
+    def test_finite_schedules_match_reference(self, seed):
+        """Random EGr schedules with padding and repeated emissions."""
+        rng = random.Random(seed)
+        fin = random_fin_graph(rng, min_v=0, max_v=7, density=rng.random())
+        name = SP.name_of("EGr", fin, ("random", rng.randrange(10 ** 6),
+                                       rng.random() * 0.6))
+        out, trace = SP.f_convert(name)
+        self._assert_matches_reference(name, out, trace,
+                                       len(name.stream.head))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["egr:komega", "egr:omega(c4)"]),
+           st.integers(1, 60))
+    def test_infinite_names_match_reference(self, host, stages):
+        name = specs.parse_name(host)
+        out, trace = SP.f_convert(name)
+        out.stream.eval(pair(stages - 1, stages - 1))
+        self._assert_matches_reference(specs.parse_name(host), out, trace,
+                                       stages)
 
 
 class TestPC:
