@@ -18,8 +18,8 @@ from . import search as _search
 from . import spaces as _spaces
 from . import specs as _specs
 from . import suites as _suites
-from .errors import (FuelExhausted, OracleRefused, PatternNeverSeen,
-                     StreamGraphsError, UnknownSuite)
+from .errors import (FuelExhausted, OracleRefused, ParseError,
+                     PatternNeverSeen, StreamGraphsError, UnknownSuite)
 from .streams import parse_stream
 
 EXIT_OK = 0
@@ -245,9 +245,9 @@ def cmd_gadget(args):
         fin = box.window(min(fuel, 40))
         report["graph"] = json.loads(_specs.fin_graph_to_json(fin))
     elif name == "enuminf":
-        chi_table = json.loads(spec)
+        lam_table = _lam_table(spec)
         a = _gadgets.CertifiedPiSet(
-            lambda n, t=chi_table: t[n % len(t)])
+            lambda n, t=lam_table: t[n % len(t)])
         enum = _gadgets.enuminf_encode(a)
         report["elements"] = enum.prefix(min(fuel, 8))
         if args.decode:
@@ -261,6 +261,19 @@ def cmd_gadget(args):
     report["fuel_spent"] = fuel
     _emit(report)
     return EXIT_OK
+
+
+def _lam_table(spec):
+    """The enuminf input: a non-empty JSON list of levels, repeated."""
+    try:
+        table = json.loads(spec)
+    except ValueError as exc:
+        raise ParseError("bad enuminf table: %s" % exc)
+    if not (isinstance(table, list) and table and all(
+            type(x) is int and x >= 0 for x in table)):
+        raise ParseError("enuminf table must be a non-empty JSON list of "
+                         "non-negative integers, got %r" % spec)
+    return table
 
 
 def cmd_oracle(args):

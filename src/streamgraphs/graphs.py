@@ -7,6 +7,7 @@ graphs); every node answers vertex/edge membership decidably, and most answer
 exact degrees in ℕ ∪ {ω}.
 """
 
+import heapq
 import itertools
 import json
 from collections import deque
@@ -15,8 +16,7 @@ from functools import cached_property
 from .errors import (BadParam, DegreeUnknown, NotATree,
                      PreconditionUnverifiable, PromiseViolation)
 from .streams import GeneratorBacked, pair, unpair
-from . import trees as trees_mod
-from .trees import (TreeGen, FiniteTree, FullBinary, SinglePath, LevelRule,
+from .trees import (FiniteTree, FullBinary, SinglePath,
                     string_code, string_decode, comparable)
 
 OMEGA = float("inf")
@@ -237,7 +237,14 @@ class CountableGraph:
         return self.vertex_count() != OMEGA
 
     def iter_vertices(self):
-        """Vertices in increasing code order (default: scan codes)."""
+        """Every vertex exactly once, in an order fixed by the graph.
+
+        The default scans the codes upward, so it yields increasing code
+        order, and so do finite graphs, OmegaCopies and ConnectedUnion.
+        Other orders exist: TreeAsGraph and Layered go breadth-first over
+        an infinite, finitely branching tree, TreeT and ForestF by growing
+        digit bound, and an infinite DisjointUnion merges its parts' orders
+        by code."""
         n = self.vertex_count()
         found = 0
         c = 0
@@ -538,6 +545,18 @@ class OmegaCopies(CountableGraph):
     def vertex_count(self):
         return 0 if self.base.vertex_count() == 0 else OMEGA
 
+    def iter_vertices(self):
+        """Increasing code order: diagonal d holds pair(d - u, u) for the
+        base vertices u <= d."""
+        if self.vertex_count() == 0:
+            return
+        base = []
+        for d in itertools.count():
+            if self.base.has_vertex(d):
+                base.append(d)
+            for u in base:
+                yield pair(d - u, u)
+
 
 class DisjointUnion(CountableGraph):
     """⊕ of finitely many parts; vertex pair(part, v)."""
@@ -698,13 +717,34 @@ class ConnectedUnion(CountableGraph):
             return self.parts[i].has_edge(self._head(i), u)
         return False
 
+    @cached_property
+    def _unsound(self):
+        """Parts whose glued vertices are not distinct vertices of the part,
+        as when a nested union's designated head is glued inside it."""
+        out = set()
+        for i, p in enumerate(self.parts):
+            ends = []
+            if i > 0:
+                ends.append(self._head(i))
+            if i < len(self.parts) - 1:
+                ends.append(self._tail(i))
+            if len(set(ends)) < len(ends) or not all(map(p.has_vertex, ends)):
+                out.add(i)
+        return out
+
     def degree(self, v):
+        """Exact degree; DegreeUnknown in and next to an unsound part, where
+        one part vertex stands for two glue vertices or for none."""
         d = self._decode(v)
         if d is None:
             raise BadParam("vertex %r not present" % v)
         if d[0] == "ord":
+            if d[1] in self._unsound:
+                raise DegreeUnknown("connected union glued at a non-vertex")
             return self.parts[d[1]].degree(d[2])
         j = d[1]
+        if j in self._unsound or j + 1 in self._unsound:
+            raise DegreeUnknown("connected union glued at a non-vertex")
         return (self.parts[j].degree(self._tail(j))
                 + self.parts[j + 1].degree(self._head(j + 1)))
 
@@ -736,18 +776,24 @@ class ConnectedUnion(CountableGraph):
             t = b if a == self._head(last) else a
         return pair(0, pair(last, t))
 
+    def _ordinary_codes(self, i):
+        """Codes of part i's vertices that are not glued, increasing: for an
+        infinite part, its own codes scanned in order."""
+        p = self.parts[i]
+        consumed = self._consumed(i)
+        if p.vertex_count() != OMEGA:
+            us = sorted(u for u in p.iter_vertices() if u not in consumed)
+        else:
+            us = (u for u in itertools.count()
+                  if p.has_vertex(u) and u not in consumed)
+        return (pair(0, pair(i, u)) for u in us)
+
     def iter_vertices(self):
-        if self.vertex_count() != OMEGA:
-            out = []
-            for j in range(len(self.parts) - 1):
-                out.append(pair(1, j))
-            for i, p in enumerate(self.parts):
-                consumed = self._consumed(i)
-                out.extend(pair(0, pair(i, u)) for u in p.iter_vertices()
-                           if u not in consumed)
-            yield from sorted(out)
-            return
-        yield from CountableGraph.iter_vertices(self)
+        # pair(0, pair(i, u)) increases in u, so merging the glue codes
+        # with each part's increasing stream gives increasing code order.
+        glue = (pair(1, j) for j in range(len(self.parts) - 1))
+        yield from heapq.merge(glue, *(self._ordinary_codes(i)
+                                       for i in range(len(self.parts))))
 
 
 class Layered(CountableGraph):
@@ -803,12 +849,6 @@ class Layered(CountableGraph):
 
     def iter_vertices(self):
         yield from TreeAsGraph(self.tree).iter_vertices()
-
-    def nodes_window(self, depth):
-        """FinGraph on all tree nodes of depth ≤ depth (finitely branching T)."""
-        vs = [string_code(s) for s in self.tree.nodes_upto(depth)]
-        return FinGraph(vs, [(a, b) for a, b in itertools.combinations(vs, 2)
-                             if self.has_edge(a, b)])
 
 
 class FromGrName(CountableGraph):

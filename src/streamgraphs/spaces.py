@@ -14,7 +14,7 @@ a dedicated symbol; an all-padding stream denotes the empty graph.
 """
 
 import random
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from collections import deque, namedtuple
 from itertools import chain, combinations
 
@@ -160,9 +160,12 @@ def name_of(space, g, schedule=None):
 
 
 def _random_schedule(fin, seed, stutter):
-    """Shuffled valid emission order with stuttering, already wire-shifted."""
+    """Shuffled valid emission order with stuttering, already wire-shifted.
+
+    Each draw picks uniformly among the ready edges (both ends emitted), in
+    sorted order, followed by the pending vertices, in sorted order."""
     rng = random.Random(seed)
-    pending_edges = sorted(fin.edges)
+    ready_edges = []
     pending_vertices = sorted(fin.vertices)
     emitted_v = set()
     out = []
@@ -172,21 +175,20 @@ def _random_schedule(fin, seed, stutter):
         out.append(code + 1)
         history.append(code)
 
-    while pending_vertices or pending_edges:
+    while pending_vertices or ready_edges:
         if rng.random() < stutter and history:
             out.append(0 if rng.random() < 0.5 else rng.choice(history) + 1)
             continue
-        ready = [("e", e) for e in pending_edges
-                 if e[0] in emitted_v and e[1] in emitted_v]
-        ready += [("v", v) for v in pending_vertices]
-        kind, item = ready[rng.randrange(len(ready))]
-        if kind == "v":
-            pending_vertices.remove(item)
-            emitted_v.add(item)
-            emit(pair(item, item))
+        k = rng.randrange(len(ready_edges) + len(pending_vertices))
+        if k >= len(ready_edges):
+            v = pending_vertices.pop(k - len(ready_edges))
+            emitted_v.add(v)
+            emit(pair(v, v))
+            for w in fin.adjacency[v]:
+                if w in emitted_v:
+                    insort(ready_edges, (min(v, w), max(v, w)))
         else:
-            pending_edges.remove(item)
-            a, b = item
+            a, b = ready_edges.pop(k)
             emit(pair(a, b) if rng.random() < 0.5 else pair(b, a))
     return out
 

@@ -26,9 +26,9 @@ import json
 import os
 import re
 
-from .errors import ParseError
-from .graphs import (FinGraph, connected_union, construction, disjoint_union,
-                     standard, OmegaCopies)
+from .errors import DegreeUnknown, ParseError
+from .graphs import (OMEGA, FinGraph, OmegaCopies, connected_union,
+                     construction, disjoint_union, standard)
 from .spaces import name_of
 from .streams import parse_stream
 from .trees import FiniteTree, FullBinary, SinglePath
@@ -121,18 +121,54 @@ def parse_graph(text):
 
 def _dense_egr_name(g):
     """EGr name emitting each vertex at its enumeration index, with edges
-    to earlier vertices interleaved right after (no idle padding)."""
+    to earlier vertices interleaved right after (no idle padding).
+
+    Reading n positions costs work linear in n. The earlier vertices that
+    can still gain a neighbour stay in `open_`, in emission order, and
+    `lack` says how many neighbours each still lacks (OMEGA when its degree
+    is infinite or unknown). A vertex leaves once it lacks none, and a new
+    vertex's scan stops once its own degree is used up, so a finite
+    `degree()` must count every neighbour."""
     from .spaces import SpaceName
     from .streams import GeneratorBacked, pair
 
+    has_edge = g.has_edge
+
     def emissions():
-        seen = []
+        open_ = []     # earlier vertices that may gain a neighbour, in order
+        lack = {}      # each one -> how many neighbours it still lacks
+        finite = 0     # how many of them lack finitely many
         for v in g.iter_vertices():
             yield pair(v, v) + 1
-            for w in seen:
-                if g.has_edge(v, w):
-                    yield pair(min(v, w), max(v, w)) + 1
-            seen.append(v)
+            try:
+                need = g.degree(v)
+            except DegreeUnknown:
+                need = OMEGA
+            if need == OMEGA and not finite:
+                # nothing to count down: keep dense graphs such as
+                # egr:komega, where every pair is an edge, at one test each
+                for w in open_:
+                    if has_edge(v, w):
+                        yield (pair(w, v) if w < v else pair(v, w)) + 1
+            elif need:
+                full = 0
+                for w in open_:
+                    if has_edge(v, w):
+                        yield (pair(w, v) if w < v else pair(v, w)) + 1
+                        left = lack[w] - 1
+                        lack[w] = left
+                        if not left:
+                            full += 1
+                        need -= 1
+                        if not need:
+                            break
+                if full:
+                    open_ = [w for w in open_ if lack[w]]
+                    finite -= full
+            if need:
+                open_.append(v)
+                lack[v] = need
+                finite += need != OMEGA
 
     out = []
     it = emissions()

@@ -5,6 +5,8 @@ The brute-force embedding oracle is `streamgraphs.suites._naive_embeddings`
 (and its first hit, `_naive_least_embedding`): the shipped `bruteforce`
 suite needs it, so the tests import it from there."""
 
+import random
+
 from streamgraphs import graphs as G
 from streamgraphs.streams import pair, unpair
 
@@ -123,6 +125,56 @@ def reference_f_convert(stream, stages):
         machine.run_stage()
     machine.stages_run = machine.stage
     return machine
+
+
+def reference_dense_egr_name(g, positions):
+    """The first `positions` values of the dense EGr name of the infinite
+    countable graph g, built by testing each new vertex against every
+    earlier one."""
+    out = []
+    seen = []
+    for v in g.iter_vertices():
+        out.append(pair(v, v) + 1)
+        for w in seen:
+            if g.has_edge(v, w):
+                out.append(pair(min(v, w), max(v, w)) + 1)
+        seen.append(v)
+        if len(out) >= positions:
+            break
+    return out[:positions]
+
+
+def reference_random_schedule(fin, seed, stutter):
+    """The random EGr schedule of `spaces._random_schedule`, rebuilding the
+    list of ready edges from every pending edge at each emission."""
+    rng = random.Random(seed)
+    pending_edges = sorted(fin.edges)
+    pending_vertices = sorted(fin.vertices)
+    emitted_v = set()
+    out = []
+    history = []
+
+    def emit(code):
+        out.append(code + 1)
+        history.append(code)
+
+    while pending_vertices or pending_edges:
+        if rng.random() < stutter and history:
+            out.append(0 if rng.random() < 0.5 else rng.choice(history) + 1)
+            continue
+        ready = [("e", e) for e in pending_edges
+                 if e[0] in emitted_v and e[1] in emitted_v]
+        ready += [("v", v) for v in pending_vertices]
+        kind, item = ready[rng.randrange(len(ready))]
+        if kind == "v":
+            pending_vertices.remove(item)
+            emitted_v.add(item)
+            emit(pair(item, item))
+        else:
+            pending_edges.remove(item)
+            a, b = item
+            emit(pair(a, b) if rng.random() < 0.5 else pair(b, a))
+    return out
 
 
 def random_fin_graph(rng, min_v=1, max_v=6, density=0.4, spread=2):

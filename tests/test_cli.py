@@ -125,6 +125,16 @@ class TestGadgetThenDecide:
         assert code == 0
         assert json.loads(out)["decoded"][:3] == [1, 0, 1]
 
+    def test_enuminf_rejects_bad_tables(self, capsys):
+        for spec in ("[", "[]", "{}", '["a"]', "[-1]", "[true]", "[1.5]",
+                     "3", "[0, null]"):
+            code = cli.main(["gadget", "--name", "enuminf", "--in", spec,
+                             "--fuel", "8"])
+            captured = capsys.readouterr()
+            assert code == 1 and captured.out == "", spec
+            assert captured.err.count("\n") == 1, spec
+            assert captured.err.startswith("ParseError: "), spec
+
 
 class TestSearch:
     def test_rayfollow_l(self, capsys):

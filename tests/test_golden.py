@@ -32,9 +32,14 @@ CLI_CASES = [
     ["truncate", "--in", "egr(7,0.5):du(c4,k3)", "--fuel", "50"],
     ["export", "json", "--in", "egr:omega(c4)", "--fuel", "50"],
     ["export", "json", "--in", "gr:l", "--fuel", "30"],
+    ["export", "json", "--in", "egr:omega(l)", "--fuel", "400"],
+    ["truncate", "--in", "egr:omega(k3)", "--fuel", "1000"],
+    ["truncate", "--in", "egr:cu(c4,ray)", "--fuel", "120"],
     ["decide", "--pattern", "k3", "--host", "egr:komega", "--fuel", "100"],
     ["decide", "--pattern", "c4", "--host", "gr:omega(c4)", "--fuel", "200"],
     ["decide", "--pattern", "k3", "--host", "egr:l", "--fuel", "80"],
+    ["decide", "--pattern", "c4", "--host", "egr:du(c5,k4,ray)",
+     "--fuel", "1000"],
     ["decide", "--pattern", "r3", "--host", "egr:c5", "--mode", "is",
      "--fuel", "100"],
     ["decide", "--pattern", "r4", "--host", "gr:omega(c5)", "--mode", "is",

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from streamgraphs import graphs as G
+from streamgraphs import specs
 from streamgraphs import trees as T
 from streamgraphs.errors import BadParam, DegreeUnknown, NotATree
 from streamgraphs.streams import EventuallyConstant, Periodic, pair
@@ -135,6 +136,85 @@ class TestUnions:
     def test_small_part_rejected(self):
         with pytest.raises(BadParam):
             G.connected_union([k(2), c(3)])
+
+
+def _graphs(texts):
+    return [pytest.param(specs.parse_graph(t), id=t) for t in texts]
+
+
+class TestVertexOrder:
+    """OmegaCopies and ConnectedUnion enumerate in increasing code order,
+    the order of the base-class scan over all codes."""
+
+    @pytest.mark.parametrize("g", _graphs(
+        ["omega(c4)", "omega(k1)", "omega(l)", "omega(fbt)", "omega(t1)",
+         "omega(omega(c3))", "omega(cu(c4,c5))", "omega(du(k2,ray))"]))
+    def test_omega_copies(self, g):
+        want = list(itertools.islice(G.CountableGraph.iter_vertices(g), 60))
+        assert list(itertools.islice(g.iter_vertices(), 60)) == want
+
+    @pytest.mark.parametrize("g", _graphs(
+        ["cu(c4,c5)", "cu(c3,r4,k3)", "cu(r3,r3)"]))
+    def test_finite_connected_union(self, g):
+        assert list(g.iter_vertices()) == list(
+            G.CountableGraph.iter_vertices(g))
+
+    @pytest.mark.parametrize("g", _graphs(
+        ["cu(c4,ray)", "cu(ray,c4)", "cu(c4,ray,c4)", "cu(ray,ray)",
+         "cu(k4,l)", "cu(c3,komega,c4)", "cu(c4,t1)", "cu(c4,omega(c4))",
+         "cu(c4,fbt)", "cu(ray)"]))
+    def test_infinite_connected_union(self, g):
+        want = list(itertools.islice(G.CountableGraph.iter_vertices(g), 8))
+        assert list(itertools.islice(g.iter_vertices(), 8)) == want
+
+
+class TestExactDegrees:
+    """A finite degree counts every neighbour: on the first `first`
+    vertices, neighbours inside the first `window` vertices never exceed
+    degree(v), and equal it once the window holds them all."""
+
+    @pytest.mark.parametrize("text, first, window", [
+        ("ray", 20, 40), ("l", 20, 60), ("komega", 10, 30), ("fbt", 15, 40),
+        ("t1", 20, 40), ("t2", 20, 60), ("f1", 20, 60), ("f2", 20, 80),
+        ("omega(c4)", 30, 80), ("omega(l)", 20, 120), ("omega(fbt)", 20, 200),
+        ("du(c5,k4,ray)", 20, 60), ("du(fbt,t1)", 20, 80),
+        ("cu(c4,ray)", 20, 40), ("cu(ray,c4)", 20, 40),
+        ("cu(c4,ray,c4)", 20, 40), ("cu(komega,ray)", 10, 30),
+        ("cu(c3,t1)", 20, 40), ("cu(k4,l)", 20, 60),
+        ("cu(c4,omega(c4))", 15, 40)])
+    def test_neighbours_match_degree(self, text, first, window):
+        g = specs.parse_graph(text)
+        vs = list(itertools.islice(g.iter_vertices(), window))
+        for v in vs[:first]:
+            d = g.degree(v)
+            seen = sum(1 for w in vs if w != v and g.has_edge(v, w))
+            assert seen <= d
+            if d != G.OMEGA:
+                assert seen == d, v
+
+    def test_path_tree_degrees(self):
+        g = G.TreeAsGraph(T.SinglePath(EventuallyConstant([1, 0], 1)))
+        vs = list(itertools.islice(g.iter_vertices(), 9))
+        for v in vs[:8]:
+            assert sum(g.has_edge(v, w) for w in vs) == g.degree(v)
+
+    def test_layered_over_infinite_tree_claims_no_degree(self):
+        g = G.construction("L1", T.FullBinary(), G.standard("TwoWayRay"))
+        with pytest.raises(DegreeUnknown):
+            g.degree(0)
+
+    def test_unsound_junction_claims_no_degree(self):
+        """In cu(c4, cu(ray), c4) the middle part's head and tail are one
+        vertex, so one ray vertex stands for both glue vertices."""
+        g = specs.parse_graph("cu(c4,cu(ray),c4)")
+        vs = list(itertools.islice(g.iter_vertices(), 12))
+        middle = [v for v in vs if g._decode(v)[0] == "ord"
+                  and g._decode(v)[1] == 1]
+        assert middle
+        for v in middle:
+            with pytest.raises(DegreeUnknown):
+                g.degree(v)
+        assert g.degree(vs[vs.index(pair(0, pair(0, 0)))]) == 2
 
 
 class TestLayered:

@@ -3,7 +3,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import random_fin_graph, reference_f_convert, reference_truncate
+from helpers import (random_fin_graph, reference_dense_egr_name,
+                     reference_f_convert, reference_random_schedule,
+                     reference_truncate)
 
 from streamgraphs import graphs as G
 from streamgraphs import spaces as SP
@@ -83,12 +85,81 @@ class TestNameSynthesis:
             assert G.isomorphic(SP.truncate(name, 2000), fin)
         assert len(ray100.vertices) > 5  # infinite host keeps producing
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2 ** 32))
+    def test_random_schedule_matches_reference(self, seed):
+        rng = random.Random(seed)
+        fin = random_fin_graph(rng, min_v=0, max_v=12, density=rng.random())
+        sched_seed = rng.randrange(10 ** 6)
+        stutter = rng.random() * 0.9
+        assert SP._random_schedule(fin, sched_seed, stutter) == \
+            reference_random_schedule(fin, sched_seed, stutter)
+
     def test_produced_names_validate(self):
         for name in (SP.name_of("Gr", k(3)),
                      SP.name_of("EGr", c(4)),
                      SP.name_of("Gr", G.standard("Ray")),
                      SP.name_of("EGr", G.standard("CompleteOmega"))):
             assert SP.validate_name(name, horizon=300) == "ok"
+
+
+# Spec texts of infinite graphs. `_CODED` ones have enough vertices among
+# small codes to stand as the infinite part of a connected union, whose
+# enumeration scans that part's codes upward.
+_FINITE = st.sampled_from(["r3", "r4", "c3", "c4", "c5", "k3", "k4",
+                           "cu(c3,c4)", "du(k2,r3)"])
+_SMALL = st.sampled_from(["k1", "k2", "r2"]) | _FINITE
+_LINE = st.sampled_from(["ray", "l", "komega"])
+_CODED = (_LINE | st.sampled_from(["t1", "f1", "f0"])
+          | st.builds("omega({})".format, _SMALL | _LINE | st.just("t1"))
+          | st.builds("du({},{})".format, _SMALL, _LINE))
+_STREAM = st.sampled_from(["ec:[0];1", "ec:[1,0];0", "per:[0];[0,1]",
+                           "per:[];[1]"])
+_TREE = st.sampled_from(["fulltree"]) | st.builds("path({})".format, _STREAM)
+
+
+def _parts(draw_from):
+    return st.lists(draw_from, min_size=1, max_size=3).map(",".join)
+
+
+def _infinite(depth):
+    """Spec texts nested at most `depth` deep: deeper omega(...) towers
+    have no vertex among any code that can be scanned."""
+    out = (_CODED | st.sampled_from(["fbt", "t2", "f2"])
+           | st.builds("cu({},{})".format, _parts(_FINITE), _CODED)
+           | st.builds("cu({},{})".format, _CODED, _parts(_FINITE | _CODED))
+           | st.builds("{}({},{})".format, st.sampled_from(["l1", "l2"]),
+                       _TREE, _CODED | st.just("fbt")))
+    if depth == 0:
+        return out
+    inner = _infinite(depth - 1)
+    return (out | st.builds("omega({})".format, inner)
+            | st.builds("du({},{})".format, _parts(_SMALL | inner), inner))
+
+
+class TestDenseEgrName:
+    """The dense EGr name of an infinite spec graph, read with the
+    saturation rule, equals the name built by testing each new vertex
+    against every earlier one."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_infinite(2), st.integers(1, 80))
+    def test_matches_reference(self, text, positions):
+        if "path(" in text:
+            # path codes grow doubly exponentially with depth
+            positions = min(positions, 16)
+        name = specs.parse_name("egr:" + text)
+        want = reference_dense_egr_name(specs.parse_graph(text), positions)
+        assert name.stream.prefix(positions) == want
+
+    @pytest.mark.parametrize("text", ["cu(c4,cu(ray),c4)",
+                                      "cu(c4,cu(ray,c3))",
+                                      "cu(c4,cu(c5,ray))",
+                                      "cu(cu(ray,c3),c4)"])
+    def test_nested_connected_unions(self, text):
+        name = specs.parse_name("egr:" + text)
+        want = reference_dense_egr_name(specs.parse_graph(text), 40)
+        assert name.stream.prefix(40) == want
 
 
 class TestTruncate:
