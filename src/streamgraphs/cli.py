@@ -462,6 +462,11 @@ def main(argv=None):
     except StreamGraphsError as exc:
         print("%s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # a fault of the program: one line, no traceback
+        print("internal error: %s: %s" % (type(exc).__name__,
+                                          " ".join(str(exc).split())),
+              file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -7,13 +7,15 @@ Refutations are only issued with a finiteness certificate; fuel exhaustion
 alone yields Unknown.
 """
 
+import itertools
+
 from .errors import (BadParam, DegreeUnknown, PredicateUnsupported,
                      PromiseViolation, UndecidableWithoutCertificate)
 from .graphs import (OMEGA, CountableGraph, DisjointUnion, Finite, FinGraph,
                      ForestF, OmegaCopies, TreeAsGraph, TreeT, _mul)
 from .spaces import SpaceName, truncate
-from .streams import (CertifiedStream, EventuallyConstant, Periodic,
-                      infinitely_often, occurrences)
+from .streams import (EventuallyConstant, Periodic, infinitely_often,
+                      occurrences)
 from .trees import (DisjointTreeUnion, FiniteTree, FullBinary, LevelRule,
                     SinglePath)
 
@@ -86,62 +88,147 @@ class Verdict:
         return "Unknown(fuel=%d)" % self.fuel_spent
 
 
-def embeddings(g, h, induced=False):
-    """Every (induced) embedding of g into h as a dict, in lexicographic
-    order of the images taken over the sorted vertices of g.
+def embeddings(g, h, induced=False, exclude=()):
+    """Every (induced) embedding of g into h that avoids the host vertices
+    in `exclude`, as a dict, in lexicographic order of the images taken
+    over the sorted vertices of g. h is a FinGraph or anything else with
+    an `adjacency` mapping, such as a HostView.
 
     Backtracks over the sorted pattern vertices. A pattern vertex's
     candidates are the common neighbours of the images of its mapped
     neighbours (every host vertex when it has none), in sorted order, minus
-    the used ones, those of smaller degree and, when induced, those adjacent
-    to the image of a mapped non-neighbour (Ullmann 1976; Cordella et al.
-    2004). Every pruned candidate fails the plain adjacency test or has too
-    few neighbours to extend, so the order of the hits is that of the
-    exhaustive search.
+    the used and excluded ones, those of smaller degree and, when induced,
+    those adjacent to the image of a mapped non-neighbour (Ullmann 1976;
+    Cordella et al. 2004). Every pruned candidate fails the plain adjacency
+    test or has too few neighbours to extend, so the order of the hits is
+    that of the exhaustive search.
     """
-    gs = sorted(g.vertices)
+    return _extend(g, h.adjacency, sorted(g.vertices), {}, exclude, induced)
+
+
+def _extend(g, hadj, order, start, exclude=(), induced=False, near=None):
+    """Every extension of the partial embedding `start` (trusted as given)
+    to the pattern vertices of `order`, placed in that order with the
+    candidate rules of `embeddings`, as a dict; the images of `order` come
+    in lexicographic order. A vertex without mapped neighbours draws its
+    candidates from near(v), a sorted list of host vertices, where that
+    is not None, else from every host vertex."""
+    gs = list(start) + list(order)
     n = len(gs)
-    gadj, hadj = g.adjacency, h.adjacency
+    k = len(start)
+    gadj = g.adjacency
     if n > len(hadj):
         return
-    if n == 0:
-        yield {}
+    if n == k:
+        yield dict(start)
         return
     need = [len(gadj[v]) for v in gs]
     mapped_nbrs = [[j for j in range(i) if gs[j] in gadj[v]]
                    for i, v in enumerate(gs)]
     mapped_non = [[j for j in range(i) if gs[j] not in gadj[v]]
                   if induced else [] for i, v in enumerate(gs)]
-    hs = sorted(hadj)
-    free = [None if mapped_nbrs[i] else
-            [u for u in hs if len(hadj[u]) >= need[i]] for i in range(n)]
-    image = []
-    used = set()
+    free = {}
+    image = list(start.values())
+    used = set(image)
 
     def candidates(i):
         blocked = used.union(*[hadj[image[j]] for j in mapped_non[i]])
         nbrs = mapped_nbrs[i]
         if not nbrs:
+            if i not in free:
+                pool = near(gs[i]) if near else None
+                if pool is None:
+                    pool = sorted(hadj)
+                free[i] = [u for u in pool
+                           if len(hadj[u]) >= need[i] and u not in exclude]
             return iter([u for u in free[i] if u not in blocked])
         common = set.intersection(*[hadj[image[j]] for j in nbrs])
+        if exclude:
+            common.difference_update(exclude)
         d = need[i]
         return iter([u for u in sorted(common)
                      if u not in blocked and len(hadj[u]) >= d])
 
-    stack = [candidates(0)]
+    stack = [candidates(k)]
     while stack:
-        if len(image) == len(stack):
-            used.discard(image.pop())
         u = next(stack[-1], None)
         if u is None:
             stack.pop()
+            if stack:
+                used.discard(image.pop())
             continue
         image.append(u)
         used.add(u)
         if len(image) == n:
             yield dict(zip(gs, image))
+            used.discard(image.pop())
         else:
             stack.append(candidates(len(image)))
+
+
+def least_new_embedding(g, h, vertices, edges, exclude=()):
+    """The least embedding of g into h, in the order of `embeddings`, that
+    maps some pattern vertex onto one of the host `vertices` or some
+    pattern edge onto one of the host `edges`, avoiding `exclude`; or None.
+
+    When h grew from an earlier graph by exactly those vertices and edges,
+    these are the embeddings the earlier graph lacks. Each anchor (every
+    pattern vertex on every new vertex, every pattern edge on every new
+    edge in both orientations) is pinned, and the other pattern vertices
+    are placed in sorted order; one at pattern distance d from the anchor
+    lies within host distance d of its image, which keeps the search near
+    the anchor. The answer is the least first hit over all anchors.
+    """
+    hadj, gadj = h.adjacency, g.adjacency
+    gs = sorted(g.vertices)
+    both = [e for x, y in edges for e in ((x, y), (y, x))]
+    anchors = itertools.chain(
+        (((p,), (u,)) for p in gs for u in vertices),
+        ((e, f) for e in sorted(g.edges) for f in both))
+    plans = {}   # pins -> (other vertices, pattern distance from the pins)
+    best = None
+    for pins, images in anchors:
+        if any(u in exclude or len(hadj[u]) < len(gadj[p])
+               for p, u in zip(pins, images)):
+            continue
+        if pins not in plans:
+            plans[pins] = ([v for v in gs if v not in pins],
+                           _distances(gadj, pins))
+        order, dist = plans[pins]
+        ball = {}
+
+        def near(v):
+            if v not in dist:
+                return None
+            if not ball:
+                ball.update(_distances(hadj, images, max(dist.values())))
+            return sorted(u for u, d in ball.items() if d <= dist[v])
+
+        hit = next(_extend(g, hadj, order, dict(zip(pins, images)), exclude,
+                           near=near), None)
+        if hit is not None:
+            key = [hit[v] for v in gs]
+            if best is None or key < best:
+                best = key
+    return None if best is None else dict(zip(gs, best))
+
+
+def _distances(adj, sources, radius=None):
+    """Breadth-first distance from the nearest source, for every vertex
+    within `radius` (unbounded when None)."""
+    dist = dict.fromkeys(sources, 0)
+    frontier = list(dist)
+    d = 0
+    while frontier and (radius is None or d < radius):
+        d += 1
+        nxt = []
+        for u in frontier:
+            for w in adj[u]:
+                if w not in dist:
+                    dist[w] = d
+                    nxt.append(w)
+        frontier = nxt
+    return dist
 
 
 def fin_subgraph(g, h, induced=False):

@@ -257,12 +257,6 @@ class CountableGraph:
     def first_vertices(self, k):
         return list(itertools.islice(self.iter_vertices(), k))
 
-    def vertex_at(self, i):
-        vs = self.first_vertices(i + 1)
-        if len(vs) <= i:
-            raise BadParam("graph has fewer than %d vertices" % (i + 1))
-        return vs[i]
-
     def materialize(self):
         n = self.vertex_count()
         if n == OMEGA:

@@ -5,7 +5,7 @@ constructive strategy appropriate to each pattern shape."""
 import functools
 import itertools
 
-from .decide import embeddings, fin_subgraph, predicate_tf
+from .decide import embeddings, least_new_embedding, predicate_tf
 from .errors import (BadParam, CensusUnstable, DegreeUnknown, FuelExhausted,
                      NoInfiniteDegreeVertex, OracleRefused, PatternNeverSeen,
                      PredicateUnsupported, PromiseViolation)
@@ -46,22 +46,19 @@ def _copy_name(g, mapping):
 
 
 def find_s_finite(g, host, fuel=None):
-    """Stage-search the host truncations for the first subgraph embedding of
-    the finite pattern g, then freeze it. A stage that brought only padding
-    shows the graph already searched, so it is not searched again."""
+    """Stage-search the host prefixes for the first subgraph embedding of
+    the finite pattern g, then freeze it: the least embedding of the first
+    stage that holds one. Every embedding of that stage is new there, so
+    each stage searches only the embeddings that use what it added."""
     view = HostView(host)
-    fin = None
-    s = 1
-    while True:
+    s, hit = 0, None
+    while hit is None:
+        s += 1
         if fuel is not None and s > fuel:
             raise FuelExhausted("no copy found", spent=fuel)
-        prev, fin = fin, view.graph(s)
-        if fin is not prev:
-            emb = fin_subgraph(g, fin)
-            if emb is not None:
-                return SolutionStream(_copy_name(g, emb.mapping),
-                                      dict(emb.mapping))
-        s += 1
+        vs, es = view.added(s - 1, s)
+        hit = least_new_embedding(g, view, vs, es) if g.vertices else {}
+    return SolutionStream(_copy_name(g, hit), hit)
 
 
 # ---------------------------------------------------------------------------
@@ -81,12 +78,15 @@ def find_is_via_cn(g, host, cn_oracle, stage_cap=40):
     if len(g.edges) == n * (n - 1) // 2:
         raise BadParam("use find_s_finite for complete patterns")
     view = HostView(host)
+    pairs = list(itertools.combinations(sorted(g.vertices), 2))
 
+    @functools.lru_cache(maxsize=None)
     def decode(code):
         s, idx = unpair(code)
         embs = embeddings(g, view.graph(s), induced=True)
         return next(itertools.islice(embs, idx, None), None)
 
+    @functools.lru_cache(maxsize=None)
     def rejected(code, at_stage):
         s, _ = unpair(code)
         if at_stage <= s:
@@ -94,21 +94,15 @@ def find_is_via_cn(g, host, cn_oracle, stage_cap=40):
         m = decode(code)
         if m is None:
             return True
-        later = view.graph(at_stage)
-        return not all(
-            (g.has_edge(a, b) == later.has_edge(m[a], m[b]))
-            for a, b in itertools.combinations(sorted(g.vertices), 2))
+        later = {v: view.neighbors(u, at_stage) for v, u in m.items()}
+        return not all(g.has_edge(a, b) == (m[b] in later[a])
+                       for a, b in pairs)
 
     def co_enum(t):
         """Codes newly seen to be rejected at step t; a code enters the
         checked window once t reaches it."""
-        out = []
-        for c in range(t + 1):
-            now = rejected(c, t)
-            before = c <= t - 1 and rejected(c, t - 1)
-            if now and not before:
-                out.append(c)
-        return out
+        return [c for c in range(t + 1)
+                if rejected(c, t) and not (c < t and rejected(c, t - 1))]
 
     code = cn_oracle(co_enum, stage_cap)
     m = decode(code)
@@ -136,7 +130,8 @@ def cn_by_stabilization(co_enum, stage_cap):
 class _ComponentsMachine:
     """Two interleaved procedures: claim all exceptional components at once
     when they fit disjointly; greedily claim fresh copies of each recurring
-    component, never reusing host vertices."""
+    component, never reusing host vertices. Each claim is the least copy in
+    the unclaimed part of the host prefix."""
 
     def __init__(self, exceptional, recurring, host):
         self.exceptional = list(exceptional)
@@ -148,6 +143,15 @@ class _ComponentsMachine:
         self.exceptional_done = not self.exceptional
         self.next_recurring = 0
         self.claimed = []  # (component FinGraph, mapping)
+        # all exceptional parts must fit disjointly in one shot
+        self.big = FinGraph(
+            [pair(i, v) for i, part in enumerate(self.exceptional)
+             for v in part.vertices],
+            [(pair(i, a), pair(i, b))
+             for i, part in enumerate(self.exceptional)
+             for a, b in part.edges])
+        # pattern -> a stage whose unclaimed part held no copy of it
+        self.empty_at = {}
 
     def _emit_copy(self, comp, mapping):
         self.claimed.append((comp, dict(mapping)))
@@ -158,36 +162,37 @@ class _ComponentsMachine:
             self.out.append(pair(min(x, y), max(x, y)) + 1)
         self.used.update(mapping.values())
 
-    def _try_claim(self, comp, fin):
-        free = fin.induced(set(fin.vertices) - self.used)
-        emb = fin_subgraph(comp, free)
+    def _least_copy(self, comp):
+        """Least copy of comp in the unclaimed part of the current prefix.
+        Claims only remove vertices, so a copy that was already there at a
+        stage that held none is impossible: after such a stage, only copies
+        that use what arrived since are searched."""
+        since = self.empty_at.pop(comp, None)
+        if since is None:
+            emb = next(embeddings(comp, self.view, exclude=self.used), None)
+        else:
+            vs, es = self.view.added(since, self.fuel)
+            emb = least_new_embedding(comp, self.view, vs, es, self.used)
         if emb is None:
-            return False
-        self._emit_copy(comp, emb.mapping)
-        return True
+            self.empty_at[comp] = self.fuel
+        return emb
 
     def step(self):
         self.fuel += 10
-        fin = self.view.graph(self.fuel)
+        self.view.grow(self.fuel)
         if not self.exceptional_done:
-            # all exceptional parts must fit disjointly in one shot
-            free = fin.induced(set(fin.vertices) - self.used)
-            big = FinGraph(
-                [pair(i, v) for i, part in enumerate(self.exceptional)
-                 for v in part.vertices],
-                [(pair(i, a), pair(i, b))
-                 for i, part in enumerate(self.exceptional)
-                 for a, b in part.edges])
-            emb = fin_subgraph(big, free)
+            emb = self._least_copy(self.big)
             if emb is not None:
                 for i, part in enumerate(self.exceptional):
-                    self._emit_copy(part, {v: emb.mapping[pair(i, v)]
+                    self._emit_copy(part, {v: emb[pair(i, v)]
                                            for v in part.vertices})
                 self.exceptional_done = True
             return
         if self.recurring:
             comp = self.recurring[self.next_recurring % len(self.recurring)]
-            if self._try_claim(comp, fin):
+            emb = self._least_copy(comp)
+            if emb is not None:
+                self._emit_copy(comp, emb)
                 self.next_recurring += 1
 
     def value(self, n):
@@ -235,17 +240,15 @@ def _wait_for(predicate, fuel):
     raise PatternNeverSeen("no witness within fuel %d" % fuel)
 
 
-def _extend_walk(window, walk, banned, fuel):
-    """Least fresh neighbor of the walk's tip, waiting on the growing finite
-    windows window(s) of the host."""
+def _extend_walk(neighbors, walk, banned, fuel):
+    """Least fresh neighbour of the walk's tip, waiting on the growing
+    finite windows of the host; neighbors(v, s) lists v's neighbours in
+    the window at s, or is None when v is not in it."""
     tip = walk[-1]
     seen = set(walk) | set(banned)
 
     def probe(s):
-        fin = window(s)
-        if tip not in fin.vertices:
-            return None
-        cands = [w for w in fin.neighbors(tip) if w not in seen]
+        cands = [w for w in neighbors(tip, s) or () if w not in seen]
         return min(cands) if cands else None
 
     return _wait_for(probe, fuel)
@@ -257,13 +260,29 @@ def ray_follow(kind, host, fuel=2000, steps=10):
 
     kind: "TwoWayRay" | ("CycleTailRay", n) | ("CompleteTailRay", m) |
     "FullBinaryTree".
+
+    The start waits on the prefixes of the probe schedule of `_wait_for`;
+    each probe looks only at what arrived since the previous one.
     """
     view = HostView(host)
     banned = set()
+    probed = 0
+
+    def delta(s):
+        nonlocal probed
+        vs, es = view.added(probed, s)
+        probed = s
+        return vs, es
+
     if kind == "TwoWayRay" or kind == "FullBinaryTree":
+        least = None
+
         def first_vertex(s):
-            vs = view.graph(s).vertices
-            return min(vs) if vs else None
+            nonlocal least
+            vs, _ = delta(s)
+            if vs:
+                least = min(vs) if least is None else min(least, *vs)
+            return least
 
         start = _wait_for(first_vertex, fuel)
     elif isinstance(kind, tuple) and kind[0] in ("CycleTailRay",
@@ -279,10 +298,7 @@ def ray_follow(kind, host, fuel=2000, steps=10):
         pend = FinGraph(range(size + 1), list(core.edges) + [(0, size)])
 
         def find_pendant(s):
-            emb = fin_subgraph(pend, view.graph(s))
-            if emb is None:
-                return None
-            return emb.mapping
+            return least_new_embedding(pend, view, *delta(s))
 
         mapping = _wait_for(find_pendant, fuel)
         start = mapping[size]
@@ -291,7 +307,7 @@ def ray_follow(kind, host, fuel=2000, steps=10):
         raise BadParam("unknown follower kind %r" % (kind,))
     walk = [start]
     while len(walk) < steps:
-        walk.append(_extend_walk(view.graph, walk, banned, fuel))
+        walk.append(_extend_walk(view.neighbors, walk, banned, fuel))
     return walk
 
 
@@ -301,9 +317,14 @@ def emb_ray_r(host, lim_oracle, fuel=2000, steps=10):
     answered by the oracle), then walk that way. An EGr host is read by
     prefixes, a Gr host by vertex windows."""
     if host.space == "EGr":
-        window = HostView(host).graph
+        view = HostView(host)
+        window, neighbors = view.graph, view.neighbors
     else:
         window = functools.partial(gr_window, host)
+
+        def neighbors(v, s):
+            fin = window(s)
+            return fin.neighbors(v) if v in fin.vertices else None
 
     def first_edge(s):
         fin = window(s)
@@ -323,7 +344,7 @@ def emb_ray_r(host, lim_oracle, fuel=2000, steps=10):
     choice = lim_oracle(GeneratorBacked(q_bit))
     walk = [w, v] if choice == 0 else [v, w]
     while len(walk) < steps:
-        walk.append(_extend_walk(window, walk, (), fuel))
+        walk.append(_extend_walk(neighbors, walk, (), fuel))
     return walk
 
 
@@ -398,27 +419,37 @@ def path_from_solution(mode, solution, fuel=2000, steps=6):
 # ---------------------------------------------------------------------------
 
 class _ConnectedRestriction:
+    """Every 5 positions, emit the vertices that joined the component of v,
+    sorted, then the component's edges not emitted yet, sorted. Edges only
+    arrive, so the component only grows: through the new edges at it."""
+
     def __init__(self, host, v):
         self.view = HostView(host)
         self.v = v
         self.fuel = 0
-        self.emitted_v = set()
-        self.emitted_e = set()
+        self.comp = set()
         self.out = []
 
     def step(self):
-        self.fuel += 5
-        fin = self.view.graph(self.fuel)
-        if self.v not in fin.vertices:
+        start, self.fuel = self.fuel, self.fuel + 5
+        _, edges = self.view.added(start, self.fuel)
+        adj, comp = self.view.adjacency, self.comp
+        if self.v not in adj:
             return
-        comp = fin.component_of(self.v)
-        for u in sorted(comp - self.emitted_v):
-            self.emitted_v.add(u)
-            self.out.append(pair(u, u) + 1)
-        for a, b in sorted(fin.edges):
-            if a in comp and b in comp and (a, b) not in self.emitted_e:
-                self.emitted_e.add((a, b))
-                self.out.append(pair(a, b) + 1)
+        todo = [self.v] if not comp else [
+            y for a, b in edges for x, y in ((a, b), (b, a)) if x in comp]
+        joined = []
+        while todo:
+            u = todo.pop()
+            if u not in comp:
+                comp.add(u)
+                joined.append(u)
+                todo.extend(adj[u])
+        new = {(min(x, y), max(x, y)) for x in joined for y in adj[x]}
+        new.update((min(a, b), max(a, b)) for a, b in edges
+                   if a in comp and b in comp)
+        self.out += [pair(u, u) + 1 for u in sorted(joined)]
+        self.out += [pair(a, b) + 1 for a, b in sorted(new)]
 
     def value(self, n):
         while len(self.out) <= n:

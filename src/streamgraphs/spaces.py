@@ -211,6 +211,13 @@ class HostView:
     graph(s) is the finite graph that the first s positions decide, for any
     s >= 0 and in any order; it never reads position s or beyond. While only
     padding has arrived since the previous call, it returns the same object.
+
+    Stage loops read the host through one adjacency that grows in place
+    instead: grow(s) extends `adjacency` (vertex -> set of neighbours) to the
+    graph of stage s, unless it already holds a later stage; added(s0, s1)
+    lists what first arrived at positions s0 <= p < s1, and neighbors(v, s)
+    gives v's neighbours in the graph of any stage up to the furthest grown.
+    graph(s) builds none of this.
     """
 
     def __init__(self, name):
@@ -222,6 +229,11 @@ class HostView:
         self._pairs = []   # what each of them carries, as (i, j)
         self._count = -1   # how many of them the last graph holds
         self._graph = None
+        self._grown = 0        # how many of the pairs `adjacency` holds
+        self.adjacency = {}
+        self._born = {}        # vertex -> position where it arrived
+        self._arrivals = {}    # vertex -> [(position, neighbour)], in order
+        self._log = []         # first arrivals (position, i, j); i == j: vertex
 
     def _read_to(self, s):
         value = self.name.stream.eval
@@ -255,6 +267,50 @@ class HostView:
             self._graph = FinGraph(chain.from_iterable(pairs),
                                    [p for p in pairs if p[0] != p[1]])
         return self._graph
+
+    def grow(self, s):
+        """Extend `adjacency` by the positions below s not yet in it."""
+        if s < 0:
+            raise BadParam("fuel must be >= 0, got %r" % (s,))
+        if s > self._read:
+            self._read_to(s)
+        end = bisect_left(self._pos, s)
+        adj, arrivals, log = self.adjacency, self._arrivals, self._log
+        for k in range(self._grown, end):
+            p = self._pos[k]
+            i, j = self._pairs[k]
+            for v in (i, j):
+                if v not in adj:
+                    adj[v] = set()
+                    arrivals[v] = []
+                    self._born[v] = p
+                    log.append((p, v, v))
+            if i != j and j not in adj[i]:
+                adj[i].add(j)
+                adj[j].add(i)
+                arrivals[i].append((p, j))
+                arrivals[j].append((p, i))
+                log.append((p, i, j))
+        self._grown = max(self._grown, end)
+
+    def added(self, s0, s1):
+        """(vertices, edges) of the graph of stage s1 that the graph of
+        stage s0 lacks, in order of arrival; grows to s1."""
+        self.grow(s1)
+        log = self._log
+        new = log[bisect_left(log, (s0,)):bisect_left(log, (s1,))]
+        return ([i for _, i, j in new if i == j],
+                [(i, j) for _, i, j in new if i != j])
+
+    def neighbors(self, v, s):
+        """v's neighbours in the graph of stage s, in order of arrival, or
+        None when v is not a vertex of it; grows to s."""
+        self.grow(s)
+        born = self._born.get(v)
+        if born is None or born >= s:
+            return None
+        arr = self._arrivals[v]
+        return [w for _, w in arr[:bisect_left(arr, (s,))]]
 
 
 def truncate(name, fuel):

@@ -7,8 +7,7 @@ ordinary binary streams over string codes.
 """
 
 from .errors import BadParam, NotATree
-from .streams import (CertifiedStream, EventuallyConstant, Periodic,
-                      GeneratorBacked, pair, unpair)
+from .streams import CertifiedStream, pair, unpair
 
 
 def string_code(sigma):
@@ -54,16 +53,6 @@ class TreeGen:
             for dig in self.children(sigma):
                 out.append(sigma + (dig,))
         return out
-
-    def nodes_upto(self, depth):
-        out = []
-        for d in range(depth + 1):
-            out.extend(self.nodes_at_depth(d))
-        return out
-
-    def path_certificate(self):
-        """A certified infinite path, if the presentation carries one."""
-        return None
 
 
 class FiniteTree(TreeGen):
@@ -116,9 +105,6 @@ class SinglePath(TreeGen):
         if self.contains(sigma):
             return [self.stream.eval(len(sigma))]
         return []
-
-    def path_certificate(self):
-        return self.stream
 
 
 class LevelRule(TreeGen):

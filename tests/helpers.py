@@ -5,9 +5,14 @@ The brute-force embedding oracle is `streamgraphs.suites._naive_embeddings`
 (and its first hit, `_naive_least_embedding`): the shipped `bruteforce`
 suite needs it, so the tests import it from there."""
 
+import itertools
 import random
 
 from streamgraphs import graphs as G
+from streamgraphs.decide import embeddings, fin_subgraph
+from streamgraphs.errors import FuelExhausted, PatternNeverSeen
+from streamgraphs.search import _copy_name
+from streamgraphs.spaces import HostView
 from streamgraphs.streams import pair, unpair
 
 
@@ -175,6 +180,178 @@ def reference_random_schedule(fin, seed, stutter):
             a, b = item
             emit(pair(a, b) if rng.random() < 0.5 else pair(b, a))
     return out
+
+
+def reference_find_s_finite(g, host, fuel=None):
+    """`search.find_s_finite` as the full search of every stage that added
+    anything: (copy name, inclusion)."""
+    view = HostView(host)
+    fin = None
+    s = 1
+    while True:
+        if fuel is not None and s > fuel:
+            raise FuelExhausted("no copy found", spent=fuel)
+        prev, fin = fin, view.graph(s)
+        if fin is not prev:
+            emb = fin_subgraph(g, fin)
+            if emb is not None:
+                return _copy_name(g, emb.mapping), dict(emb.mapping)
+        s += 1
+
+
+def reference_co_enum(g, host):
+    """The co-enumeration of `search.find_is_via_cn`, decoding every code
+    afresh from snapshot graphs at each call."""
+    view = HostView(host)
+
+    def decode(code):
+        s, idx = unpair(code)
+        embs = embeddings(g, view.graph(s), induced=True)
+        return next(itertools.islice(embs, idx, None), None)
+
+    def rejected(code, at_stage):
+        s, _ = unpair(code)
+        if at_stage <= s:
+            return False
+        m = decode(code)
+        if m is None:
+            return True
+        later = view.graph(at_stage)
+        return not all(
+            (g.has_edge(a, b) == later.has_edge(m[a], m[b]))
+            for a, b in itertools.combinations(sorted(g.vertices), 2))
+
+    def co_enum(t):
+        out = []
+        for c in range(t + 1):
+            now = rejected(c, t)
+            before = c <= t - 1 and rejected(c, t - 1)
+            if now and not before:
+                out.append(c)
+        return out
+
+    return co_enum
+
+
+def reference_components(exceptional, recurring, host, length):
+    """The first `length` values of the `search.find_s_components` solution
+    and the copies claimed for them, searching the induced subgraph of the
+    unclaimed vertices of the whole prefix every 10 positions."""
+    view = HostView(host)
+    used, out, claimed = set(), [], []
+    fuel, done, turn = 0, not exceptional, 0
+    big = G.FinGraph(
+        [pair(i, v) for i, part in enumerate(exceptional)
+         for v in part.vertices],
+        [(pair(i, a), pair(i, b)) for i, part in enumerate(exceptional)
+         for a, b in part.edges])
+
+    def emit(comp, mapping):
+        claimed.append((comp, dict(mapping)))
+        for v in sorted(mapping.values()):
+            out.append(pair(v, v) + 1)
+        for a, b in sorted(comp.edges):
+            x, y = mapping[a], mapping[b]
+            out.append(pair(min(x, y), max(x, y)) + 1)
+        used.update(mapping.values())
+
+    while len(out) < length:
+        before = len(out)
+        fuel += 10
+        fin = view.graph(fuel)
+        free = fin.induced(set(fin.vertices) - used)
+        if not done:
+            emb = fin_subgraph(big, free)
+            if emb is not None:
+                for i, part in enumerate(exceptional):
+                    emit(part, {v: emb.mapping[pair(i, v)]
+                                for v in part.vertices})
+                done = True
+        elif recurring:
+            comp = recurring[turn % len(recurring)]
+            emb = fin_subgraph(comp, free)
+            if emb is not None:
+                emit(comp, emb.mapping)
+                turn += 1
+        if len(out) == before:
+            out.append(0)
+    return out[:length], claimed
+
+
+def reference_restrict_to_connected(host, v, length):
+    """The first `length` values of `search.restrict_to_connected`, taking
+    the component of v in a new snapshot graph every 5 positions."""
+    view = HostView(host)
+    fuel, out, emitted_v, emitted_e = 0, [], set(), set()
+    while len(out) < length:
+        before = len(out)
+        fuel += 5
+        fin = view.graph(fuel)
+        if v in fin.vertices:
+            comp = fin.component_of(v)
+            for u in sorted(comp - emitted_v):
+                emitted_v.add(u)
+                out.append(pair(u, u) + 1)
+            for a, b in sorted(fin.edges):
+                if a in comp and b in comp and (a, b) not in emitted_e:
+                    emitted_e.add((a, b))
+                    out.append(pair(a, b) + 1)
+        if len(out) == before:
+            out.append(0)
+    return out[:length]
+
+
+def _reference_wait_for(predicate, fuel):
+    s = 1
+    while s < fuel:
+        got = predicate(s)
+        if got is not None:
+            return got
+        s *= 2
+    got = predicate(fuel)
+    if got is not None:
+        return got
+    raise PatternNeverSeen("no witness within fuel %d" % fuel)
+
+
+def reference_ray_follow(kind, host, fuel=2000, steps=10):
+    """`search.ray_follow` reading a new snapshot graph at every probe."""
+    view = HostView(host)
+    banned = set()
+    if kind in ("TwoWayRay", "FullBinaryTree"):
+        def first_vertex(s):
+            vs = view.graph(s).vertices
+            return min(vs) if vs else None
+
+        start = _reference_wait_for(first_vertex, fuel)
+    else:
+        shape, size = kind
+        if shape == "CycleTailRay":
+            core = [(i, (i + 1) % size) for i in range(size)]
+        else:
+            core = [(a, b) for a in range(size) for b in range(a + 1, size)]
+        pend = G.FinGraph(range(size + 1), core + [(0, size)])
+
+        def find_pendant(s):
+            emb = fin_subgraph(pend, view.graph(s))
+            return None if emb is None else emb.mapping
+
+        mapping = _reference_wait_for(find_pendant, fuel)
+        start = mapping[size]
+        banned = {mapping[i] for i in range(size)}
+    walk = [start]
+    while len(walk) < steps:
+        tip, seen = walk[-1], set(walk) | banned
+
+        def probe(s):
+            fin = view.graph(s)
+            if tip not in fin.vertices:
+                return None
+            cands = [w for w in fin.neighbors(tip) if w not in seen]
+            return min(cands) if cands else None
+
+        walk.append(_reference_wait_for(probe, fuel))
+    return walk
 
 
 def random_fin_graph(rng, min_v=1, max_v=6, density=0.4, spread=2):

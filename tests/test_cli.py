@@ -285,6 +285,21 @@ class TestExport:
         assert code == 1
 
 
+class TestInternalErrors:
+    def test_unexpected_exception_is_one_line_exit_1(self, capsys,
+                                                     monkeypatch):
+        def boom(*_args):
+            raise RuntimeError("broken\nhandler")
+
+        monkeypatch.setattr(cli._spaces, "truncate", boom)
+        code = cli.main(["truncate", "--in", "egr:c4", "--fuel", "5"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "internal error: RuntimeError: broken handler\n"
+        assert "Traceback" not in captured.err
+
+
 class TestDeterminism:
     def test_truncate_reports_identical(self, capsys):
         _, a = run(capsys, "truncate", "--in", "egr:c4", "--fuel", "30")

@@ -10,9 +10,8 @@ from streamgraphs import graphs as G
 from streamgraphs import spaces as SP
 from streamgraphs import trees as T
 from streamgraphs.errors import (BadParam, PredicateUnsupported,
-                                 PromiseViolation,
                                  UndecidableWithoutCertificate)
-from streamgraphs.streams import EventuallyConstant, Periodic, pair
+from streamgraphs.streams import EventuallyConstant, Periodic
 from streamgraphs.suites import _naive_embeddings, _naive_least_embedding
 
 

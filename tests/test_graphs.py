@@ -6,7 +6,7 @@ from streamgraphs import graphs as G
 from streamgraphs import specs
 from streamgraphs import trees as T
 from streamgraphs.errors import BadParam, DegreeUnknown, NotATree
-from streamgraphs.streams import EventuallyConstant, Periodic, pair
+from streamgraphs.streams import EventuallyConstant, pair
 
 
 def k(n):

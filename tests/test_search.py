@@ -2,16 +2,22 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import random_fin_graph
+from helpers import (random_fin_graph, reference_co_enum,
+                     reference_components, reference_find_s_finite,
+                     reference_ray_follow, reference_restrict_to_connected)
 
 from streamgraphs import graphs as G
 from streamgraphs import search as S
 from streamgraphs import spaces as SP
+from streamgraphs import specs
 from streamgraphs import trees as T
+from streamgraphs.decide import semidecide_s
 from streamgraphs.errors import (BadParam, CensusUnstable, FuelExhausted,
-                                 NoInfiniteDegreeVertex, PatternNeverSeen,
-                                 PredicateUnsupported, PromiseViolation)
+                                 NoInfiniteDegreeVertex, OracleRefused,
+                                 PatternNeverSeen, PredicateUnsupported,
+                                 PromiseViolation)
 from streamgraphs.streams import EventuallyConstant, pair, unpair
 from streamgraphs.suites import _naive_least_embedding
 
@@ -26,6 +32,38 @@ def r(n):
 
 def c(n):
     return G.standard("CycleN", n).materialize()
+
+
+_SPEC_HOSTS = ["egr:l", "gr:l", "egr:fbt", "gr:fbt", "egr:omega(c4)",
+               "gr:omega(k3)", "egr:cu(c4,ray)", "gr:cu(k4,ray)",
+               "egr:du(k1,r3,l)", "gr:komega", "egr:omega(du(k1,k2))"]
+
+
+def _random_host(rng):
+    """A Gr or EGr name: a spec name, or a random finite graph named in code
+    order (Gr) or by a seeded schedule with padding and repeats (EGr)."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return specs.parse_name(rng.choice(_SPEC_HOSTS))
+    fin = random_fin_graph(rng, min_v=0, max_v=10, density=rng.random(),
+                           spread=3)
+    if kind == 1:
+        return SP.name_of("Gr", fin)
+    return SP.name_of("EGr", fin, ("random", rng.randrange(10 ** 6),
+                                   rng.choice([0.0, 0.3, 0.6])))
+
+
+def _random_pattern(rng, max_v=4):
+    """Small pattern, often with isolated vertices."""
+    return random_fin_graph(rng, min_v=1, max_v=max_v,
+                            density=rng.choice([0.2, 0.5, 1.0]), spread=2)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (FuelExhausted, OracleRefused, PatternNeverSeen) as exc:
+        return type(exc).__name__
 
 
 class TestFindSFinite:
@@ -73,6 +111,62 @@ class TestFindSFinite:
         sol = S.find_s_finite(G.FinGraph([]), host, fuel=1)
         assert sol.inclusion_pairs() == []
 
+    def test_new_vertex_anchors_every_pattern_vertex(self):
+        # the isolated vertex 0 lands on host vertex 2, which arrives with
+        # the edge (0, 2) in the same position as the copy's last edge
+        sol = S.find_s_finite(specs.parse_pattern("du(k1,r3)"),
+                              specs.parse_name("gr:fbt"), fuel=20)
+        assert sol.inclusion == {0: 2, 1: 1, 4: 0, 8: 3}
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2 ** 32))
+    def test_matches_full_search_of_every_stage(self, seed):
+        rng = random.Random(seed)
+        g, host = _random_pattern(rng), _random_host(rng)
+        fuel = rng.randrange(1, 120)
+
+        def found():
+            sol = S.find_s_finite(g, host, fuel=fuel)
+            return sol.name.stream.head, sol.inclusion
+
+        want = _outcome(lambda: reference_find_s_finite(g, host, fuel))
+        got = _outcome(found)
+        if isinstance(want, tuple):
+            want = (want[0].stream.head, want[1])
+        assert got == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2 ** 32))
+    def test_more_fuel_keeps_the_found_copy(self, seed):
+        rng = random.Random(seed)
+        g, host = _random_pattern(rng), _random_host(rng)
+        verdicts = []
+        for fuel in sorted(rng.sample(range(1, 150), 4)):
+            got = _outcome(lambda: S.find_s_finite(g, host, fuel).inclusion)
+            if verdicts and verdicts[-1] != "FuelExhausted":
+                assert got == verdicts[-1]
+            verdicts.append(got)
+
+
+class TestSemidecideMonotone:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2 ** 32))
+    def test_verdict_only_moves_from_unknown_to_found(self, seed):
+        # the witness is the least copy of a longer prefix, so only the
+        # verdict is fixed once found, not the witness
+        rng = random.Random(seed)
+        g, host = _random_pattern(rng), _random_host(rng)
+        kinds = []
+        for fuel in sorted(rng.sample(range(0, 150), 4)):
+            v = semidecide_s(g, host, fuel=fuel)
+            if v.kind == "found":
+                fin = SP.truncate(host, fuel)
+                assert v.witness.check(g, fin)
+            kinds.append(v.kind)
+        assert kinds == sorted(kinds, key=["unknown", "found",
+                                           "refuted"].index)
+        assert "found" not in kinds or "refuted" not in kinds
+
 
 class TestFindIsViaCn:
     def test_avoids_complete_part(self):
@@ -107,6 +201,30 @@ class TestFindIsViaCn:
         with pytest.raises(BadParam):
             S.find_is_via_cn(k(2), SP.name_of("EGr", k(3)),
                              S.cn_by_stabilization)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2 ** 32))
+    def test_co_enumeration_matches_reference(self, seed):
+        rng = random.Random(seed)
+        host = _random_host(rng)
+        g = _random_pattern(rng)
+        n = len(g.vertices)
+        if len(g.edges) == n * (n - 1) // 2:
+            g = G.FinGraph(list(g.vertices) + [max(g.vertices) + 1], g.edges)
+        cap = rng.randrange(1, 40)
+        ts = rng.sample(range(cap), cap)   # any order of calls
+        seen = []
+
+        def recording(co_enum, stage_cap):
+            seen.extend(co_enum(t) for t in ts)
+            return S.cn_by_stabilization(co_enum, stage_cap)
+
+        got = _outcome(lambda: S.find_is_via_cn(g, host, recording,
+                                                cap).inclusion)
+        reference = reference_co_enum(g, host)
+        assert seen == [reference(t) for t in ts]
+        assert got == _outcome(lambda: S.find_is_via_cn(
+            g, host, S.cn_by_stabilization, cap).inclusion)
 
 
 class TestFindSComponents:
@@ -150,6 +268,27 @@ class TestFindSComponents:
         assert claimed[0][0] == k(3)
         assert all(comp == k(1) for comp, _ in claimed[1:])
         assert len(claimed) >= 4
+
+
+class TestComponentsMatchFullSearch:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2 ** 32))
+    def test_same_copies_as_the_induced_free_part(self, seed):
+        # at most one exceptional part: a failed search for several
+        # disjoint parts is exponential in both implementations
+        rng = random.Random(seed)
+        host = _random_host(rng)
+        exceptional = [_random_pattern(rng, 3)] if rng.random() < 0.5 else []
+        recurring = [_random_pattern(rng, 3)
+                     for _ in range(rng.randrange(0 if exceptional else 1, 3))]
+        length = rng.randrange(1, 60)
+        sol = S.find_s_components([(comp, 1) for comp in exceptional]
+                                  + [(comp, G.OMEGA) for comp in recurring],
+                                  host)
+        want, claimed = reference_components(exceptional, recurring, host,
+                                             length)
+        assert sol.name.stream.prefix(length) == want
+        assert sol.name.meta["components"].claimed == claimed
 
 
 class TestRayFollow:
@@ -201,6 +340,18 @@ class TestRayFollow:
     def test_bad_kind(self):
         with pytest.raises(BadParam):
             S.ray_follow("Spiral", SP.name_of("EGr", G.standard("Ray")))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2 ** 32))
+    def test_matches_snapshot_probes(self, seed):
+        rng = random.Random(seed)
+        host = _random_host(rng)
+        kind = rng.choice(["TwoWayRay", "FullBinaryTree",
+                           ("CycleTailRay", 3), ("CycleTailRay", 4),
+                           ("CompleteTailRay", 3), ("CompleteTailRay", 4)])
+        fuel, steps = rng.randrange(0, 300), rng.randrange(1, 9)
+        assert _outcome(lambda: S.ray_follow(kind, host, fuel, steps)) == \
+            _outcome(lambda: reference_ray_follow(kind, host, fuel, steps))
 
 
 class TestEmbRayR:
@@ -321,6 +472,15 @@ class TestRestrictToConnected:
         fin = SP.truncate(S.restrict_to_connected(host, ray_v), 400)
         assert fin.is_acyclic() and fin.is_connected()
         assert len(fin.vertices) > 5
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2 ** 32))
+    def test_matches_snapshot_components(self, seed):
+        rng = random.Random(seed)
+        host = _random_host(rng)
+        v, length = rng.randrange(12), rng.randrange(1, 120)
+        got = S.restrict_to_connected(host, v).stream.prefix(length)
+        assert got == reference_restrict_to_connected(host, v, length)
 
 
 class TestFindT3:
