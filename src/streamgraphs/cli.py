@@ -103,10 +103,17 @@ def _verdict_exit(report, verdict, args):
 
 
 def cmd_decide(args):
-    pattern = _specs.parse_pattern(args.pattern)
+    n = _specs.clique_order(args.pattern)
+    pattern = None if n else _specs.parse_pattern(args.pattern)
     host = _specs.parse_name(args.host)
     report = _base_report(args)
-    from .decide import Verdict, decide_is_egr_noncomplete, semidecide_s
+    from .decide import (Verdict, decide_is_egr_noncomplete, outgrown,
+                         semidecide_s)
+    if pattern is None:
+        verdict = outgrown(n, host, args.fuel)   # before building K_n
+        if verdict is not None:
+            return _verdict_exit(report, verdict, args)
+        pattern = _specs.parse_pattern(args.pattern)
     if args.mode == "is" and host.space == "EGr":
         try:
             if not decide_is_egr_noncomplete(pattern, host):

@@ -256,9 +256,21 @@ def semidecide_s(g, host, induced=False, fuel=1000):
     emb = fin_subgraph(g, fin, induced)
     if emb is not None:
         return Verdict.found(emb)
+    return _no_copy(host, fuel)
+
+
+def _no_copy(host, fuel):
     if _host_exhausted(host, fuel):
         return Verdict.refuted("host certified finite and exhausted")
     return Verdict.unknown(fuel)
+
+
+def outgrown(n, host, fuel):
+    """semidecide_s's verdict for any pattern of n vertices where no window
+    of `fuel` positions can hold n vertices (a position carries one pair,
+    and none lies past an exhausted certified head), else None."""
+    top = len(host.stream.head) if _host_exhausted(host, fuel) else fuel
+    return _no_copy(host, fuel) if n > 2 * top else None
 
 
 # ---------------------------------------------------------------------------

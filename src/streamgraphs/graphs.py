@@ -11,7 +11,7 @@ import heapq
 import itertools
 import json
 from collections import deque
-from functools import cached_property
+from functools import cached_property, partial
 
 from .errors import (BadParam, DegreeUnknown, NotATree,
                      PreconditionUnverifiable, PromiseViolation)
@@ -236,6 +236,11 @@ class CountableGraph:
     def is_finite(self):
         return self.vertex_count() != OMEGA
 
+    def lower_neighbors(self, v):
+        """The neighbours of vertex v whose code is smaller than v, as a
+        finite list, or None where they cannot be listed cheaply."""
+        return None
+
     def iter_vertices(self):
         """Every vertex exactly once, in an order fixed by the graph.
 
@@ -244,7 +249,9 @@ class CountableGraph:
         Other orders exist: TreeAsGraph and Layered go breadth-first over
         an infinite, finitely branching tree, TreeT and ForestF by growing
         digit bound, and an infinite DisjointUnion merges its parts' orders
-        by code."""
+        by code. Wherever lower_neighbors(v) is a list, every neighbour of
+        v yielded before v has a smaller code: a tree yields each parent
+        first, and the other orders are increasing or keep part orders."""
         n = self.vertex_count()
         found = 0
         c = 0
@@ -285,6 +292,9 @@ class Finite(CountableGraph):
     def degree(self, v):
         return self.fin.degree(v)
 
+    def lower_neighbors(self, v):
+        return [w for w in self.fin.adjacency[v] if w < v]
+
     def vertex_count(self):
         return len(self.fin.vertices)
 
@@ -309,6 +319,9 @@ class Ray(CountableGraph):
     def degree(self, v):
         return 1 if v == 0 else 2
 
+    def lower_neighbors(self, v):
+        return [v - 1] if v else []
+
     def vertex_count(self):
         return OMEGA
 
@@ -327,6 +340,9 @@ class TwoWayRay(CountableGraph):
 
     def degree(self, v):
         return 2
+
+    def lower_neighbors(self, v):
+        return [max(v - 2, 0)] if v else []
 
     def vertex_count(self):
         return OMEGA
@@ -395,6 +411,9 @@ class TreeAsGraph(CountableGraph):
             kids = OMEGA
         return kids + (1 if sigma else 0)
 
+    def lower_neighbors(self, v):
+        return [unpair(v - 1)[0]] if v else []
+
     def neighbors(self, v):
         """Parent plus children, directly from the tree rule (finite lists)."""
         sigma = string_decode(v)
@@ -431,6 +450,19 @@ def FullBinaryTreeGraph():
     return TreeAsGraph(FullBinary())
 
 
+def _by_digit_bound(depths):
+    """Codes of the strings with a length in `depths`, each once: those
+    with digits below n, for n = 1, 2, ..."""
+    seen = set()
+    for n in itertools.count(1):
+        for depth in depths:
+            for sigma in itertools.product(range(n), repeat=depth):
+                c = string_code(sigma)
+                if c not in seen:
+                    seen.add(c)
+                    yield c
+
+
 class TreeT(CountableGraph):
     """T_{2k+1}: the tree of height k, infinitely branching at every inner node."""
 
@@ -454,24 +486,13 @@ class TreeT(CountableGraph):
         kids = OMEGA if d < self.k else 0
         return kids + (1 if d > 0 else 0)
 
+    lower_neighbors = TreeAsGraph.lower_neighbors
+
     def vertex_count(self):
         return 1 if self.k == 0 else OMEGA
 
     def iter_vertices(self):
-        if self.k == 0:
-            yield 0
-            return
-        # diagonal: nodes with digits < N and depth <= k
-        seen = set()
-        n = 1
-        while True:
-            for depth in range(self.k + 1):
-                for sigma in itertools.product(range(n), repeat=depth):
-                    c = string_code(sigma)
-                    if c not in seen:
-                        seen.add(c)
-                        yield c
-            n += 1
+        return iter([0]) if self.k == 0 else _by_digit_bound(range(self.k + 1))
 
 
 class ForestF(CountableGraph):
@@ -501,20 +522,15 @@ class ForestF(CountableGraph):
         kids = OMEGA if d < self.k + 1 else 0
         return kids + (1 if d > 1 else 0)
 
+    def lower_neighbors(self, v):
+        parent = unpair(v - 1)[0]
+        return [parent] if parent else []
+
     def vertex_count(self):
         return OMEGA
 
     def iter_vertices(self):
-        seen = set()
-        n = 1
-        while True:
-            for depth in range(1, self.k + 2):
-                for sigma in itertools.product(range(n), repeat=depth):
-                    c = string_code(sigma)
-                    if c not in seen:
-                        seen.add(c)
-                        yield c
-            n += 1
+        return _by_digit_bound(range(1, self.k + 2))
 
 
 class OmegaCopies(CountableGraph):
@@ -535,6 +551,11 @@ class OmegaCopies(CountableGraph):
     def degree(self, v):
         _, u = unpair(v)
         return self.base.degree(u)
+
+    def lower_neighbors(self, v):
+        i, u = unpair(v)
+        lower = self.base.lower_neighbors(u)
+        return None if lower is None else [pair(i, w) for w in lower]
 
     def vertex_count(self):
         return 0 if self.base.vertex_count() == 0 else OMEGA
@@ -582,6 +603,11 @@ class DisjointUnion(CountableGraph):
             raise BadParam("vertex %r outside union" % v)
         return p.degree(u)
 
+    def lower_neighbors(self, v):
+        i, u = unpair(v)
+        lower = self.parts[i].lower_neighbors(u)
+        return None if lower is None else [pair(i, w) for w in lower]
+
     def vertex_count(self):
         total = 0
         for p in self.parts:
@@ -592,24 +618,10 @@ class DisjointUnion(CountableGraph):
         return total
 
     def iter_vertices(self):
-        if self.vertex_count() != OMEGA:
-            out = []
-            for i, p in enumerate(self.parts):
-                out.extend(pair(i, u) for u in p.iter_vertices())
-            yield from sorted(out)
-            return
-        # fair interleave in code order via per-part iterators
-        its = [p.iter_vertices() for p in self.parts]
-        heads = []
-        for i, it in enumerate(its):
-            v = next(it, None)
-            heads.append(None if v is None else pair(i, v))
-        while any(h is not None for h in heads):
-            i = min((h, idx) for idx, h in enumerate(heads)
-                    if h is not None)[1]
-            yield heads[i]
-            v = next(its[i], None)
-            heads[i] = None if v is None else pair(i, v)
+        # the least of the parts' next codes each time: increasing code
+        # order wherever every part's own order is
+        yield from heapq.merge(*(map(partial(pair, i), p.iter_vertices())
+                                 for i, p in enumerate(self.parts)))
 
 
 class ConnectedUnion(CountableGraph):
@@ -632,6 +644,7 @@ class ConnectedUnion(CountableGraph):
                 raise BadParam("connected_union parts need >= 3 vertices")
         self._heads = {}
         self._tails = {}
+        self._ends = {}
 
     # -- junction vertex selection ------------------------------------
 
@@ -645,6 +658,8 @@ class ConnectedUnion(CountableGraph):
         return self._heads[i]
 
     def _tail(self, i):
+        """None for a lone infinite part: its tail depends on where the
+        union is glued as a part of another one."""
         if i not in self._tails:
             p = self.parts[i]
             if p.designated_tail is not None:
@@ -652,19 +667,24 @@ class ConnectedUnion(CountableGraph):
             elif p.vertex_count() != OMEGA:
                 self._tails[i] = max(p.iter_vertices())
             elif i == 0:
-                self._tails[i] = self._head(0)
+                self._tails[i] = self._head(0) if len(self.parts) > 1 else None
             else:
                 a, b = p.first_vertices(2)
                 self._tails[i] = b if a == self._head(i) else a
         return self._tails[i]
 
-    def _consumed(self, i):
-        out = set()
-        if i > 0:
-            out.add(self._head(i))
-        if i < len(self.parts) - 1:
-            out.add(self._tail(i))
-        return out
+    def _glued(self, i):
+        """Part i's glued vertices, each mapped to its junction and to its
+        lower neighbours in the part; computed once."""
+        if i not in self._ends:
+            ends = {}
+            if i > 0:
+                ends[self._head(i)] = i - 1
+            if i < len(self.parts) - 1:
+                ends[self._tail(i)] = i
+            lower = self.parts[i].lower_neighbors
+            self._ends[i] = {u: (j, lower(u)) for u, j in ends.items()}
+        return self._ends[i]
 
     # -- membership ----------------------------------------------------
 
@@ -679,7 +699,7 @@ class ConnectedUnion(CountableGraph):
         i, u = unpair(payload)
         if i >= len(self.parts):
             return None
-        if not self.parts[i].has_vertex(u) or u in self._consumed(i):
+        if not self.parts[i].has_vertex(u) or u in self._glued(i):
             return None
         return ("ord", i, u)
 
@@ -711,36 +731,33 @@ class ConnectedUnion(CountableGraph):
             return self.parts[i].has_edge(self._head(i), u)
         return False
 
-    @cached_property
-    def _unsound(self):
-        """Parts whose glued vertices are not distinct vertices of the part,
-        as when a nested union's designated head is glued inside it."""
-        out = set()
-        for i, p in enumerate(self.parts):
-            ends = []
-            if i > 0:
-                ends.append(self._head(i))
-            if i < len(self.parts) - 1:
-                ends.append(self._tail(i))
-            if len(set(ends)) < len(ends) or not all(map(p.has_vertex, ends)):
-                out.add(i)
-        return out
-
     def degree(self, v):
-        """Exact degree; DegreeUnknown in and next to an unsound part, where
-        one part vertex stands for two glue vertices or for none."""
         d = self._decode(v)
         if d is None:
             raise BadParam("vertex %r not present" % v)
         if d[0] == "ord":
-            if d[1] in self._unsound:
-                raise DegreeUnknown("connected union glued at a non-vertex")
             return self.parts[d[1]].degree(d[2])
         j = d[1]
-        if j in self._unsound or j + 1 in self._unsound:
-            raise DegreeUnknown("connected union glued at a non-vertex")
         return (self.parts[j].degree(self._tail(j))
                 + self.parts[j + 1].degree(self._head(j + 1)))
+
+    def lower_neighbors(self, v):
+        """An ordinary vertex: its part's list minus the glued vertices,
+        plus the smaller glue vertices whose part vertex is adjacent to it.
+        A glue vertex: its neighbours among the few smaller codes."""
+        tag, x = unpair(v)
+        if tag:
+            return [w for w in range(v) if self.has_edge(v, w)]
+        i, u = unpair(x)
+        lower = self.parts[i].lower_neighbors(u)
+        ends = self._glued(i)
+        if lower is None or None in (below for _, below in ends.values()):
+            return None
+        out = [pair(0, pair(i, w)) for w in lower if w not in ends]
+        for end, (j, below) in ends.items():
+            if (end in lower or u in below) and pair(1, j) < v:
+                out.append(pair(1, j))
+        return out
 
     def vertex_count(self):
         total = 0
@@ -753,34 +770,21 @@ class ConnectedUnion(CountableGraph):
 
     @property
     def designated_head(self):
-        return pair(0, pair(0, self._head(0)))
+        """Part 0's head, or the glue vertex it became."""
+        h = self._head(0)
+        return pair(1, 0) if h in self._glued(0) else pair(0, pair(0, h))
 
     @property
     def designated_tail(self):
         last = len(self.parts) - 1
-        p = self.parts[last]
-        if p.designated_tail is not None:
-            t = p.designated_tail
-        elif p.vertex_count() != OMEGA:
-            t = max(p.iter_vertices())
-        elif last == 0:
-            t = self._head(0)
-        else:
-            a, b = p.first_vertices(2)
-            t = b if a == self._head(last) else a
-        return pair(0, pair(last, t))
+        t = self._tail(last)
+        return None if t is None else pair(0, pair(last, t))
 
     def _ordinary_codes(self, i):
-        """Codes of part i's vertices that are not glued, increasing: for an
-        infinite part, its own codes scanned in order."""
-        p = self.parts[i]
-        consumed = self._consumed(i)
-        if p.vertex_count() != OMEGA:
-            us = sorted(u for u in p.iter_vertices() if u not in consumed)
-        else:
-            us = (u for u in itertools.count()
-                  if p.has_vertex(u) and u not in consumed)
-        return (pair(0, pair(i, u)) for u in us)
+        """Codes of part i's vertices that are not glued, increasing."""
+        ends = self._glued(i)
+        return (pair(0, pair(i, u)) for u in _code_order(self.parts[i])
+                if u not in ends)
 
     def iter_vertices(self):
         # pair(0, pair(i, u)) increases in u, so merging the glue codes
@@ -788,6 +792,28 @@ class ConnectedUnion(CountableGraph):
         glue = (pair(1, j) for j in range(len(self.parts) - 1))
         yield from heapq.merge(glue, *(self._ordinary_codes(i)
                                        for i in range(len(self.parts))))
+
+
+def _code_order(p):
+    """The vertices of p in increasing code order, taken from p itself: by
+    a heap popped from the root of a finitely branching tree (a child's
+    code exceeds its parent's), by merging a disjoint union's parts, by a
+    code scan for TreeT and ForestF, and else in p's own order."""
+    if isinstance(p, DisjointUnion):
+        yield from heapq.merge(*(map(partial(pair, i), _code_order(q))
+                                 for i, q in enumerate(p.parts)))
+    elif isinstance(p, (TreeT, ForestF)):
+        yield from CountableGraph.iter_vertices(p)
+    elif not (isinstance(p, (TreeAsGraph, Layered))
+              and p.tree.finitely_branching):
+        yield from p.iter_vertices()
+    else:
+        heap = [(0, ())] if p.tree.contains(()) else []
+        while heap:
+            c, sigma = heapq.heappop(heap)
+            yield c
+            for d in p.tree.children(sigma):
+                heapq.heappush(heap, (pair(c, d) + 1, sigma + (d,)))
 
 
 class Layered(CountableGraph):
@@ -835,6 +861,17 @@ class Layered(CountableGraph):
         if isinstance(self.tree, FiniteTree):
             return self.materialize().degree(v)
         raise DegreeUnknown("layered over an infinite tree")
+
+    def lower_neighbors(self, v):
+        """L1: the proper prefixes whose levels are adjacent in G."""
+        if self.mode == "L2":
+            return None
+        chain = [v]   # v, its parent, ..., the root
+        while chain[-1]:
+            chain.append(unpair(chain[-1] - 1)[0])
+        top = self._g_vertex(len(chain) - 1)
+        return [c for depth, c in enumerate(reversed(chain[1:]))
+                if self.graph.has_edge(top, self._g_vertex(depth))]
 
     def vertex_count(self):
         if isinstance(self.tree, FiniteTree):

@@ -26,8 +26,8 @@ import json
 import os
 import re
 
-from .errors import DegreeUnknown, ParseError
-from .graphs import (OMEGA, FinGraph, OmegaCopies, connected_union,
+from .errors import ParseError
+from .graphs import (FinGraph, OmegaCopies, connected_union,
                      construction, disjoint_union, standard)
 from .spaces import name_of
 from .streams import parse_stream
@@ -123,52 +123,30 @@ def _dense_egr_name(g):
     """EGr name emitting each vertex at its enumeration index, with edges
     to earlier vertices interleaved right after (no idle padding).
 
-    Reading n positions costs work linear in n. The earlier vertices that
-    can still gain a neighbour stay in `open_`, in emission order, and
-    `lack` says how many neighbours each still lacks (OMEGA when its degree
-    is infinite or unknown). A vertex leaves once it lacks none, and a new
-    vertex's scan stops once its own degree is used up, so a finite
-    `degree()` must count every neighbour."""
+    A new vertex's edges come from g.lower_neighbors: every neighbour
+    emitted before it has a smaller code (CountableGraph.iter_vertices), so
+    the listed ones already emitted are all of them, emitted in the order
+    they came. Where g cannot list them, the new vertex is tested against
+    every earlier one."""
     from .spaces import SpaceName
     from .streams import GeneratorBacked, pair
 
     has_edge = g.has_edge
 
     def emissions():
-        open_ = []     # earlier vertices that may gain a neighbour, in order
-        lack = {}      # each one -> how many neighbours it still lacks
-        finite = 0     # how many of them lack finitely many
+        index = {}     # emitted vertex -> its emission index, in order
         for v in g.iter_vertices():
             yield pair(v, v) + 1
-            try:
-                need = g.degree(v)
-            except DegreeUnknown:
-                need = OMEGA
-            if need == OMEGA and not finite:
-                # nothing to count down: keep dense graphs such as
-                # egr:komega, where every pair is an edge, at one test each
-                for w in open_:
+            lower = g.lower_neighbors(v)
+            if lower is None:
+                for w in index:
                     if has_edge(v, w):
                         yield (pair(w, v) if w < v else pair(v, w)) + 1
-            elif need:
-                full = 0
-                for w in open_:
-                    if has_edge(v, w):
-                        yield (pair(w, v) if w < v else pair(v, w)) + 1
-                        left = lack[w] - 1
-                        lack[w] = left
-                        if not left:
-                            full += 1
-                        need -= 1
-                        if not need:
-                            break
-                if full:
-                    open_ = [w for w in open_ if lack[w]]
-                    finite -= full
-            if need:
-                open_.append(v)
-                lack[v] = need
-                finite += need != OMEGA
+            else:
+                for w in sorted((w for w in lower if w in index),
+                                key=index.__getitem__):
+                    yield pair(w, v) + 1
+            index[v] = len(index)
 
     out = []
     it = emissions()
@@ -223,6 +201,13 @@ def parse_pattern(text):
         return g.materialize()
     except Exception:
         raise ParseError("pattern %r is not a finite graph" % text)
+
+
+def clique_order(text):
+    """n for the complete pattern spec kn (n >= 1), read before any of its
+    n(n-1)/2 edges is built; None for every other spec."""
+    m = re.match(r"^k([1-9][0-9]*)$", text.strip(), re.IGNORECASE)
+    return int(m.group(1)) if m else None
 
 
 def fin_graph_from_json(text):

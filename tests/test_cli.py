@@ -4,7 +4,7 @@ import pytest
 
 from streamgraphs import cli
 from streamgraphs import specs
-from streamgraphs.decide import Embedding
+from streamgraphs.decide import Embedding, semidecide_s
 from streamgraphs.errors import ParseError
 from streamgraphs.graphs import FinGraph, Layered, OmegaCopies, TwoWayRay
 
@@ -75,6 +75,31 @@ class TestDecide:
                         "--host", "egr:c4", "--fuel", "60")
         assert code == 0
         assert json.loads(out)["verdict"] == "refuted"
+
+    @pytest.mark.parametrize("host, mode, fuel", [
+        ("egr:c3", "s", 1000), ("egr:c3", "is", 1000), ("egr:c3", "s", 3),
+        ("gr:c3", "is", 1000)])
+    def test_oversized_clique_is_not_built(self, capsys, monkeypatch, host,
+                                           mode, fuel):
+        """k200 has more vertices than the host can show: the answer is the
+        engine's, and no FinGraph of 200 vertices gets built."""
+        want = semidecide_s(specs.parse_pattern("k200"),
+                            specs.parse_name(host), induced=mode == "is",
+                            fuel=fuel)
+        sizes = []
+        init = FinGraph.__init__
+
+        def counting(self, vertices, edges=()):
+            init(self, vertices, edges)
+            sizes.append(len(self.vertices))
+
+        monkeypatch.setattr(FinGraph, "__init__", counting)
+        code, out = run(capsys, "decide", "--pattern", "k200", "--host", host,
+                        "--mode", mode, "--fuel", str(fuel))
+        report = json.loads(out)
+        assert (report["verdict"], report.get("reason")) == (want.kind,
+                                                             want.reason)
+        assert sizes and max(sizes) < 200
 
     def test_is_witness_beyond_fuel_on_certified_host(self, capsys):
         # the copy lies beyond the fuel; the witness comes from the

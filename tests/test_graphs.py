@@ -181,7 +181,8 @@ class TestExactDegrees:
         ("cu(c4,ray)", 20, 40), ("cu(ray,c4)", 20, 40),
         ("cu(c4,ray,c4)", 20, 40), ("cu(komega,ray)", 10, 30),
         ("cu(c3,t1)", 20, 40), ("cu(k4,l)", 20, 60),
-        ("cu(c4,omega(c4))", 15, 40)])
+        ("cu(c4,omega(c4))", 15, 40), ("cu(c4,cu(ray),c4)", 20, 40),
+        ("cu(c4,cu(ray,c3))", 20, 40), ("cu(cu(ray),c4)", 20, 40)])
     def test_neighbours_match_degree(self, text, first, window):
         g = specs.parse_graph(text)
         vs = list(itertools.islice(g.iter_vertices(), window))
@@ -203,18 +204,15 @@ class TestExactDegrees:
         with pytest.raises(DegreeUnknown):
             g.degree(0)
 
-    def test_unsound_junction_claims_no_degree(self):
-        """In cu(c4, cu(ray), c4) the middle part's head and tail are one
-        vertex, so one ray vertex stands for both glue vertices."""
-        g = specs.parse_graph("cu(c4,cu(ray),c4)")
-        vs = list(itertools.islice(g.iter_vertices(), 12))
-        middle = [v for v in vs if g._decode(v)[0] == "ord"
-                  and g._decode(v)[1] == 1]
-        assert middle
-        for v in middle:
-            with pytest.raises(DegreeUnknown):
-                g.degree(v)
-        assert g.degree(vs[vs.index(pair(0, pair(0, 0)))]) == 2
+    def test_nested_junctions_glue_distinct_vertices(self):
+        """cu(ray) as a middle part is glued at two ray vertices, and
+        cu(ray, c3) as a later part at the vertex its head became."""
+        for text, part in (("cu(c4,cu(ray),c4)", 1), ("cu(c4,cu(ray,c3))", 1)):
+            g = specs.parse_graph(text)
+            ends = [g._head(part)] + ([g._tail(part)]
+                                      if part < len(g.parts) - 1 else [])
+            assert len(set(ends)) == len(ends)
+            assert all(map(g.parts[part].has_vertex, ends))
 
 
 class TestLayered:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -103,9 +104,8 @@ class TestNameSynthesis:
             assert SP.validate_name(name, horizon=300) == "ok"
 
 
-# Spec texts of infinite graphs. `_CODED` ones have enough vertices among
-# small codes to stand as the infinite part of a connected union, whose
-# enumeration scans that part's codes upward.
+# Spec texts of infinite graphs. `_CODED` ones have many vertices among
+# small codes.
 _FINITE = st.sampled_from(["r3", "r4", "c3", "c4", "c5", "k3", "k4",
                            "cu(c3,c4)", "du(k2,r3)"])
 _SMALL = st.sampled_from(["k1", "k2", "r2"]) | _FINITE
@@ -134,13 +134,31 @@ def _infinite(depth):
         return out
     inner = _infinite(depth - 1)
     return (out | st.builds("omega({})".format, inner)
-            | st.builds("du({},{})".format, _parts(_SMALL | inner), inner))
+            | st.builds("du({},{})".format, _parts(_SMALL | inner), inner)
+            | st.builds("cu({},{})".format, _parts(_FINITE | inner), inner))
+
+
+def _joined_unions():
+    """cu(...) texts as `_infinite(2)` builds them, from its connected
+    pieces only, including one-part unions and infinite first parts."""
+    finite = st.sampled_from(["r3", "r4", "c3", "c4", "c5", "k3", "k4",
+                              "cu(c3,c4)"])
+    few = st.lists(finite, min_size=1, max_size=2).map(",".join)
+    piece = (_LINE | st.sampled_from(["fbt", "t1", "t2"])
+             | st.builds("{}({},{})".format, st.sampled_from(["l1", "l2"]),
+                         _TREE, _LINE))
+    # a part nested deeper arrives too late for a window to join it
+    inner = (piece | st.builds("cu({})".format, piece)
+             | st.builds("cu({},{})".format, few, piece)
+             | st.builds("cu({},{})".format, piece, few))
+    return (st.builds("cu({},{})".format, _parts(finite | inner), inner)
+            | st.builds("cu({},{})".format, inner, _parts(finite | inner)))
 
 
 class TestDenseEgrName:
-    """The dense EGr name of an infinite spec graph, read with the
-    saturation rule, equals the name built by testing each new vertex
-    against every earlier one."""
+    """The dense EGr name of an infinite spec graph, which emits each new
+    vertex's listed lower neighbours, equals the name built by testing each
+    new vertex against every earlier one."""
 
     @settings(max_examples=150, deadline=None)
     @given(_infinite(2), st.integers(1, 80))
@@ -160,6 +178,62 @@ class TestDenseEgrName:
         name = specs.parse_name("egr:" + text)
         want = reference_dense_egr_name(specs.parse_graph(text), 40)
         assert name.stream.prefix(40) == want
+
+
+class TestLowerNeighbors:
+    @settings(max_examples=100, deadline=None)
+    @given(_infinite(2))
+    def test_lists_the_smaller_neighbours(self, text):
+        """Where a list is given, it holds exactly the neighbours of smaller
+        code, and every neighbour enumerated earlier has a smaller code."""
+        g = specs.parse_graph(text)
+        # path codes grow doubly exponentially with depth
+        vs = g.first_vertices(8 if "path(" in text else 25)
+        below = [w for w in range(2000) if g.has_vertex(w)]
+        for i, v in enumerate(vs):
+            lower = g.lower_neighbors(v)
+            if lower is None:
+                continue
+            assert all(w < v for w in vs[:i] if g.has_edge(v, w))
+            if v < 2000:
+                assert sorted(lower) == [w for w in below
+                                         if w < v and g.has_edge(v, w)]
+
+    @pytest.mark.parametrize("text", ["fbt", "t3", "l1(fulltree,l)"])
+    def test_tree_names_call_no_tree_has_edge(self, monkeypatch, text):
+        calls = []
+        for cls in (G.TreeAsGraph, G.TreeT, G.Layered):
+            def counting(self, a, b, _has_edge=cls.has_edge):
+                calls.append((a, b))
+                return _has_edge(self, a, b)
+            monkeypatch.setattr(cls, "has_edge", counting)
+        specs.parse_name("egr:" + text).stream.prefix(1000)
+        assert calls == []
+
+
+class TestConnectedUnionOrder:
+    @settings(max_examples=100, deadline=None)
+    @given(_infinite(2).filter(lambda text: text.startswith("cu(")))
+    def test_increasing_code_order(self, text):
+        g = specs.parse_graph(text)
+        vs = list(itertools.islice(itertools.takewhile(
+            lambda v: v < 20000, g.iter_vertices()), 40))
+        assert vs == [v for v in range(vs[-1] + 1) if g.has_vertex(v)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(_joined_unions())
+    def test_windows_are_connected(self, text):
+        """Connected parts glued at real vertices: BFS joins the first
+        vertices inside some window of the enumeration (a vertex may arrive
+        long before the neighbours that join it)."""
+        g = specs.parse_graph(text)
+        m = n = 10
+        while True:
+            vs = g.first_vertices(n)
+            if set(vs[:m]) <= g.window(n).component_of(vs[0]):
+                break
+            assert n < 320, text
+            n *= 2
 
 
 class TestTruncate:
