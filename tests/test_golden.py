@@ -18,10 +18,12 @@ import os
 import sys
 
 from streamgraphs import cli
+from streamgraphs import gadgets as GD
 from streamgraphs import search as S
 from streamgraphs import specs
 from streamgraphs.errors import StreamGraphsError
-from streamgraphs.graphs import OMEGA
+from streamgraphs.graphs import OMEGA, standard
+from streamgraphs.streams import parse_stream
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "golden.json")
@@ -74,6 +76,34 @@ CLI_CASES = [
     ["suite", "search-witnesses", "--seed", "0"],
     ["suite", "f-convert", "--seed", "0"],
     ["suite", "gadget-soundness", "--seed", "0"],
+    ["validate", "--in", "egr:omega(c4)", "--fuel", "100"],
+    ["validate", "--in", "gr:c5", "--fuel", "60"],
+    ["gadget", "--name", "sigma2", "--in", "ec:[0,1];0", "--pattern", "r3",
+     "--fuel", "60"],
+    ["gadget", "--name", "forests", "--in", "ec:[0,1];0", "--fuel", "10"],
+    ["gadget", "--name", "lim2", "--in", "ec:[0,0,1];1", "--decode",
+     "--fuel", "60"],
+    ["gadget", "--name", "cyclesbox", "--in", "path(ec:[1,0];1)",
+     "--fuel", "30"],
+    ["gadget", "--name", "enuminf", "--in", "[0,1,2]", "--decode",
+     "--fuel", "8"],
+    ["gadget", "--name", "s11choice", "--in", "fulltree,path(ec:[0];0)",
+     "--fuel", "10"],
+    ["oracle", "--problem", "lpo", "--in", "ec:[0,0,1];0", "--fuel", "100"],
+    ["oracle", "--problem", "lim", "--in", "ec:[3,1];2", "--fuel", "100"],
+    ["oracle", "--problem", "cn", "--in", "ec:[1,3];0", "--fuel", "100"],
+    ["oracle", "--problem", "wf", "--in", "fintree:[[],[0],[1]]",
+     "--fuel", "100"],
+    ["compose", "--gadget", "sigma1", "--oracle", "contains",
+     "--in", "ec:[0,1];0", "--pattern", "k2", "--fuel", "200"],
+    ["compose", "--gadget", "l1", "--oracle", "findsray",
+     "--in", "path(ec:[1,0];1)", "--fuel", "100"],
+    ["search", "--solver", "t3", "--host", "egr:komega", "--fuel", "100"],
+    ["decide", "--pattern", "k4", "--host", "egr:c5", "--fuel", "100"],
+    ["search", "--solver", "rayfollow:k1", "--host", "egr:l", "--fuel", "20"],
+    ["truncate", "--in", "egr:fbt", "--fuel", "100"],
+    ["truncate", "--in", "egr:l1(fulltree,l)", "--fuel", "100"],
+    ["convert", "--in", "gr:du(c4,k3)", "--fuel", "80"],
 ]
 
 
@@ -104,6 +134,22 @@ def _is_via_cn(host, stage_cap):
     return run
 
 
+def _t3(graph):
+    return lambda: S.find_t3(specs.parse_graph(graph)).name.stream.prefix(40)
+
+
+def _f2k2(host, k):
+    return lambda: S.find_f2k2(host, k).name.stream.prefix(60)
+
+
+def _sigma2(p, pattern):
+    def run():
+        name = GD.sigma2_gadget(parse_stream(p), specs.parse_pattern(pattern))
+        return {"prefix": name.stream.prefix(80),
+                "stable_fuel": name.meta.get("sigma2_stable_fuel")}
+    return run
+
+
 LIBRARY_CASES = {
     "find_s_components k2 in egr:omega(k3)": _components,
     "find_s_components k3+omega(k1) in egr:du(k3,omega(k1))":
@@ -114,6 +160,14 @@ LIBRARY_CASES = {
         _is_via_cn("egr(4,0.3):du(k2,r3)", 60),
     "find_is_via_cn r3 in egr:du(k3,c5), all rejected":
         _is_via_cn("egr:du(k3,c5)", 40),
+    "find_t3 t1": _t3("t1"),
+    "find_t3 komega": _t3("komega"),
+    "find_f2k2 k=1 in f1": _f2k2(standard("ForestF", 1), 1),
+    "find_f2k2 k=1 in t2": _f2k2(standard("TreeT", 2), 1),
+    "find_f2k2 k=0 in omega(k1)": _f2k2(specs.parse_graph("omega(k1)"), 0),
+    "sigma2_gadget r3, ones at 1 and 3": _sigma2("ec:[0,1,0,1];0", "r3"),
+    "sigma2_gadget c4, ones every other stage": _sigma2("per:[];[0,1]", "c4"),
+    "sigma2_gadget r3, no ones": _sigma2("ec:[];0", "r3"),
 }
 
 
