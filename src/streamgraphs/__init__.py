@@ -2,7 +2,7 @@
 deciders, reduction gadgets and search solvers."""
 
 from .streams import (pair, unpair, CertifiedStream, EventuallyConstant,
-                      Periodic, GeneratorBacked, exists_one, infinitely_often,
+                      Periodic, GeneratorBacked, Staged, exists_one, infinitely_often,
                       eventually_always, limit, parse_stream, format_stream)
 from .graphs import (OMEGA, FinGraph, standard, disjoint_union,
                      connected_union, construction, tree_to_graph,

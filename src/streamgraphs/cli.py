@@ -38,81 +38,64 @@ def _emit(report):
     print(json.dumps(report, sort_keys=True))
 
 
-def _base_report(args):
-    return {"command": args.command, "artifacts": []}
-
-
 # ---------------------------------------------------------------------------
-# Subcommand bodies (each returns an exit code)
+# Subcommand bodies: each returns (its report keys, exit code); main adds
+# the keys every report shares. Keys None means nothing to print.
 # ---------------------------------------------------------------------------
 
 def cmd_validate(args):
     name = _specs.parse_name(getattr(args, "in"))
     verdict = _spaces.validate_name(name, horizon=args.fuel)
-    report = _base_report(args)
-    report.update({"space": name.space, "verdict": verdict,
-                   "ok": verdict == "ok", "fuel_spent": args.fuel})
-    _emit(report)
-    return EXIT_OK
+    return {"space": name.space, "verdict": verdict,
+            "ok": verdict == "ok"}, EXIT_OK
 
 
 def cmd_convert(args):
     name = _specs.parse_name(getattr(args, "in"))
-    report = _base_report(args)
     if args.f:
         out, trace = _spaces.f_convert(name)
         prefix = out.stream.prefix(args.fuel)  # runs the stages it reads
-        report.update({
-            "conversion": "egr-to-gr",
-            "image": sorted(trace.image()),
-            "injuries": sorted((v, trace.injury_count(v))
-                               for v in trace.first_emission),
-            "prefix": prefix,
-        })
-    else:
-        out = _spaces.gr_to_egr(name)
-        report.update({"conversion": "gr-to-egr",
-                       "prefix": out.stream.prefix(args.fuel)})
-    report["fuel_spent"] = args.fuel
-    _emit(report)
-    return EXIT_OK
+        return {"conversion": "egr-to-gr",
+                "image": sorted(trace.image()),
+                "injuries": sorted((v, trace.injury_count(v))
+                                   for v in trace.first_emission),
+                "prefix": prefix}, EXIT_OK
+    out = _spaces.gr_to_egr(name)
+    return {"conversion": "gr-to-egr",
+            "prefix": out.stream.prefix(args.fuel)}, EXIT_OK
 
 
 def cmd_truncate(args):
     name = _specs.parse_name(getattr(args, "in"))
     fin = _spaces.truncate(name, args.fuel)
-    report = _base_report(args)
-    report.update({"graph": json.loads(_specs.fin_graph_to_json(fin)),
-                   "fuel_spent": args.fuel})
+    keys = {"graph": json.loads(fin.to_json())}
     if args.dot:
         with open(args.dot, "w") as fh:
-            fh.write(_specs.fin_graph_to_dot(fin))
-        report["artifacts"] = [args.dot]
-    _emit(report)
-    return EXIT_OK
+            fh.write(fin.to_dot())
+        keys["artifacts"] = [args.dot]
+    return keys, EXIT_OK
 
 
-def _verdict_exit(report, verdict, args):
-    report.update({"verdict": verdict.kind, "fuel_spent": args.fuel})
+def _verdict_keys(verdict):
+    keys = {"verdict": verdict.kind}
     if verdict.kind == "found":
-        report["witness"] = sorted(verdict.witness.pairs())
+        keys["witness"] = sorted(verdict.witness.pairs())
     if verdict.kind == "refuted":
-        report["reason"] = verdict.reason
-    _emit(report)
-    return EXIT_OK if verdict.kind in ("found", "refuted") else EXIT_UNKNOWN
+        keys["reason"] = verdict.reason
+    return keys, (EXIT_OK if verdict.kind in ("found", "refuted")
+                  else EXIT_UNKNOWN)
 
 
 def cmd_decide(args):
     n = _specs.clique_order(args.pattern)
     pattern = None if n else _specs.parse_pattern(args.pattern)
     host = _specs.parse_name(args.host)
-    report = _base_report(args)
     from .decide import (Verdict, decide_is_egr_noncomplete, outgrown,
                          semidecide_s)
     if pattern is None:
         verdict = outgrown(n, host, args.fuel)   # before building K_n
         if verdict is not None:
-            return _verdict_exit(report, verdict, args)
+            return _verdict_keys(verdict)
         pattern = _specs.parse_pattern(args.pattern)
     if args.mode == "is" and host.space == "EGr":
         try:
@@ -123,12 +106,12 @@ def cmd_decide(args):
                 emb = _is_witness(pattern, host, args.fuel)
                 verdict = (Verdict.found(emb) if emb is not None
                            else Verdict.unknown(args.fuel))
-            return _verdict_exit(report, verdict, args)
+            return _verdict_keys(verdict)
         except StreamGraphsError:
             pass  # fall back to the fueled semidecider
     verdict = semidecide_s(pattern, host, induced=(args.mode == "is"),
                            fuel=args.fuel)
-    return _verdict_exit(report, verdict, args)
+    return _verdict_keys(verdict)
 
 
 def _is_witness(pattern, host, fuel):
@@ -147,36 +130,24 @@ def cmd_search(args):
     spec = args.solver.split(":", 1)
     solver, param = spec[0].lower(), (spec[1] if len(spec) > 1 else None)
     host = _specs.parse_name(args.host)
-    report = _base_report(args)
     if solver == "rayfollow":
         kind = _ray_kind(param)
-        walk = _search.ray_follow(kind, host, fuel=args.fuel,
-                                  steps=args.steps)
-        report.update({"vertices": walk, "fuel_spent": args.fuel})
-        _emit(report)
-        return EXIT_OK
+        return {"vertices": _search.ray_follow(
+            kind, host, fuel=args.fuel, steps=args.steps)}, EXIT_OK
     if solver == "finds":
         pattern = _specs.parse_pattern(args.pattern)
         sol = _search.find_s_finite(pattern, host, fuel=args.fuel)
-        report.update({"inclusion": sol.inclusion_pairs(),
-                       "fuel_spent": args.fuel})
-        _emit(report)
-        return EXIT_OK
+        return {"inclusion": sol.inclusion_pairs()}, EXIT_OK
     if solver == "embray":
-        walk = _search.emb_ray_r(
+        return {"vertices": _search.emb_ray_r(
             host, lambda q: q.eval(max(args.fuel // 8, 8)),
-            fuel=args.fuel, steps=args.steps)
-        report.update({"vertices": walk, "fuel_spent": args.fuel})
-        _emit(report)
-        return EXIT_OK
+            fuel=args.fuel, steps=args.steps)}, EXIT_OK
     if solver == "t3":
         graph = _specs.parse_graph(args.host.split(":", 1)[-1])
         sol = _search.find_t3(graph, scan=args.fuel)
         pairs = sol.inclusion_pairs() if not callable(sol.inclusion) \
             else [(i, sol.inclusion(i)) for i in range(args.steps)]
-        report.update({"inclusion": pairs, "fuel_spent": args.fuel})
-        _emit(report)
-        return EXIT_OK
+        return {"inclusion": pairs}, EXIT_OK
     raise _Usage("unknown solver %r" % args.solver)
 
 
@@ -203,71 +174,69 @@ def cmd_gadget(args):
     name = args.name.lower()
     if name not in _GADGETS:
         raise _Usage("unknown gadget %r" % args.name)
-    report = _base_report(args)
+    keys = {}
     spec = getattr(args, "in")
     fuel = args.fuel
     if name == "sigma1":
         p = parse_stream(spec)
         out = _gadgets.sigma1_gadget(
             p, _specs.parse_pattern(args.pattern or "k2"))
-        report["prefix"] = out.stream.prefix(fuel)
+        keys["prefix"] = out.stream.prefix(fuel)
         if args.pattern:
             from .decide import fin_subgraph
             fin = _spaces.gr_window(out, 20)
             emb = fin_subgraph(_specs.parse_pattern(args.pattern), fin,
                                induced=True)
-            report["contains"] = emb is not None
+            keys["contains"] = emb is not None
     elif name == "sigma2":
         p = parse_stream(spec)
         out = _gadgets.sigma2_gadget(
             p, _specs.parse_pattern(args.pattern or "r3"))
-        report["prefix"] = out.stream.prefix(min(fuel, 300))
+        keys["prefix"] = out.stream.prefix(min(fuel, 300))
         if args.pattern:
             from .decide import decide_is_egr_noncomplete
-            report["contains"] = decide_is_egr_noncomplete(
+            keys["contains"] = decide_is_egr_noncomplete(
                 _specs.parse_pattern(args.pattern), out)
     elif name == "forests":
         p = parse_stream(spec)
         forest = _gadgets.forests_lift(p)
         from .decide import predicate_tf
-        report["predicate_t1"] = predicate_tf("T", 1, forest)
+        keys["predicate_t1"] = predicate_tf("T", 1, forest)
     elif name == "acc":
         p = parse_stream(spec)
         out = _gadgets.acc_gadget(p)
-        report["prefix"] = out.name.stream.prefix(min(fuel, 200))
+        keys["prefix"] = out.name.stream.prefix(min(fuel, 200))
         if args.decode:
-            report["decoded"] = _gadgets.acc_decode(
+            keys["decoded"] = _gadgets.acc_decode(
                 _gadgets.acc_canonical_solution(p))
     elif name == "lim2":
         q = parse_stream(spec)
         out = _gadgets.lim2_to_embR(q)
-        report["prefix"] = out.stream.prefix(min(fuel, 200))
+        keys["prefix"] = out.stream.prefix(min(fuel, 200))
         if args.decode:
-            report["decoded"] = _gadgets.embR_decode(
+            keys["decoded"] = _gadgets.embR_decode(
                 _gadgets.embR_canonical_solution(q))
     elif name == "cyclesbox":
         from .trees import coinfinite_wrap
         tree = coinfinite_wrap(_specs.parse_tree(spec))
         box = _gadgets.cycles_box(tree)
         fin = box.window(min(fuel, 40))
-        report["graph"] = json.loads(_specs.fin_graph_to_json(fin))
+        keys["graph"] = json.loads(fin.to_json())
     elif name == "enuminf":
         lam_table = _lam_table(spec)
         a = _gadgets.CertifiedPiSet(
             lambda n, t=lam_table: t[n % len(t)])
         enum = _gadgets.enuminf_encode(a)
-        report["elements"] = enum.prefix(min(fuel, 8))
+        keys["elements"] = enum.prefix(min(fuel, 8))
         if args.decode:
             chi = _gadgets.enuminf_decode(enum)
-            report["decoded"] = chi.prefix(13)
+            keys["decoded"] = chi.prefix(13)
     elif name == "s11choice":
         trees = [_specs.parse_tree(t)
                  for t in _specs._split_args(spec)]
         _gadgets.sigma11_choice_gadget(trees)
-        report["trees"] = len(trees)
-    report["fuel_spent"] = fuel
-    _emit(report)
-    return EXIT_OK
+        keys["trees"] = len(trees)
+    return keys, EXIT_OK
 
 
 def _lam_table(spec):
@@ -294,20 +263,15 @@ def cmd_oracle(args):
     else:
         instance = parse_stream(spec)
     answer = _problems.oracle_call(problem, instance, args.fuel)
-    report = _base_report(args)
     if hasattr(answer, "prefix"):
         answer = answer.prefix(min(args.fuel, 12))
-    report.update({"problem": problem.name, "answer": answer,
-                   "fuel_spent": args.fuel})
-    _emit(report)
-    return EXIT_OK
+    return {"problem": problem.name, "answer": answer}, EXIT_OK
 
 
 def cmd_compose(args):
     gadget = args.gadget.lower()
     oracle = args.oracle.lower()
     spec = getattr(args, "in")
-    report = _base_report(args)
     if gadget == "sigma1" and oracle == "contains":
         pattern = _specs.parse_pattern(args.pattern or "k2")
         harness = _problems.ReductionHarness(
@@ -323,41 +287,29 @@ def cmd_compose(args):
         prob = _problems.ray_embedding_problem(fuel=args.fuel)
         answer = _problems.compose(harness, prob, parse_stream(spec))
     elif gadget == "l1" and oracle == "findsray":
-        from .trees import SinglePath  # noqa: F401 (documented pairing)
         path = _problems.path_choice_roundtrip(_specs.parse_tree(spec))
         answer = path.prefix(10)
     else:
         raise _Usage("unsupported gadget/oracle pair %s/%s"
                      % (args.gadget, args.oracle))
-    report.update({"answer": answer, "fuel_spent": args.fuel})
-    _emit(report)
-    return EXIT_OK
+    return {"answer": answer}, EXIT_OK
 
 
 def cmd_suite(args):
     report = _suites.run_suite(args.name, seed=args.seed)
-    report["command"] = args.command
-    _emit(report)
-    return EXIT_OK if report["ok"] else EXIT_USAGE
+    return report, EXIT_OK if report["ok"] else EXIT_USAGE
 
 
 def cmd_export(args):
     name = _specs.parse_name(getattr(args, "in"))
     fin = _spaces.truncate(name, args.fuel)
-    report = _base_report(args)
-    if args.kind == "dot":
-        text = _specs.fin_graph_to_dot(fin)
-    else:
-        text = _specs.fin_graph_to_json(fin) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        report["artifacts"] = [args.out]
-        report["fuel_spent"] = args.fuel
-        _emit(report)
-    else:
+    text = fin.to_dot() if args.kind == "dot" else fin.to_json() + "\n"
+    if not args.out:
         sys.stdout.write(text)
-    return EXIT_OK
+        return None, EXIT_OK
+    with open(args.out, "w") as fh:
+        fh.write(text)
+    return {"artifacts": [args.out]}, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +407,14 @@ def main(argv=None):
         print("fuel must be >= 0, got %d" % args.fuel, file=sys.stderr)
         return EXIT_USAGE
     try:
-        return args.fn(args)
+        keys, code = args.fn(args)
+        if keys is not None:
+            report = {"command": args.command}
+            if hasattr(args, "fuel"):
+                report.update(artifacts=[], fuel_spent=args.fuel)
+            report.update(keys)
+            _emit(report)
+        return code
     except (FuelExhausted, OracleRefused, PatternNeverSeen) as exc:
         _emit({"command": args.command, "verdict": "unknown",
                "reason": str(exc)})

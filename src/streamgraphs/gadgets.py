@@ -3,6 +3,7 @@ into a graph (name) whose containment structure encodes the answer, each
 paired with the decoder that extracts information back from a solution.
 """
 
+import itertools
 import threading
 
 from .decide import CertForest, CertTree
@@ -11,8 +12,8 @@ from .errors import (BadParam, HeightExceeded, MalformedInstance,
 from .graphs import OMEGA, CountableGraph, DisjointUnion, TreeAsGraph, _mul
 from .spaces import SpaceName
 from .streams import (CertifiedStream, EventuallyConstant, GeneratorBacked,
-                      Periodic, exists_one, first_index, infinitely_often,
-                      limit, pair, unpair)
+                      Periodic, Staged, exists_one, first_index,
+                      infinitely_often, limit, pair, unpair)
 from .trees import coinfinite_wrap, nonmember_enumeration, string_decode
 
 
@@ -81,38 +82,27 @@ class _Sigma2:
         self.g = g
         self.next_vertex = 0
         self.present = set()   # canonical (a, b) edges already emitted
-        self.out = []          # wire-shifted emissions
         self.stages = 0
 
-    def _emit_vertex(self, v):
-        self.out.append(pair(v, v) + 1)
-
-    def _emit_edge(self, a, b):
-        a, b = min(a, b), max(a, b)
-        if (a, b) in self.present:
-            return
-        self.present.add((a, b))
-        self.out.append(pair(a, b) + 1)
-
     def run_stage(self):
-        s = self.stages
+        """The stage's wire-shifted emissions. The driver is read first, so
+        a read that raises leaves the machine as it was."""
+        collapse = self.p.eval(self.stages) == 1
         base = self.next_vertex
         self.next_vertex += len(self.labels)
-        for r in range(len(self.labels)):
-            self._emit_vertex(base + r)
+        out = [pair(v, v) + 1 for v in range(base, self.next_vertex)]
         rank = {v: r for r, v in enumerate(self.labels)}
-        for a, b in self.g.edges:
-            self._emit_edge(base + rank[a], base + rank[b])
-        if self.p.eval(s) == 1:
-            for a in range(self.next_vertex):
-                for b in range(a + 1, self.next_vertex):
-                    self._emit_edge(a, b)
+        edges = [(base + rank[a], base + rank[b]) for a, b in self.g.edges]
+        if collapse:
+            edges = itertools.chain(
+                edges, itertools.combinations(range(self.next_vertex), 2))
+        for a, b in edges:
+            a, b = min(a, b), max(a, b)
+            if (a, b) not in self.present:
+                self.present.add((a, b))
+                out.append(pair(a, b) + 1)
         self.stages += 1
-
-    def value(self, n):
-        while len(self.out) <= n:
-            self.run_stage()
-        return self.out[n]
+        return out
 
 
 def sigma2_gadget(p, g):
@@ -130,10 +120,9 @@ def sigma2_gadget(p, g):
             ones = [t for t in range(len(p.head)) if p.eval(t) == 1]
             last = ones[-1] if ones else -1
             probe = _Sigma2(p, g)
-            for _ in range(last + 1):
-                probe.run_stage()
-            meta["sigma2_stable_fuel"] = max(len(probe.out), 1)
-    return SpaceName("EGr", GeneratorBacked(machine.value), meta=meta)
+            meta["sigma2_stable_fuel"] = max(
+                sum(len(probe.run_stage()) for _ in range(last + 1)), 1)
+    return SpaceName("EGr", Staged(machine.run_stage), meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -342,76 +331,55 @@ def p_complete_generator(level, membership, seed=0):
 # ACC: closed choice over co-singletons via ray search
 # ---------------------------------------------------------------------------
 
+def _path_step(a, b):
+    """Emissions of a new vertex b, then of its edge to a."""
+    return [pair(b, b) + 1, pair(min(a, b), max(a, b)) + 1]
+
+
 class _AccMachine:
     """Stage machine of the growing-ray construction: a plain ray 1-2-3-...
     until a removal arrives, then a detour edge to vertex 0 and a fresh
-    infinite tail from 0."""
+    infinite tail from 0. `emitted` is the name's stream and `value` its
+    eval."""
 
     def __init__(self, stream):
         self.stream = stream
-        self.out = []
         self.stages = 0
         self.removed = None
-        self.removal_stage = None
-        self.ended = False
         self.top = None        # last vertex of the initial segment
-        self.tail_prev = None  # last emitted tail vertex (0 at switch)
-
-    def _vertex(self, v):
-        self.out.append(pair(v, v) + 1)
-
-    def _edge(self, a, b):
-        self.out.append(pair(min(a, b), max(a, b)) + 1)
+        self.tail_prev = None  # last emitted tail vertex, once the tail runs
+        self.emitted = Staged(self.run_stage)
+        self.value = self.emitted.eval
 
     def run_stage(self):
+        """The stage's wire-shifted emissions."""
         s = self.stages
         self.stages += 1
         if s == 0:
-            self._vertex(1)
             self.top = 1
-            return
-        if self.ended:
-            nxt = self.tail_prev + 1
-            self._vertex(nxt)
-            self._edge(self.tail_prev, nxt)
-            self.tail_prev = nxt
-            return
+            return [pair(1, 1) + 1]
+        if self.tail_prev is not None:
+            self.tail_prev += 1
+            return _path_step(self.tail_prev - 1, self.tail_prev)
         val = self.stream.eval(s - 1)
         if val != 0:
             n = val - 1
-            if self.removed is not None and self.removed != n:
+            if self.removed not in (None, n):
                 raise MalformedInstance("two distinct removals")
-            if self.removed is None:
-                self.removed = n
-                self.removal_stage = s
-                if n == 0:
-                    # vertex 0 never joins the ray; any triple avoids 0
-                    pass
-                else:
-                    if n > self.top:
-                        for v in range(self.top + 1, n + 1):
-                            self._vertex(v)
-                            self._edge(v - 1, v)
-                        self.top = n
-                    self._vertex(0)
-                    self._edge(self.removed, 0)
-                    self.ended = True
-                    self.tail_prev = self.top
-                    # tail continues from 0 with fresh labels
-                    nxt = self.top + 1
-                    self._vertex(nxt)
-                    self._edge(0, nxt)
-                    self.tail_prev = nxt
-                    return
-        nxt = self.top + 1
-        self._vertex(nxt)
-        self._edge(self.top, nxt)
-        self.top = nxt
-
-    def value(self, n):
-        while len(self.out) <= n:
-            self.run_stage()
-        return self.out[n]
+            fresh, self.removed = self.removed is None, n
+            # a removed 0 never joins the ray (any triple avoids it), so
+            # the ray just goes on
+            if fresh and n != 0:
+                out = []
+                for v in range(self.top + 1, n + 1):
+                    out += _path_step(v - 1, v)
+                self.top = max(self.top, n)
+                # the detour to 0, then a tail from 0 with fresh labels
+                self.tail_prev = self.top + 1
+                return (out + _path_step(n, 0)
+                        + _path_step(0, self.tail_prev))
+        self.top += 1
+        return _path_step(self.top - 1, self.top)
 
 
 def acc_gadget(complement_enum):
@@ -425,8 +393,7 @@ def acc_gadget(complement_enum):
         if len(removals) > 1:
             raise MalformedInstance("two distinct removals")
     machine = _AccMachine(complement_enum)
-    name = SpaceName("EGr", GeneratorBacked(machine.value),
-                     meta={"acc": machine})
+    name = SpaceName("EGr", machine.emitted, meta={"acc": machine})
     return GadgetOutput(name, decoder_hint=machine)
 
 

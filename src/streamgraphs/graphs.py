@@ -13,7 +13,7 @@ import json
 from collections import deque
 from functools import cached_property, partial
 
-from .errors import (BadParam, DegreeUnknown, NotATree,
+from .errors import (BadParam, DegreeUnknown, NotATree, ParseError,
                      PreconditionUnverifiable, PromiseViolation)
 from .streams import GeneratorBacked, pair, unpair
 from .trees import (FiniteTree, FullBinary, SinglePath,
@@ -145,17 +145,24 @@ class FinGraph:
         return OMEGA
 
     def to_json(self):
+        """The CLI's format: {"e": [[a, b], ...], "v": [...]}, sorted."""
         return json.dumps({"v": sorted(self.vertices),
                            "e": [list(e) for e in sorted(self.edges)]},
-                          separators=(",", ":"))
+                          sort_keys=True)
 
     @classmethod
     def from_json(cls, text):
         try:
             obj = json.loads(text)
-            return cls(obj["v"], obj["e"])
+            return cls(obj["v"], [tuple(e) for e in obj["e"]])
         except (KeyError, TypeError, ValueError) as e:
-            raise BadParam("bad FinGraph JSON: %s" % e) from e
+            raise ParseError("bad graph JSON: %s" % e) from e
+
+    def to_dot(self, title="G"):
+        lines = ["graph %s {" % title]
+        lines += ["  %d;" % v for v in sorted(self.vertices)]
+        lines += ["  %d -- %d;" % e for e in sorted(self.edges)]
+        return "\n".join(lines + ["}"]) + "\n"
 
 
 def distance(g, v, w):

@@ -11,7 +11,8 @@ from .errors import (BadParam, CensusUnstable, DegreeUnknown, FuelExhausted,
                      PredicateUnsupported, PromiseViolation)
 from .graphs import OMEGA, FinGraph
 from .spaces import HostView, SpaceName, gr_window, truncate
-from .streams import EventuallyConstant, GeneratorBacked, pair, unpair
+from .streams import (EventuallyConstant, GeneratorBacked, Staged, pair,
+                      unpair)
 from .trees import comparable, is_prefix, string_decode
 
 
@@ -138,7 +139,6 @@ class _ComponentsMachine:
         self.recurring = list(recurring)
         self.view = HostView(host)
         self.used = set()
-        self.out = []
         self.fuel = 0
         self.exceptional_done = not self.exceptional
         self.next_recurring = 0
@@ -153,14 +153,15 @@ class _ComponentsMachine:
         # pattern -> a stage whose unclaimed part held no copy of it
         self.empty_at = {}
 
-    def _emit_copy(self, comp, mapping):
+    def _claim(self, comp, mapping):
+        """Claim the copy; returns its emissions."""
         self.claimed.append((comp, dict(mapping)))
-        for v in sorted(mapping.values()):
-            self.out.append(pair(v, v) + 1)
+        self.used.update(mapping.values())
+        out = [pair(v, v) + 1 for v in sorted(mapping.values())]
         for a, b in sorted(comp.edges):
             x, y = mapping[a], mapping[b]
-            self.out.append(pair(min(x, y), max(x, y)) + 1)
-        self.used.update(mapping.values())
+            out.append(pair(min(x, y), max(x, y)) + 1)
+        return out
 
     def _least_copy(self, comp):
         """Least copy of comp in the unclaimed part of the current prefix.
@@ -178,30 +179,28 @@ class _ComponentsMachine:
         return emb
 
     def step(self):
+        """Read 10 more positions; returns the emissions of what they let
+        the machine claim (none while waiting)."""
         self.fuel += 10
         self.view.grow(self.fuel)
         if not self.exceptional_done:
             emb = self._least_copy(self.big)
-            if emb is not None:
-                for i, part in enumerate(self.exceptional):
-                    self._emit_copy(part, {v: emb[pair(i, v)]
-                                           for v in part.vertices})
-                self.exceptional_done = True
-            return
-        if self.recurring:
-            comp = self.recurring[self.next_recurring % len(self.recurring)]
-            emb = self._least_copy(comp)
-            if emb is not None:
-                self._emit_copy(comp, emb)
-                self.next_recurring += 1
-
-    def value(self, n):
-        while len(self.out) <= n:
-            before = len(self.out)
-            self.step()
-            if len(self.out) == before:
-                self.out.append(0)  # padding while waiting
-        return self.out[n]
+            if emb is None:
+                return []
+            self.exceptional_done = True
+            out = []
+            for i, part in enumerate(self.exceptional):
+                out += self._claim(part, {v: emb[pair(i, v)]
+                                          for v in part.vertices})
+            return out
+        if not self.recurring:
+            return []
+        comp = self.recurring[self.next_recurring % len(self.recurring)]
+        emb = self._least_copy(comp)
+        if emb is None:
+            return []
+        self.next_recurring += 1
+        return self._claim(comp, emb)
 
 
 def find_s_components(parts, host):
@@ -218,7 +217,7 @@ def find_s_components(parts, host):
         else:
             exceptional.extend([comp] * mult)
     machine = _ComponentsMachine(exceptional, recurring, host)
-    name = SpaceName("EGr", GeneratorBacked(machine.value),
+    name = SpaceName("EGr", Staged(machine.step),
                      meta={"components": machine})
     return SolutionStream(name, lambda v: v)
 
@@ -428,14 +427,14 @@ class _ConnectedRestriction:
         self.v = v
         self.fuel = 0
         self.comp = set()
-        self.out = []
 
     def step(self):
+        """Read 5 more positions; returns the emissions they cause."""
         start, self.fuel = self.fuel, self.fuel + 5
         _, edges = self.view.added(start, self.fuel)
         adj, comp = self.view.adjacency, self.comp
         if self.v not in adj:
-            return
+            return []
         todo = [self.v] if not comp else [
             y for a, b in edges for x, y in ((a, b), (b, a)) if x in comp]
         joined = []
@@ -448,23 +447,14 @@ class _ConnectedRestriction:
         new = {(min(x, y), max(x, y)) for x in joined for y in adj[x]}
         new.update((min(a, b), max(a, b)) for a, b in edges
                    if a in comp and b in comp)
-        self.out += [pair(u, u) + 1 for u in sorted(joined)]
-        self.out += [pair(a, b) + 1 for a, b in sorted(new)]
-
-    def value(self, n):
-        while len(self.out) <= n:
-            before = len(self.out)
-            self.step()
-            if len(self.out) == before:
-                self.out.append(0)
-        return self.out[n]
+        return ([pair(u, u) + 1 for u in sorted(joined)]
+                + [pair(a, b) + 1 for a, b in sorted(new)])
 
 
 def restrict_to_connected(host, v):
     """EGr name enumerating exactly the connected component of v, each new
     vertex emitted together with a witnessing path."""
-    machine = _ConnectedRestriction(host, v)
-    return SpaceName("EGr", GeneratorBacked(machine.value))
+    return SpaceName("EGr", Staged(_ConnectedRestriction(host, v).step))
 
 
 # ---------------------------------------------------------------------------
@@ -488,22 +478,15 @@ def find_t3(h, scan=1000):
     if center is None:
         raise NoInfiniteDegreeVertex("no vertex of infinite degree found")
 
-    def neighbor_gen():
+    def stages():
+        """The center, then one neighbour and its edge per stage."""
+        yield [pair(center, center) + 1]
         for u in h.iter_vertices():
             if u != center and h.has_edge(center, u):
-                yield u
+                yield [pair(u, u) + 1,
+                       pair(min(center, u), max(center, u)) + 1]
 
-    neigh = neighbor_gen()
-    emitted = [pair(center, center) + 1]
-
-    def value(n):
-        while len(emitted) <= n:
-            u = next(neigh)
-            emitted.append(pair(u, u) + 1)
-            emitted.append(pair(min(center, u), max(center, u)) + 1)
-        return emitted[n]
-
-    name = SpaceName("EGr", GeneratorBacked(value))
+    name = SpaceName("EGr", Staged(stages().__next__))
     return SolutionStream(name, {"center": center})
 
 
@@ -517,7 +500,7 @@ class _F2k2Machine:
         self.k = k
         self.scan = scan
         self.used = set()
-        self.out = []
+        self.pending = []     # emissions of the round under way
         self.nodes = []       # (vertex, depth) in claim order
         self.vertex_iter = h.iter_vertices()
         self.scanned = []
@@ -541,9 +524,9 @@ class _F2k2Machine:
     def _claim(self, v, depth, parent):
         self.used.add(v)
         self.nodes.append((v, depth))
-        self.out.append(pair(v, v) + 1)
+        self.pending.append(pair(v, v) + 1)
         if parent is not None:
-            self.out.append(pair(min(parent, v), max(parent, v)) + 1)
+            self.pending.append(pair(min(parent, v), max(parent, v)) + 1)
 
     def _fresh_root(self):
         idx = 0
@@ -567,14 +550,14 @@ class _F2k2Machine:
             idx += 1
 
     def round(self):
-        self._fresh_root()
-        for v, depth in list(self.nodes):
-            self._grow(v, depth)
-
-    def value(self, n):
-        while len(self.out) <= n:
-            self.round()
-        return self.out[n]
+        """One round's emissions. A round that raises keeps what it claimed:
+        the next call returns those claims before it starts a new round."""
+        if not self.pending:
+            self._fresh_root()
+            for v, depth in list(self.nodes):
+                self._grow(v, depth)
+        out, self.pending = self.pending, []
+        return out
 
 
 def find_f2k2(h, k, scan=100000):
@@ -583,8 +566,7 @@ def find_f2k2(h, k, scan=100000):
     if predicate_tf("F", k, h) is not True:
         raise PredicateUnsupported("host certificate refutes the promise")
     machine = _F2k2Machine(h, k, scan)
-    name = SpaceName("EGr", GeneratorBacked(machine.value),
-                     meta={"f2k2": machine})
+    name = SpaceName("EGr", Staged(machine.round), meta={"f2k2": machine})
     return SolutionStream(name, lambda v: v)
 
 

@@ -20,7 +20,7 @@ from itertools import chain, combinations
 
 from .errors import BadParam, FuelExhausted
 from .streams import (CertifiedStream, EventuallyConstant, GeneratorBacked,
-                      pair, unpair)
+                      Staged, pair, unpair)
 from .trees import string_decode
 from .graphs import OMEGA, FinGraph, Finite
 
@@ -154,8 +154,8 @@ def name_of(space, g, schedule=None):
             return SpaceName("EGr",
                              EventuallyConstant([c + 1 for c in order], 0),
                              meta={"denotes": g})
-        return SpaceName("EGr", _egr_transducer_stream(
-            GeneratorBacked(lambda n: _gr_bit(g, n))), meta={"denotes": g})
+        return SpaceName("EGr", _egr_stages(lambda n: _gr_bit(g, n)),
+                         meta={"denotes": g})
     raise BadParam("name_of supports Gr and EGr")
 
 
@@ -333,30 +333,27 @@ def gr_window(name, top):
 # Gr -> EGr (easy direction)
 # ---------------------------------------------------------------------------
 
-def _egr_step_factory(bit_at):
-    """Synchronous transducer: output step n consumes input code n; queued
-    emissions drain one per step, padding otherwise."""
-    emitted, queue, out = set(), deque(), []
+def _egr_stages(bit_at):
+    """Synchronous transducer: stage c reads input code c and emits one
+    queued code, padding when none is queued. A code whose bit raises is
+    read again at the next call."""
+    emitted, queue = set(), deque()
+    c = 0
 
-    def step(n):
-        while len(out) <= n:
-            c = len(out)
-            if bit_at(c) == 1:
-                i, j = unpair(c)
-                # both vertices, then the edge; all three are c when i == j
-                for code in (pair(i, i), pair(j, j),
-                             pair(min(i, j), max(i, j))):
-                    if code not in emitted:
-                        emitted.add(code)
-                        queue.append(code)
-            out.append(queue.popleft() + 1 if queue else 0)
-        return out[n]
+    def stage():
+        nonlocal c
+        if bit_at(c) == 1:
+            i, j = unpair(c)
+            # both vertices, then the edge; all three are c when i == j
+            for code in (pair(i, i), pair(j, j),
+                         pair(min(i, j), max(i, j))):
+                if code not in emitted:
+                    emitted.add(code)
+                    queue.append(code)
+        c += 1
+        return [queue.popleft() + 1] if queue else []
 
-    return step
-
-
-def _egr_transducer_stream(gr_stream):
-    return GeneratorBacked(_egr_step_factory(gr_stream.eval))
+    return Staged(stage)
 
 
 def gr_to_egr(name):
@@ -364,13 +361,13 @@ def gr_to_egr(name):
         raise BadParam("gr_to_egr expects a Gr name")
     s = name.stream
     meta = dict(name.meta)
+    stream = _egr_stages(s.eval)
     if isinstance(s, EventuallyConstant) and s.tail == 0:
-        step = _egr_step_factory(s.eval)
-        out = [step(n) for n in range(len(s.head))]
+        out = stream.prefix(len(s.head))
         while out and out[-1] == 0:
             out.pop()
         return SpaceName("EGr", EventuallyConstant(out, 0), meta=meta)
-    return SpaceName("EGr", _egr_transducer_stream(s), meta=meta)
+    return SpaceName("EGr", stream, meta=meta)
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,8 @@ import re
 from .errors import ParseError
 from .graphs import (FinGraph, OmegaCopies, connected_union,
                      construction, disjoint_union, standard)
-from .spaces import name_of
-from .streams import parse_stream
+from .spaces import SpaceName, name_of
+from .streams import Staged, pair, parse_stream
 from .trees import FiniteTree, FullBinary, SinglePath
 
 
@@ -93,7 +93,7 @@ def parse_graph(text):
         if not os.path.exists(text):
             raise ParseError("no such file %r" % text)
         with open(text) as fh:
-            return fin_graph_from_json(fh.read())
+            return FinGraph.from_json(fh.read())
     if low in _ATOMS:
         return standard(_ATOMS[low])
     m = re.match(r"^([rckft])(\d+)$", low)
@@ -121,42 +121,30 @@ def parse_graph(text):
 
 def _dense_egr_name(g):
     """EGr name emitting each vertex at its enumeration index, with edges
-    to earlier vertices interleaved right after (no idle padding).
+    to earlier vertices interleaved right after (no idle padding): one
+    stage per vertex.
 
     A new vertex's edges come from g.lower_neighbors: every neighbour
     emitted before it has a smaller code (CountableGraph.iter_vertices), so
     the listed ones already emitted are all of them, emitted in the order
     they came. Where g cannot list them, the new vertex is tested against
     every earlier one."""
-    from .spaces import SpaceName
-    from .streams import GeneratorBacked, pair
-
     has_edge = g.has_edge
 
-    def emissions():
+    def stages():
         index = {}     # emitted vertex -> its emission index, in order
         for v in g.iter_vertices():
-            yield pair(v, v) + 1
             lower = g.lower_neighbors(v)
             if lower is None:
-                for w in index:
-                    if has_edge(v, w):
-                        yield (pair(w, v) if w < v else pair(v, w)) + 1
+                edges = [(w, v) if w < v else (v, w)
+                         for w in index if has_edge(v, w)]
             else:
-                for w in sorted((w for w in lower if w in index),
-                                key=index.__getitem__):
-                    yield pair(w, v) + 1
+                edges = [(w, v) for w in sorted(
+                    (w for w in lower if w in index), key=index.__getitem__)]
             index[v] = len(index)
+            yield [pair(v, v) + 1] + [pair(a, b) + 1 for a, b in edges]
 
-    out = []
-    it = emissions()
-
-    def step(n):
-        while len(out) <= n:
-            out.append(next(it))
-        return out[n]
-
-    return SpaceName("EGr", GeneratorBacked(step), meta={"denotes": g})
+    return SpaceName("EGr", Staged(stages().__next__), meta={"denotes": g})
 
 
 def parse_name(text):
@@ -208,27 +196,3 @@ def clique_order(text):
     n(n-1)/2 edges is built; None for every other spec."""
     m = re.match(r"^k([1-9][0-9]*)$", text.strip(), re.IGNORECASE)
     return int(m.group(1)) if m else None
-
-
-def fin_graph_from_json(text):
-    try:
-        obj = json.loads(text)
-        return FinGraph(obj["v"], [tuple(e) for e in obj["e"]])
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ParseError("bad graph JSON: %s" % exc)
-
-
-def fin_graph_to_json(fin):
-    return json.dumps({"v": sorted(fin.vertices),
-                       "e": [list(e) for e in sorted(fin.edges)]},
-                      sort_keys=True)
-
-
-def fin_graph_to_dot(fin, title="G"):
-    lines = ["graph %s {" % title]
-    for v in sorted(fin.vertices):
-        lines.append("  %d;" % v)
-    for a, b in sorted(fin.edges):
-        lines.append("  %d -- %d;" % (a, b))
-    lines.append("}")
-    return "\n".join(lines) + "\n"

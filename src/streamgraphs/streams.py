@@ -5,10 +5,12 @@ certificate that makes the tail behavior inspectable:
 
   * EventuallyConstant(prefix, tail) -- equals ``tail`` from ``len(prefix)`` on;
   * Periodic(prefix, period)         -- cycles through ``period`` after the prefix;
-  * GeneratorBacked(step)            -- a total function n -> value, memoized.
+  * GeneratorBacked(step)            -- a total function n -> value, memoized;
+  * Staged(step)                     -- a machine's output, one stage's
+                                        values per call of step(), memoized.
 
 The quantifier operations (exists_one, infinitely_often, limit, ...) answer
-exactly on the first two kinds and refuse GeneratorBacked streams instead of
+exactly on the first two kinds and refuse the uncertified ones instead of
 sampling; fueled approximations live in the decide module.
 """
 
@@ -41,7 +43,7 @@ def unpair(n):
 # ---------------------------------------------------------------------------
 
 class CertifiedStream:
-    """Base class; use one of the three concrete kinds."""
+    """Base class; use one of the four concrete kinds."""
 
     def eval(self, n):
         raise NotImplementedError
@@ -126,13 +128,35 @@ class GeneratorBacked(CertifiedStream):
         return "GeneratorBacked(%r)" % (self.step,)
 
 
+class Staged(CertifiedStream):
+    """Output of a stage machine, memoized: each call step() runs the next
+    stage and returns the values it emits as a list, and a stage that emits
+    none emits one padding 0.
+
+    eval(n) runs stages until the output covers n, so each stage runs once
+    and none past the one that covers n. A stage that raises adds nothing,
+    and the next eval runs step() again."""
+
+    def __init__(self, step):
+        self.step = step
+        self._out = []
+
+    def eval(self, n):
+        out = self._out
+        while len(out) <= n:
+            out.extend(self.step() or (0,))
+        return out[n]
+
+    def __repr__(self):
+        return "Staged(%r)" % (self.step,)
+
+
 # ---------------------------------------------------------------------------
 # Decidable quantifiers
 # ---------------------------------------------------------------------------
 
 def _require_certificate(s):
-    if isinstance(s, GeneratorBacked) or not isinstance(
-            s, (EventuallyConstant, Periodic)):
+    if not isinstance(s, (EventuallyConstant, Periodic)):
         raise UndecidableWithoutCertificate(
             "quantifier needs an EventuallyConstant or Periodic certificate")
 

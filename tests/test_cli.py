@@ -35,7 +35,7 @@ class TestSpecLanguage:
 
     def test_json_roundtrip(self):
         fin = FinGraph([0, 1, 2], [(0, 1), (1, 2)])
-        again = specs.fin_graph_from_json(specs.fin_graph_to_json(fin))
+        again = FinGraph.from_json(fin.to_json())
         assert again == fin
 
     def test_bad_spec(self):

@@ -108,6 +108,20 @@ class TestSigma2:
                 blocks += 1
         assert blocks >= 3
 
+    def test_driver_read_that_raises_changes_nothing(self):
+        failed = []
+
+        def flaky(t):
+            if t == 1 and not failed:
+                failed.append(t)
+                raise RuntimeError("flaky driver")
+            return t % 2
+        name = GD.sigma2_gadget(GeneratorBacked(flaky), r(3))
+        with pytest.raises(RuntimeError):
+            name.stream.prefix(40)
+        clean = GD.sigma2_gadget(GeneratorBacked(lambda t: t % 2), r(3))
+        assert name.stream.prefix(40) == clean.stream.prefix(40)
+
     def test_decider_round_trip(self):
         host_true = GD.sigma2_gadget(EventuallyConstant([1, 0], 0), r(3))
         assert D.decide_is_egr_noncomplete(r(3), host_true) is True

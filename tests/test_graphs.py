@@ -25,7 +25,7 @@ class TestFinGraph:
     def test_json_round_trip(self):
         g = G.FinGraph([0, 1, 2], [(0, 1), (1, 2)])
         assert G.FinGraph.from_json(g.to_json()) == g
-        assert g.to_json() == '{"v":[0,1,2],"e":[[0,1],[1,2]]}'
+        assert g.to_json() == '{"e": [[0, 1], [1, 2]], "v": [0, 1, 2]}'
 
     def test_adjacency_queries(self):
         g = G.FinGraph([1, 4, 9, 12], [(4, 1), (9, 4), (1, 9)])

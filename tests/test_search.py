@@ -546,6 +546,13 @@ class TestFindF2k2:
         with pytest.raises(PredicateUnsupported):
             S.find_f2k2(G.standard("RayN", 5), 1)
 
+    def test_scan_exhaustion_keeps_the_failed_rounds_claims(self):
+        stream = S.find_f2k2(G.standard("ForestF", 1), 1, scan=3).name.stream
+        assert stream.prefix(3) == [5, 13, 9]
+        with pytest.raises(PatternNeverSeen):
+            stream.eval(3)
+        assert stream.eval(3) == 25
+
 
 class TestCantorUniquePath:
     def _path_name(self, nodes):

@@ -355,6 +355,21 @@ class TestGrToEgr:
             assert SP.truncate(egr, 2000) == fin
 
 
+    def test_input_bit_that_raises_is_read_again(self):
+        reads = []
+
+        def bit(c):
+            reads.append(c)
+            if c == 4 and reads.count(4) == 1:
+                raise RuntimeError("flaky input")
+            return 1 if c in (0, 4, 12) else 0
+        egr = SP.gr_to_egr(SP.SpaceName("Gr", GeneratorBacked(bit)))
+        with pytest.raises(RuntimeError):
+            egr.stream.prefix(10)
+        assert egr.stream.prefix(10) == [1, 0, 0, 0, 5, 0, 0, 0, 0, 0]
+        assert reads == [0, 1, 2, 3, 4, 4, 5, 6, 7, 8, 9]
+
+
 class TestFConvert:
     def test_k2_enumeration(self):
         seq = [pair(0, 0) + 1, pair(1, 1) + 1, pair(0, 1) + 1]
