@@ -2,8 +2,9 @@
 deciders, reduction gadgets and search solvers."""
 
 from .streams import (pair, unpair, CertifiedStream, EventuallyConstant,
-                      Periodic, GeneratorBacked, Staged, exists_one, infinitely_often,
-                      eventually_always, limit, parse_stream, format_stream)
+                      Periodic, Indicator, GeneratorBacked, Staged, exists_one,
+                      infinitely_often, eventually_always, limit, zero_from,
+                      parse_stream, format_stream)
 from .graphs import (OMEGA, FinGraph, standard, disjoint_union,
                      connected_union, construction, tree_to_graph,
                      graph_to_tree, degree, distance, is_promptly_connected,

@@ -90,13 +90,11 @@ def cmd_decide(args):
     n = _specs.clique_order(args.pattern)
     pattern = None if n else _specs.parse_pattern(args.pattern)
     host = _specs.parse_name(args.host)
-    from .decide import (Verdict, decide_is_egr_noncomplete, outgrown,
-                         semidecide_s)
-    if pattern is None:
-        verdict = outgrown(n, host, args.fuel)   # before building K_n
-        if verdict is not None:
-            return _verdict_keys(verdict)
-        pattern = _specs.parse_pattern(args.pattern)
+    from .decide import (Verdict, decide_is_egr_noncomplete,
+                         semidecide_clique, semidecide_s)
+    if pattern is None:   # complete, so the induced decider refuses it
+        return _verdict_keys(semidecide_clique(
+            n, host, induced=(args.mode == "is"), fuel=args.fuel))
     if args.mode == "is" and host.space == "EGr":
         try:
             if not decide_is_egr_noncomplete(pattern, host):

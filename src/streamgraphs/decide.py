@@ -14,8 +14,7 @@ from .errors import (BadParam, DegreeUnknown, PredicateUnsupported,
 from .graphs import (OMEGA, CountableGraph, DisjointUnion, Finite, FinGraph,
                      ForestF, OmegaCopies, TreeAsGraph, TreeT, _mul)
 from .spaces import SpaceName, truncate
-from .streams import (EventuallyConstant, Periodic, infinitely_often,
-                      occurrences)
+from .streams import Periodic, infinitely_often, occurrences, zero_from
 from .trees import (DisjointTreeUnion, FiniteTree, FullBinary, LevelRule,
                     SinglePath)
 
@@ -243,16 +242,28 @@ def fin_subgraph(g, h, induced=False):
 def _host_exhausted(name, fuel):
     """True when the name certifies there is nothing beyond the prefix and
     the fuel covers the whole prefix."""
-    s = name.stream
-    return (isinstance(s, EventuallyConstant) and s.tail == 0
-            and fuel >= len(s.head))
+    top = zero_from(name.stream)
+    return top is not None and fuel >= top
 
 
 def semidecide_s(g, host, induced=False, fuel=1000):
     """Fueled (induced-)subgraph semidecider against a Gr or EGr name."""
     if not isinstance(host, SpaceName):
         raise BadParam("semidecide_s expects a SpaceName host")
+    return _semidecide_in(truncate(host, fuel), g, host, induced, fuel)
+
+
+def semidecide_clique(n, host, induced=False, fuel=1000):
+    """semidecide_s for the pattern K_n, which is built only when the window
+    of `fuel` positions holds n vertices."""
     fin = truncate(host, fuel)
+    if n > len(fin.vertices):
+        return _no_copy(host, fuel)
+    clique = FinGraph(range(n), itertools.combinations(range(n), 2))
+    return _semidecide_in(fin, clique, host, induced, fuel)
+
+
+def _semidecide_in(fin, g, host, induced, fuel):
     emb = fin_subgraph(g, fin, induced)
     if emb is not None:
         return Verdict.found(emb)
@@ -263,14 +274,6 @@ def _no_copy(host, fuel):
     if _host_exhausted(host, fuel):
         return Verdict.refuted("host certified finite and exhausted")
     return Verdict.unknown(fuel)
-
-
-def outgrown(n, host, fuel):
-    """semidecide_s's verdict for any pattern of n vertices where no window
-    of `fuel` positions can hold n vertices (a position carries one pair,
-    and none lies past an exhausted certified head), else None."""
-    top = len(host.stream.head) if _host_exhausted(host, fuel) else fuel
-    return _no_copy(host, fuel) if n > 2 * top else None
 
 
 # ---------------------------------------------------------------------------
@@ -327,23 +330,22 @@ def _algebra_parts(g):
 
 
 def certified_window(host):
-    """The whole graph named by an EGr host whose stream is EventuallyConstant
-    or Periodic (its emitted code set is then finite and shows within the
-    head plus one period), else None."""
+    """The whole graph named by an EGr host whose stream is Periodic (its
+    emitted code set is then finite and shows within the head plus one
+    period), else None."""
     s = host.stream
-    if not isinstance(s, (EventuallyConstant, Periodic)):
+    if not isinstance(s, Periodic):
         return None
-    horizon = len(s.head) + (len(s.period) if isinstance(s, Periodic) else 1)
-    return truncate(host, horizon)
+    return truncate(host, s.cert_start + len(s.period))
 
 
 def decide_is_egr_noncomplete(g, host):
     """Decide g <=_is denoted(host) for a non-complete finite pattern g
     against a certified enumeration name.
 
-    Certificates accepted: an EventuallyConstant/Periodic stream (the emitted
-    code set is then finite and fully visible), or meta["denotes"] naming a
-    finite or omega-replicated union, or meta["sigma2"] gadget provenance.
+    Certificates accepted: a Periodic stream (the emitted code set is then
+    finite and fully visible), or meta["denotes"] naming a finite or
+    omega-replicated union, or meta["sigma2"] gadget provenance.
     """
     if _is_complete(g):
         raise BadParam("pattern must not be complete")

@@ -12,8 +12,8 @@ from .errors import (BadParam, HeightExceeded, MalformedInstance,
 from .graphs import OMEGA, CountableGraph, DisjointUnion, TreeAsGraph, _mul
 from .spaces import SpaceName
 from .streams import (CertifiedStream, EventuallyConstant, GeneratorBacked,
-                      Periodic, Staged, exists_one, first_index,
-                      infinitely_often, limit, pair, unpair)
+                      Indicator, Periodic, Staged, first_index,
+                      infinitely_often, limit, occurrences, pair, unpair)
 from .trees import coinfinite_wrap, nonmember_enumeration, string_decode
 
 
@@ -36,7 +36,6 @@ def sigma1_gadget(p, g):
     if not g.vertices:
         raise BadParam("pattern must be nonempty")
     labels = sorted(g.vertices)
-    rank = {v: r for r, v in enumerate(labels)}
     n_verts = len(labels)
 
     def placed_bit(t, i, j):
@@ -47,15 +46,11 @@ def sigma1_gadget(p, g):
             return 1
         return 1 if g.has_edge(labels[i - t], labels[j - t]) else 0
 
-    if isinstance(p, (EventuallyConstant, Periodic)):
-        if not exists_one(p, 1):
-            return SpaceName("Gr", EventuallyConstant([], 0),
-                             meta={"sigma1": (p, g)})
+    if isinstance(p, Periodic):
         t = first_index(p, 1)
-        top = pair(t + n_verts - 1, t + n_verts - 1) + 1
-        head = [placed_bit(t, *unpair(c)) for c in range(top)]
-        return SpaceName("Gr", EventuallyConstant(head, 0),
-                         meta={"sigma1": (p, g)})
+        span = range(t, t + n_verts) if t is not None else ()
+        ones = {pair(i, j) for i in span for j in span if placed_bit(t, i, j)}
+        return SpaceName("Gr", Indicator(ones), meta={"sigma1": (p, g)})
 
     def bit(c):
         i, j = unpair(c)
@@ -115,9 +110,9 @@ def sigma2_gadget(p, g):
         raise BadParam("pattern must not be complete")
     machine = _Sigma2(p, g)
     meta = {"sigma2": (p, g)}
-    if isinstance(p, (EventuallyConstant, Periodic)):
+    if isinstance(p, Periodic):
         if not infinitely_often(p, 1):
-            ones = [t for t in range(len(p.head)) if p.eval(t) == 1]
+            ones = occurrences(p, 1)
             last = ones[-1] if ones else -1
             probe = _Sigma2(p, g)
             meta["sigma2_stable_fuel"] = max(
@@ -385,11 +380,9 @@ class _AccMachine:
 def acc_gadget(complement_enum):
     """EGr name of the ACC ray graph; 0 in the input stream means "nothing
     removed yet", m+1 means "m removed"."""
-    if isinstance(complement_enum, (EventuallyConstant, Periodic)):
-        removals = {v - 1 for v in list(complement_enum.head)
-                    + ([complement_enum.tail]
-                       if isinstance(complement_enum, EventuallyConstant)
-                       else list(complement_enum.period)) if v != 0}
+    if isinstance(complement_enum, Periodic):
+        removals = {v - 1 for v in complement_enum.head
+                    + complement_enum.period if v != 0}
         if len(removals) > 1:
             raise MalformedInstance("two distinct removals")
     machine = _AccMachine(complement_enum)
@@ -480,7 +473,7 @@ def embR_canonical_solution(q):
     if target not in (0, 1):
         raise NotConvergent("binary limit expected")
     finite_side = 1 - target
-    horizon = len(q.head)
+    horizon = q.cert_start
     fin = [v for v in range(1, 2 * horizon + 3)
            if v % 2 == (1 if finite_side == 1 else 0)
            and _lim2_vertex_rule(q, v)]
@@ -523,11 +516,11 @@ def acc_canonical_solution(complement_enum):
     EGr name: 1, ..., n, then 0, then the tail after the initial segment
     once n >= 1 is removed; 1, 2, 3, ... when nothing (or 0) is removed."""
     s = complement_enum
-    if not isinstance(s, (EventuallyConstant, Periodic)):
+    if not isinstance(s, Periodic):
         raise BadParam("the ACC input needs an EventuallyConstant or "
                        "Periodic certificate")
     machine = _AccMachine(s)
-    horizon = len(s.head) + (len(s.period) if isinstance(s, Periodic) else 1)
+    horizon = s.cert_start + len(s.period)
     while machine.stages <= horizon:   # stage t + 1 reads input value t
         machine.run_stage()
     n, top = machine.removed or 0, machine.top

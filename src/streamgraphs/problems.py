@@ -21,7 +21,8 @@ from .graphs import (CompleteOmega, ConnectedUnion, DisjointUnion,
                      standard)
 from .spaces import SpaceName, name_of, truncate
 from .streams import (CertifiedStream, EventuallyConstant, GeneratorBacked,
-                      Periodic, exists_one, is_binary, limit, pair, unpair)
+                      Periodic, exists_one, is_binary, limit, pair, unpair,
+                      zero_from)
 from .trees import (DisjointTreeUnion, FiniteTree, FullBinary, SinglePath,
                     TreeGen, string_code, string_decode)
 
@@ -63,7 +64,7 @@ def oracle_call(problem, instance, fuel=None):
 # ---------------------------------------------------------------------------
 
 def _certified(p):
-    if not isinstance(p, (EventuallyConstant, Periodic)):
+    if not isinstance(p, Periodic):
         raise UndecidableWithoutCertificate(
             "instance must be EventuallyConstant or Periodic")
 
@@ -326,8 +327,9 @@ def d_components(h):
     Positions that are not vertices label themselves."""
     if not isinstance(h, SpaceName) or h.space != "Gr":
         raise BadParam("a Gr name is required")
-    if isinstance(h.stream, EventuallyConstant) and h.stream.tail == 0:
-        fin = truncate(h, len(h.stream.head))
+    top = zero_from(h.stream)
+    if top is not None:
+        fin = truncate(h, top)
         labels = {}
         for v in sorted(fin.vertices):
             if v not in labels:
@@ -460,14 +462,13 @@ def ray_embedding_problem(fuel=2000, steps=4):
         driver = host.meta.get("lim2")
 
         def lim_oracle(q):
-            if driver is not None and isinstance(
-                    driver, (EventuallyConstant, Periodic)):
+            if isinstance(driver, Periodic):
                 # q(t) compares the two sides within the vertices below t.
-                # The finite side lies below vertex 2 * len(head) + 2, so
-                # from t = 4 * len(head) + 4 on the infinite side holds
+                # The finite side lies below vertex 2 * cert_start + 2, so
+                # from t = 4 * cert_start + 4 on the infinite side holds
                 # more vertices there and q(t) has reached its limit: the
                 # tail of q from that probe is constant, with q's limit.
-                probe_at = 4 * len(driver.head) + 4
+                probe_at = 4 * driver.cert_start + 4
                 return oracle_call(
                     LIM2, EventuallyConstant([], q.eval(probe_at)))
             return q.eval(budget // 8)

@@ -11,8 +11,7 @@ from .errors import (BadParam, CensusUnstable, DegreeUnknown, FuelExhausted,
                      PredicateUnsupported, PromiseViolation)
 from .graphs import OMEGA, FinGraph
 from .spaces import HostView, SpaceName, gr_window, truncate
-from .streams import (EventuallyConstant, GeneratorBacked, Staged, pair,
-                      unpair)
+from .streams import GeneratorBacked, Indicator, Staged, pair, unpair
 from .trees import comparable, is_prefix, string_decode
 
 
@@ -33,17 +32,12 @@ class SolutionStream:
 
 def _copy_name(g, mapping):
     """Gr name of the image of g under the mapping (subgraph copy)."""
-    image = set(mapping.values())
-    bits = {}
-    for v in image:
-        bits[pair(v, v)] = 1
+    ones = {pair(v, v) for v in mapping.values()}
     for a, b in g.edges:
         x, y = mapping[a], mapping[b]
-        bits[pair(min(x, y), max(x, y))] = 1
-        bits[pair(max(x, y), min(x, y))] = 1
-    top = max(bits) + 1 if bits else 0
-    head = [bits.get(c, 0) for c in range(top)]
-    return SpaceName("Gr", EventuallyConstant(head, 0))
+        ones.add(pair(x, y))
+        ones.add(pair(y, x))
+    return SpaceName("Gr", Indicator(ones))
 
 
 def find_s_finite(g, host, fuel=None):

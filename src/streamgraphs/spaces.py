@@ -20,7 +20,7 @@ from itertools import chain, combinations
 
 from .errors import BadParam, FuelExhausted
 from .streams import (CertifiedStream, EventuallyConstant, GeneratorBacked,
-                      Staged, pair, unpair)
+                      Indicator, Staged, pair, unpair, zero_from)
 from .trees import string_decode
 from .graphs import OMEGA, FinGraph, Finite
 
@@ -132,11 +132,7 @@ def name_of(space, g, schedule=None):
             for a, b in fin.edges:
                 ones.add(pair(a, b))
                 ones.add(pair(b, a))
-            top = max(ones) + 1 if ones else 0
-            return SpaceName("Gr",
-                             EventuallyConstant([1 if c in ones else 0
-                                                 for c in range(top)], 0),
-                             meta={"denotes": g})
+            return SpaceName("Gr", Indicator(ones), meta={"denotes": g})
         return SpaceName("Gr", GeneratorBacked(lambda n: _gr_bit(g, n)),
                          meta={"denotes": g})
     if space == "EGr":
@@ -362,8 +358,9 @@ def gr_to_egr(name):
     s = name.stream
     meta = dict(name.meta)
     stream = _egr_stages(s.eval)
-    if isinstance(s, EventuallyConstant) and s.tail == 0:
-        out = stream.prefix(len(s.head))
+    top = zero_from(s)
+    if top is not None:
+        out = stream.prefix(top)
         while out and out[-1] == 0:
             out.pop()
         return SpaceName("EGr", EventuallyConstant(out, 0), meta=meta)
@@ -483,15 +480,11 @@ def f_convert(name):
     if name.space != "EGr":
         raise BadParam("f_convert expects an EGr name")
     conv = _FConvert(name.stream)
-    s = name.stream
-    if isinstance(s, EventuallyConstant) and s.tail == 0:
+    top = zero_from(name.stream)
+    if top is not None:
         # after the prefix only padding arrives: the construction stabilizes
-        conv.run_until(len(s.head))
-        ones = conv.ones
-        head = [0] * ((max(ones) + 1) if ones else 0)
-        for c in ones:
-            head[c] = 1
-        out = SpaceName("Gr", EventuallyConstant(head, 0),
+        conv.run_until(top)
+        out = SpaceName("Gr", Indicator(conv.ones),
                         meta={"trace": conv.trace})
         return out, conv.trace
     out = SpaceName("Gr", GeneratorBacked(conv.bit), meta={"trace": conv.trace})
@@ -514,10 +507,7 @@ class _PCBuilder:
         self.fuel = fuel
         self.labels = {}      # source vertex -> output label
         self.order = []       # output label -> source vertex
-        self.finite_bound = None
-        s = name.stream
-        if isinstance(s, EventuallyConstant) and s.tail == 0:
-            self.finite_bound = len(s.head)  # codes beyond prefix are 0
+        self.finite_bound = zero_from(name.stream)  # codes from it on are 0
         self.next_source = 0
 
     def _has_vertex(self, v):

@@ -1,17 +1,24 @@
 """Certified lazy infinite sequences over the naturals, plus the pairing code.
 
-A stream is an infinite sequence of naturals together with a finiteness
-certificate that makes the tail behavior inspectable:
+A stream is an infinite sequence of naturals. The certified kinds make the
+tail inspectable: each has a `head`, then cycles through a nonempty
+`period`, and `cert_start` (= len(head), computed without building the
+head) is where the cycling starts.
 
-  * EventuallyConstant(prefix, tail) -- equals ``tail`` from ``len(prefix)`` on;
   * Periodic(prefix, period)         -- cycles through ``period`` after the prefix;
+  * EventuallyConstant(prefix, tail) -- the Periodic with period ``(tail,)``;
+  * Indicator(ones)                  -- the EventuallyConstant that is 1 on
+                                        the finite set ``ones``, else 0.
+
+The uncertified kinds:
+
   * GeneratorBacked(step)            -- a total function n -> value, memoized;
   * Staged(step)                     -- a machine's output, one stage's
                                         values per call of step(), memoized.
 
-The quantifier operations (exists_one, infinitely_often, limit, ...) answer
-exactly on the first two kinds and refuse the uncertified ones instead of
-sampling; fueled approximations live in the decide module.
+The quantifier operations (exists_one, infinitely_often, limit, ...) and
+zero_from answer exactly on the certified kinds and refuse the uncertified
+ones instead of sampling; fueled approximations live in the decide module.
 """
 
 import math
@@ -43,7 +50,7 @@ def unpair(n):
 # ---------------------------------------------------------------------------
 
 class CertifiedStream:
-    """Base class; use one of the four concrete kinds."""
+    """Base class; use one of the concrete kinds."""
 
     def eval(self, n):
         raise NotImplementedError
@@ -56,49 +63,70 @@ class CertifiedStream:
         return [self.eval(i) for i in range(n)]
 
 
-class EventuallyConstant(CertifiedStream):
-    def __init__(self, prefix, tail):
-        self._prefix = tuple(prefix)
-        self.tail = tail
+class Periodic(CertifiedStream):
+    """Equals `head`, then cycles through `period`."""
 
-    @property
-    def head(self):
-        return self._prefix
+    def __init__(self, prefix, period):
+        if not period:
+            raise ParseError("period must be nonempty")
+        self.head = tuple(prefix)
+        self.period = tuple(period)
+        self.cert_start = len(self.head)
 
     def eval(self, n):
-        if n < len(self._prefix):
-            return self._prefix[n]
-        return self.tail
+        if n < len(self.head):
+            return self.head[n]
+        return self.period[(n - len(self.head)) % len(self.period)]
 
     def __repr__(self):
-        return "EventuallyConstant(%r, %r)" % (list(self._prefix), self.tail)
+        return "Periodic(%r, %r)" % (list(self.head), list(self.period))
+
+
+class EventuallyConstant(Periodic):
+    """The Periodic stream whose period is (tail,)."""
+
+    def __init__(self, prefix, tail):
+        self.head = tuple(prefix)
+        self.tail = tail
+        self.cert_start = len(self.head)
+
+    @property
+    def period(self):
+        return (self.tail,)
+
+    def eval(self, n):
+        return self.head[n] if n < len(self.head) else self.tail
+
+    def __repr__(self):
+        return "EventuallyConstant(%r, %r)" % (list(self.head), self.tail)
 
     def __eq__(self, other):
         # Normalized comparison: same infinite sequence.
         if not isinstance(other, EventuallyConstant):
             return NotImplemented
-        n = max(len(self._prefix), len(other._prefix))
+        n = max(self.cert_start, other.cert_start)
         return self.tail == other.tail and self.prefix(n) == other.prefix(n)
 
 
-class Periodic(CertifiedStream):
-    def __init__(self, prefix, period):
-        if not period:
-            raise ParseError("period must be nonempty")
-        self._prefix = tuple(prefix)
-        self.period = tuple(period)
+class Indicator(EventuallyConstant):
+    """1 on the finite set `ones` (kept, not copied), 0 elsewhere: the Gr
+    name of a finite graph. The head is built only when read."""
+
+    def __init__(self, ones):
+        self.ones = ones
+        self.tail = 0
+        self.cert_start = max(ones) + 1 if ones else 0
 
     @property
     def head(self):
-        return self._prefix
+        return tuple(1 if c in self.ones else 0
+                     for c in range(self.cert_start))
 
     def eval(self, n):
-        if n < len(self._prefix):
-            return self._prefix[n]
-        return self.period[(n - len(self._prefix)) % len(self.period)]
+        return 1 if n in self.ones else 0
 
     def __repr__(self):
-        return "Periodic(%r, %r)" % (list(self._prefix), list(self.period))
+        return "Indicator(%r)" % (sorted(self.ones),)
 
 
 _MISSING = object()
@@ -156,59 +184,49 @@ class Staged(CertifiedStream):
 # ---------------------------------------------------------------------------
 
 def _require_certificate(s):
-    if not isinstance(s, (EventuallyConstant, Periodic)):
+    if not isinstance(s, Periodic):
         raise UndecidableWithoutCertificate(
             "quantifier needs an EventuallyConstant or Periodic certificate")
+
+
+def zero_from(s):
+    """cert_start when s is certified 0 from there on, else None."""
+    if isinstance(s, Periodic) and not any(s.period):
+        return s.cert_start
+    return None
 
 
 def exists_one(s, v):
     """True iff some position of s carries v. Decidable on certified streams."""
     _require_certificate(s)
-    if v in s.head:
-        return True
-    if isinstance(s, EventuallyConstant):
-        return s.tail == v
-    return v in s.period
+    return v in s.head or v in s.period
 
 
 def infinitely_often(s, v):
     """True iff v occurs at infinitely many positions."""
     _require_certificate(s)
-    if isinstance(s, EventuallyConstant):
-        return s.tail == v
     return v in s.period
 
 
 def eventually_always(s, v):
     """True iff all but finitely many positions carry v."""
     _require_certificate(s)
-    if isinstance(s, EventuallyConstant):
-        return s.tail == v
     return all(x == v for x in s.period)
 
 
 def limit(s):
     """The eventual value of a converging certified stream."""
-    if isinstance(s, EventuallyConstant):
-        return s.tail
-    if isinstance(s, Periodic):
-        if len(set(s.period)) == 1:
-            return s.period[0]
+    if not isinstance(s, Periodic):
+        raise NotConvergent("no convergence certificate")
+    if len(set(s.period)) > 1:
         raise NotConvergent("period oscillates: %r" % (list(s.period),))
-    raise NotConvergent("no convergence certificate")
+    return s.period[0]
 
 
 def first_index(s, v, start=0):
     """Least index >= start with s(index) = v, or None. Certified streams only."""
     _require_certificate(s)
-    head = s.head
-    for n in range(start, len(head)):
-        if head[n] == v:
-            return n
-    base = max(start, len(head))
-    if isinstance(s, EventuallyConstant):
-        return base if s.tail == v else None
-    for n in range(base, base + len(s.period)):
+    for n in range(start, max(start, s.cert_start) + len(s.period)):
         if s.eval(n) == v:
             return n
     return None
@@ -219,14 +237,13 @@ def occurrences(s, v):
     _require_certificate(s)
     if infinitely_often(s, v):
         raise UndecidableWithoutCertificate("infinitely many occurrences")
-    return [n for n in range(len(s.head)) if s.eval(n) == v]
+    return [n for n in range(s.cert_start) if s.eval(n) == v]
 
 
 def is_binary(s):
     """Certified check that every value is 0 or 1."""
     _require_certificate(s)
-    tail = [s.tail] if isinstance(s, EventuallyConstant) else list(s.period)
-    return all(x in (0, 1) for x in list(s.head) + tail)
+    return all(x in (0, 1) for x in s.head + s.period)
 
 
 # ---------------------------------------------------------------------------

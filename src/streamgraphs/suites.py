@@ -99,8 +99,8 @@ def suite_pairing(seed=0):
     checked = 0
     for _ in range(200):
         s = _random_certified_stream(rng, values=4)
-        tail_len = 1 if isinstance(s, EventuallyConstant) else len(s.period)
-        window = s.prefix(len(s.head) + 3 * tail_len)
+        tail_len = len(s.period)
+        window = s.prefix(s.cert_start + 3 * tail_len)
         last = window[-tail_len:]
         for v in range(4):
             want_exists = v in window
@@ -167,7 +167,7 @@ def suite_f_convert(seed=0):
         src = _random_fin_graph(rng, min_v=2, max_v=6, density=0.6)
         name = _spaces.name_of("EGr", src,
                                ("random", rng.randrange(10 ** 6), 0.3))
-        horizon = len(name.stream.head)
+        horizon = name.stream.cert_start
         replay = _spaces._FConvert(name.stream)
         snapshots = {}
 

@@ -132,6 +132,13 @@ def reference_f_convert(stream, stages):
     return machine
 
 
+def reference_gr_head(ones):
+    """The dense head of the Gr stream that is 1 exactly on the codes in
+    `ones`: one 0/1 entry per position up to the last 1."""
+    top = max(ones) + 1 if ones else 0
+    return [1 if c in ones else 0 for c in range(top)]
+
+
 def reference_dense_egr_name(g, positions):
     """The first `positions` values of the dense EGr name of the infinite
     countable graph g, built by testing each new vertex against every

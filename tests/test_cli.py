@@ -1,12 +1,16 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from streamgraphs import cli
 from streamgraphs import specs
 from streamgraphs.decide import Embedding, semidecide_s
 from streamgraphs.errors import ParseError
 from streamgraphs.graphs import FinGraph, Layered, OmegaCopies, TwoWayRay
+from test_spaces import _FINITE, _infinite
 
 
 def run(capsys, *argv):
@@ -78,7 +82,7 @@ class TestDecide:
 
     @pytest.mark.parametrize("host, mode, fuel", [
         ("egr:c3", "s", 1000), ("egr:c3", "is", 1000), ("egr:c3", "s", 3),
-        ("gr:c3", "is", 1000)])
+        ("gr:c3", "is", 1000), ("egr:komega", "s", 1000)])
     def test_oversized_clique_is_not_built(self, capsys, monkeypatch, host,
                                            mode, fuel):
         """k200 has more vertices than the host can show: the answer is the
@@ -323,6 +327,42 @@ class TestInternalErrors:
         assert captured.out == ""
         assert captured.err == "internal error: RuntimeError: broken handler\n"
         assert "Traceback" not in captured.err
+
+
+_HOST = (st.builds("{}:{}".format, st.sampled_from(["gr", "egr"]),
+                   _infinite(2) | _FINITE)
+         | st.builds("egr({},{}):{}".format, st.integers(0, 99),
+                     st.sampled_from(["0", "0.3"]), _FINITE))
+_PATTERN = _FINITE | st.sampled_from(["k1", "k2", "r2", "k40"])
+_ARGV = (st.tuples(st.sampled_from(["validate", "truncate", "convert"]),
+                   st.just("--in"), _HOST)
+         | st.tuples(st.just("convert"), st.just("--f"), st.just("--in"),
+                     _HOST)
+         | st.tuples(st.just("export"), st.just("json"), st.just("--in"),
+                     _HOST)
+         | st.tuples(st.just("decide"), st.just("--pattern"), _PATTERN,
+                     st.just("--host"), _HOST, st.just("--mode"),
+                     st.sampled_from(["s", "is"]))
+         | st.tuples(st.just("search"), st.just("--solver"),
+                     st.just("finds"), st.just("--pattern"), _PATTERN,
+                     st.just("--host"), _HOST))
+
+
+class TestFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(_ARGV, st.integers(0, 30))
+    def test_spec_grammar(self, argv, fuel):
+        """Any command on any spec name answers with an exit code of the
+        CLI, no traceback, and one sorted JSON report when it answers."""
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(list(argv) + ["--fuel", str(fuel)])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code in (0, 2):
+            line = out.getvalue()
+            assert line.count("\n") == 1 and line.endswith("\n")
+            assert json.dumps(json.loads(line), sort_keys=True) == line[:-1]
 
 
 class TestDeterminism:

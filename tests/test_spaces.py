@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -441,6 +442,17 @@ class TestFConvert:
     def test_requires_egr(self):
         with pytest.raises(BadParam):
             SP.f_convert(SP.name_of("Gr", k(2)))
+
+    def test_finite_name_memory(self):
+        """The 1-bits of egr(7,0.3):k60 are 89k codes below 1.4 * 10^7: the
+        name keeps the codes, not one entry per position."""
+        tracemalloc.start()
+        try:
+            SP.f_convert(specs.parse_name("egr(7,0.3):k60"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2 ** 20
 
     @staticmethod
     def _assert_matches_reference(name, out, trace, stages):

@@ -1,9 +1,17 @@
-import pytest
-from hypothesis import given, strategies as st
+import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from helpers import (random_certified_stream, random_fin_graph,
+                     reference_f_convert, reference_gr_head)
+from streamgraphs import specs
 from streamgraphs import streams as S
 from streamgraphs.errors import (NotConvergent, ParseError,
                                  UndecidableWithoutCertificate)
+from streamgraphs.gadgets import sigma1_gadget
+from streamgraphs.search import _copy_name
+from streamgraphs.spaces import f_convert, name_of
 
 
 def brute_unpair(n):
@@ -172,6 +180,105 @@ class TestQuantifiers:
         p = S.Periodic([9], [0, 4])
         assert S.first_index(p, 4) == 2
         assert S.first_index(p, 4, start=3) == 4
+
+
+class TestEventuallyConstantIsPeriodic:
+    @given(st.lists(st.integers(0, 2), max_size=6), st.integers(0, 2))
+    def test_same_answers_as_periodic_with_one_value_period(self, head, tail):
+        ec, per = S.EventuallyConstant(head, tail), S.Periodic(head, [tail])
+        assert ec.period == per.period and ec.cert_start == per.cert_start
+        assert S.limit(ec) == S.limit(per) == tail
+        assert S.is_binary(ec) == S.is_binary(per)
+        assert S.zero_from(ec) == S.zero_from(per)
+        for v in range(3):
+            for q in (S.exists_one, S.infinitely_often, S.eventually_always):
+                assert q(ec, v) == q(per, v)
+            for start in range(len(head) + 3):
+                assert S.first_index(ec, v, start) == S.first_index(
+                    per, v, start)
+            if v != tail:
+                assert S.occurrences(ec, v) == S.occurrences(per, v)
+
+    def test_zero_from(self):
+        assert S.zero_from(S.EventuallyConstant([0, 1], 0)) == 2
+        assert S.zero_from(S.Periodic([1], [0, 0])) == 1
+        assert S.zero_from(S.Indicator({4})) == 5
+        assert S.zero_from(S.EventuallyConstant([0], 1)) is None
+        assert S.zero_from(S.Periodic([], [0, 1])) is None
+        assert S.zero_from(S.GeneratorBacked(lambda n: 0)) is None
+
+
+def _gr_ones(vertices, edges):
+    """The codes of a finite graph's Gr name, found by decoding every code
+    up to the largest vertex code."""
+    vertices = set(vertices)
+    edges = {frozenset(e) for e in edges}
+    top = S.pair(max(vertices), max(vertices)) + 1 if vertices else 0
+    ones = set()
+    for n in range(top):
+        i, j = S.unpair(n)
+        if (i in vertices) if i == j else frozenset((i, j)) in edges:
+            ones.add(n)
+    return ones
+
+
+class TestIndicator:
+    """The sparse Gr names agree with the dense heads they replace."""
+
+    @staticmethod
+    def _assert_matches_dense(s, ones):
+        dense = S.EventuallyConstant(reference_gr_head(ones), 0)
+        assert isinstance(s, S.Indicator)
+        assert s.head == dense.head
+        assert s.cert_start == len(dense.head)
+        assert s.prefix(s.cert_start + 3) == dense.prefix(s.cert_start + 3)
+        assert S.format_stream(s) == S.format_stream(dense)
+        assert s == dense and dense == s
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2 ** 32))
+    def test_name_of_finite_graph(self, seed):
+        g = random_fin_graph(random.Random(seed), min_v=0, max_v=7)
+        self._assert_matches_dense(name_of("Gr", g).stream,
+                                   _gr_ones(g.vertices, g.edges))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2 ** 32))
+    def test_copy_name(self, seed):
+        rng = random.Random(seed)
+        g = random_fin_graph(rng, min_v=0, max_v=6)
+        labels = sorted(g.vertices)
+        mapping = dict(zip(labels, rng.sample(range(30), len(labels))))
+        self._assert_matches_dense(
+            _copy_name(g, mapping).stream,
+            _gr_ones(mapping.values(),
+                     [(mapping[a], mapping[b]) for a, b in g.edges]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2 ** 32))
+    def test_certified_sigma1(self, seed):
+        rng = random.Random(seed)
+        p = random_certified_stream(rng)
+        g = random_fin_graph(rng, min_v=1, max_v=5)
+        hits = [n for n in range(20) if p.eval(n) == 1]
+        ones = set()
+        if hits:
+            at = {v: hits[0] + r for r, v in enumerate(sorted(g.vertices))}
+            ones = _gr_ones(at.values(),
+                            [(at[a], at[b]) for a, b in g.edges])
+        self._assert_matches_dense(sigma1_gadget(p, g).stream, ones)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.sampled_from(["0", "0.3", "0.6"]),
+           st.sampled_from(["k1", "r3", "c4", "k4", "du(c3,k3)",
+                            "cu(c3,c4)", "du(k2,r3)"]))
+    def test_finite_f_convert(self, seed, stutter, graph):
+        name = specs.parse_name("egr(%d,%s):%s" % (seed, stutter, graph))
+        ref = reference_f_convert(name.stream, len(name.stream.head))
+        out, trace = f_convert(name)
+        self._assert_matches_dense(
+            out.stream, {n for n, bit in ref.decided.items() if bit == 1})
+        assert out.stream.ones is trace.ones
 
 
 class TestTextFormat:
