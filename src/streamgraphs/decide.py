@@ -11,8 +11,8 @@ import itertools
 
 from .errors import (BadParam, DegreeUnknown, PredicateUnsupported,
                      PromiseViolation, UndecidableWithoutCertificate)
-from .graphs import (OMEGA, CountableGraph, DisjointUnion, Finite, FinGraph,
-                     ForestF, OmegaCopies, TreeAsGraph, TreeT, _mul)
+from .graphs import (OMEGA, CompleteN, CountableGraph, DisjointUnion, Finite,
+                     FinGraph, ForestF, OmegaCopies, TreeAsGraph, TreeT, _mul)
 from .spaces import SpaceName, truncate
 from .streams import Periodic, infinitely_often, occurrences, zero_from
 from .trees import (DisjointTreeUnion, FiniteTree, FullBinary, LevelRule,
@@ -259,8 +259,8 @@ def semidecide_clique(n, host, induced=False, fuel=1000):
     fin = truncate(host, fuel)
     if n > len(fin.vertices):
         return _no_copy(host, fuel)
-    clique = FinGraph(range(n), itertools.combinations(range(n), 2))
-    return _semidecide_in(fin, clique, host, induced, fuel)
+    return _semidecide_in(fin, CompleteN(n).materialize(), host, induced,
+                          fuel)
 
 
 def _semidecide_in(fin, g, host, induced, fuel):
