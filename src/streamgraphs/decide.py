@@ -233,10 +233,43 @@ def _distances(adj, sources, radius=None):
 def fin_subgraph(g, h, induced=False):
     """Lexicographically least embedding of g into h, or None: the first
     hit of `embeddings`, "least" referring to the association list ordered
-    by source vertex."""
-    for m in embeddings(g, h, induced):
+    by source vertex.
+
+    A copy's image induces a subgraph of minimum degree >= delta(g), so it
+    lies in the delta(g)-core of h; the search skips the rest of h, which
+    leaves the hits and their order as they are."""
+    k = min(map(len, g.adjacency.values()), default=0)
+    outside = core_outside(h.adjacency, k, len(g.vertices)) if k > 1 else ()
+    if outside is None:
+        return None
+    for m in embeddings(g, h, induced, outside):
         return Embedding(m)
     return None
+
+
+def core_outside(adj, k, least=0):
+    """The vertices outside the k-core of the graph with adjacency `adj`,
+    which is what is left after repeatedly deleting a vertex with fewer
+    than k neighbours left (Batagelj and Zaversnik 2003); None as soon as
+    fewer than `least` vertices are left. Costs O(vertices + edges at the
+    deleted vertices)."""
+    out = {u for u, nbrs in adj.items() if len(nbrs) < k}
+    left = len(adj) - len(out)
+    if left < least:
+        return None
+    stack = list(out)
+    deg = {}
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in out:
+                deg[w] = d = deg.get(w, len(adj[w])) - 1
+                if d < k:
+                    out.add(w)
+                    stack.append(w)
+                    left -= 1
+                    if left < least:
+                        return None
+    return out
 
 
 def _host_exhausted(name, fuel):

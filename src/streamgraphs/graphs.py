@@ -10,6 +10,7 @@ exact degrees in ℕ ∪ {ω}.
 import heapq
 import itertools
 import json
+import sys
 from collections import deque
 from functools import cached_property, partial
 
@@ -144,9 +145,23 @@ class FinGraph:
                     q.append(x)
         return OMEGA
 
+    def _printable(self):
+        """The sorted vertices; BadParam when one has more decimal digits
+        than Python turns into text (sys.get_int_max_str_digits; 0, or
+        no such function, means no limit)."""
+        vs = sorted(self.vertices)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        top = vs[-1] if vs else 0
+        # a code of at most 3 * limit bits is below 10 ** limit
+        if limit and top.bit_length() > 3 * limit and top >= 10 ** limit:
+            raise BadParam("too long to print: a vertex code of %d bits has "
+                           "more than %d decimal digits"
+                           % (top.bit_length(), limit))
+        return vs
+
     def to_json(self):
         """The CLI's format: {"e": [[a, b], ...], "v": [...]}, sorted."""
-        return json.dumps({"v": sorted(self.vertices),
+        return json.dumps({"v": self._printable(),
                            "e": [list(e) for e in sorted(self.edges)]},
                           sort_keys=True)
 
@@ -160,7 +175,7 @@ class FinGraph:
 
     def to_dot(self, title="G"):
         lines = ["graph %s {" % title]
-        lines += ["  %d;" % v for v in sorted(self.vertices)]
+        lines += ["  %d;" % v for v in self._printable()]
         lines += ["  %d -- %d;" % e for e in sorted(self.edges)]
         return "\n".join(lines + ["}"]) + "\n"
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -327,6 +328,20 @@ class TestInternalErrors:
         assert captured.out == ""
         assert captured.err == "internal error: RuntimeError: broken handler\n"
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("command", [["truncate"], ["export", "json"],
+                                         ["export", "dot"]])
+    def test_code_too_long_to_print_is_refused(self, capsys, command):
+        """The window's largest code has 118,714 bits, past Python's 4,300
+        digit int-to-text limit: a BadParam that names its size."""
+        code = cli.main(command + ["--in", "egr:l1(path(ec:[0];1),omega(k2))",
+                                   "--fuel", "27"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == ("BadParam: too long to print: a vertex code "
+                                "of 118714 bits has more than %d decimal "
+                                "digits\n" % sys.get_int_max_str_digits())
 
 
 _HOST = (st.builds("{}:{}".format, st.sampled_from(["gr", "egr"]),

@@ -8,6 +8,7 @@ from helpers import random_fin_graph
 from streamgraphs import decide as D
 from streamgraphs import graphs as G
 from streamgraphs import spaces as SP
+from streamgraphs import specs
 from streamgraphs import trees as T
 from streamgraphs.errors import (BadParam, PredicateUnsupported,
                                  UndecidableWithoutCertificate)
@@ -68,6 +69,94 @@ class TestFinSubgraph:
         a = D.fin_subgraph(r(4), c(6))
         b = D.fin_subgraph(r(4), c(6))
         assert a == b
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.integers(0, 4))
+    def test_core_outside_matches_definition(self, seed, kk):
+        """The k-core is what is left after deleting, in any order, a vertex
+        with fewer than k neighbours left, until none is."""
+        rng = random.Random(seed)
+        h = random_fin_graph(rng, min_v=0, max_v=12, density=rng.random())
+        left = set(h.vertices)
+        while True:
+            low = [v for v in sorted(left)
+                   if len(h.adjacency[v] & left) < kk]
+            if not low:
+                break
+            left.remove(rng.choice(low))
+        assert set(h.vertices) - D.core_outside(h.adjacency, kk) == left
+        for least in range(len(h.vertices) + 2):
+            out = D.core_outside(h.adjacency, kk, least)
+            assert (out is None) == (len(left) < least)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.booleans())
+    def test_matches_naive_where_the_core_is_smaller(self, seed, induced):
+        """Patterns of minimum degree >= 2 in hosts with pendant trees,
+        which the search skips: the least embedding is the oracle's."""
+        rng = random.Random(seed)
+        g, h = _min_degree_2_pattern(rng), _cored_host(rng)
+        got = D.fin_subgraph(g, h, induced)
+        assert ((None if got is None else got.mapping)
+                == _naive_least_embedding(g, h, induced))
+
+    def test_cored_hosts_are_peeled(self):
+        """The generator above reaches the peel: most hosts lose vertices
+        and still hold a copy often enough."""
+        peeled = hits = 0
+        for seed in range(200):
+            rng = random.Random(seed)
+            g, h = _min_degree_2_pattern(rng), _cored_host(rng)
+            peeled += bool(D.core_outside(h.adjacency, 2))
+            hits += D.fin_subgraph(g, h) is not None
+        assert peeled > 150 and 20 < hits < 180
+
+    @pytest.mark.parametrize("pattern, host", [
+        (c(3), "egr:l"), (k(3), "egr:fbt"), (k(4), "egr:l")])
+    def test_absent_on_a_forest_window_backtracks_nowhere(
+            self, monkeypatch, pattern, host):
+        fin = SP.truncate(specs.parse_name(host), 1000)
+        calls = []
+        extend = D._extend
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return extend(*args, **kwargs)
+
+        monkeypatch.setattr(D, "_extend", counting)
+        assert D.fin_subgraph(pattern, fin) is None
+        assert D.fin_subgraph(pattern, fin, induced=True) is None
+        assert calls == []
+
+
+def _min_degree_2_pattern(rng):
+    """A cycle, a clique or a random graph of minimum degree >= 2."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return c(rng.randrange(3, 6))
+    if kind == 1:
+        return k(rng.randrange(3, 5))
+    n = rng.randrange(4, 6)
+    es = {(a, b) for a in range(n) for b in range(a + 1, n)
+          if rng.random() < 0.4}
+    for v in range(n):
+        while sum(v in e for e in es) < 2:
+            w = rng.choice([w for w in range(n) if w != v])
+            es.add((min(v, w), max(v, w)))
+    return G.FinGraph(range(n), es)
+
+
+def _cored_host(rng):
+    """A random graph on 3-5 vertices with 1-3 more vertices hung on it one
+    at a time, each joined to one earlier vertex (pendant paths and trees),
+    on shuffled, non-contiguous labels."""
+    n = rng.randrange(3, 6)
+    m = n + rng.randrange(1, 4)
+    es = [(a, b) for a in range(n) for b in range(a + 1, n)
+          if rng.random() < 0.6]
+    es += [(rng.randrange(v), v) for v in range(n, m)]
+    labels = rng.sample(range(3 * m), m)
+    return G.FinGraph(labels, [(labels[a], labels[b]) for a, b in es])
 
 
 class TestSemidecide:
