@@ -8,17 +8,18 @@ from .streams import (pair, unpair, CertifiedStream, EventuallyConstant,
 from .graphs import (OMEGA, FinGraph, standard, disjoint_union,
                      connected_union, construction, tree_to_graph,
                      graph_to_tree, degree, distance, is_promptly_connected,
-                     isomorphic, OmegaCopies, Finite)
+                     isomorphic, OmegaCopies, Finite, CertTree, CertForest,
+                     ForestGraph)
 from .trees import (FiniteTree, FullBinary, SinglePath, LevelRule,
                     DisjointTreeUnion, string_code, string_decode)
 from .spaces import (SpaceName, validate_prefix, validate_name, name_of,
                      name_of_tree, truncate, gr_to_egr, f_convert, pc,
                      IotaTrace)
 from .decide import (Embedding, Verdict, embeddings, fin_subgraph,
-                     semidecide_s, decide_is_egr_noncomplete, CertTree,
-                     CertForest, to_cert_forest, predicate_tf, wf2)
+                     semidecide_s, decide_is_egr_noncomplete,
+                     to_cert_forest, predicate_tf, wf2)
 from .gadgets import (GadgetOutput, sigma1_gadget, sigma2_gadget,
-                      forests_lift, ForestGraph, p_complete_generator,
+                      forests_lift, p_complete_generator,
                       acc_gadget, acc_decode, lim2_to_embR, embR_decode,
                       cycles_box, cycles_box_decode, enuminf_encode,
                       enuminf_decode, CertifiedPiSet, sigma11_choice_gadget,

@@ -20,6 +20,7 @@ from . import specs as _specs
 from . import suites as _suites
 from .errors import (FuelExhausted, OracleRefused, ParseError,
                      PatternNeverSeen, StreamGraphsError, UnknownSuite)
+from .graphs import check_printable
 from .streams import parse_stream
 
 EXIT_OK = 0
@@ -35,7 +36,23 @@ def default_fuel():
 
 
 def _emit(report):
-    print(json.dumps(report, sort_keys=True))
+    try:
+        text = json.dumps(report, sort_keys=True)
+    except ValueError:  # an int past the int-to-text limit, named below
+        check_printable(max(_ints(report), default=0))
+        raise
+    print(text)
+
+
+def _ints(obj):
+    """The absolute values of the ints inside a report."""
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        for x in obj:
+            yield from _ints(x)
+    elif isinstance(obj, int):
+        yield abs(obj)
 
 
 # ---------------------------------------------------------------------------

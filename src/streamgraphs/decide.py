@@ -11,10 +11,10 @@ import itertools
 
 from .errors import (BadParam, DegreeUnknown, PredicateUnsupported,
                      PromiseViolation, UndecidableWithoutCertificate)
-from .graphs import (OMEGA, CompleteN, CountableGraph, DisjointUnion, Finite,
-                     FinGraph, ForestF, OmegaCopies, TreeAsGraph, TreeT, _mul)
+from .graphs import (OMEGA, CertForest, CertTree, CompleteN, CountableGraph,
+                     DisjointUnion, Finite, FinGraph, OmegaCopies, TreeAsGraph)
 from .spaces import SpaceName, truncate
-from .streams import Periodic, infinitely_often, occurrences, zero_from
+from .streams import Periodic, infinitely_often, zero_from
 from .trees import (DisjointTreeUnion, FiniteTree, FullBinary, LevelRule,
                     SinglePath)
 
@@ -237,7 +237,10 @@ def fin_subgraph(g, h, induced=False):
 
     A copy's image induces a subgraph of minimum degree >= delta(g), so it
     lies in the delta(g)-core of h; the search skips the rest of h, which
-    leaves the hits and their order as they are."""
+    leaves the hits and their order as they are. A copy also needs as many
+    edges as g has."""
+    if len(g.edges) > len(h.edges):
+        return None
     k = min(map(len, g.adjacency.values()), default=0)
     outside = core_outside(h.adjacency, k, len(g.vertices)) if k > 1 else ()
     if outside is None:
@@ -412,85 +415,6 @@ def decide_is_egr_noncomplete(g, host):
 # Certified forests and the rank predicates
 # ---------------------------------------------------------------------------
 
-class CertTree:
-    """Finitely described rooted tree: explicit children with multiplicities
-    in N ∪ {omega}, plus an optional stream-driven child family (one child
-    shaped `shape` for every index n with p(n) = 0)."""
-
-    def __init__(self, children=(), stream_children=None):
-        self.children = [(sub, mult) for sub, mult in children]
-        self.stream_children = stream_children  # (CertifiedStream, CertTree)
-
-    def child_multiplicities(self):
-        """[(subtree, multiplicity)] with the stream family resolved via its
-        certificate."""
-        out = list(self.children)
-        if self.stream_children is not None:
-            p, shape = self.stream_children
-            if infinitely_often(p, 0):
-                out.append((shape, OMEGA))
-            else:
-                count = len(occurrences(p, 0))
-                if count:
-                    out.append((shape, count))
-        return out
-
-    def rank(self):
-        kids = [(sub.rank(), mult) for sub, mult in self.child_multiplicities()]
-        r = 0
-        while sum((mult for rk, mult in kids if rk >= r), 0) == OMEGA:
-            r += 1
-        return r
-
-    def count_rank_ge(self, k):
-        total = 1 if self.rank() >= k else 0
-        for sub, mult in self.child_multiplicities():
-            total += _mul(mult, sub.count_rank_ge(k))
-            if total == OMEGA:
-                return OMEGA
-        return total
-
-    def height(self):
-        kids = self.child_multiplicities()
-        if not kids:
-            return 0
-        return 1 + max(sub.height() for sub, _ in kids)
-
-    def node_count(self):
-        total = 1
-        for sub, mult in self.child_multiplicities():
-            total += _mul(mult, sub.node_count())
-            if total == OMEGA:
-                return OMEGA
-        return total
-
-
-class CertForest:
-    """A disjoint union of CertTrees with multiplicities."""
-
-    def __init__(self, trees):
-        self.trees = [(t, mult) for t, mult in trees]
-
-    def count_rank_ge(self, k):
-        total = 0
-        for t, mult in self.trees:
-            total += _mul(mult, t.count_rank_ge(k))
-            if total == OMEGA:
-                return OMEGA
-        return total
-
-    def height(self):
-        return max((t.height() for t, _ in self.trees), default=0)
-
-
-def _chain_tree(k):
-    """The height-k tree with omega branching at every internal node."""
-    t = CertTree()
-    for _ in range(k):
-        t = CertTree(children=[(t, OMEGA)])
-    return t
-
-
 def _spanning_trees(fin):
     """One CertTree (a BFS spanning tree) per connected component."""
     out = []
@@ -516,17 +440,12 @@ def _spanning_trees(fin):
 
 def to_cert_forest(h):
     """Structural conversion of a graph algebra value to a CertForest."""
-    forest = getattr(h, "cert_forest", None)
-    if forest is not None:
-        return forest
+    if isinstance(h, CertForest):
+        return h
     if isinstance(h, FinGraph):
         return CertForest([(t, 1) for t in _spanning_trees(h)])
     if isinstance(h, Finite):
         return to_cert_forest(h.materialize())
-    if isinstance(h, TreeT):
-        return CertForest([(_chain_tree(h.k), 1)])
-    if isinstance(h, ForestF):
-        return CertForest([(_chain_tree(h.k), OMEGA)])
     if isinstance(h, OmegaCopies):
         inner = to_cert_forest(h.base)
         return CertForest([(t, OMEGA) for t, _ in inner.trees])

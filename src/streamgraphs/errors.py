@@ -21,19 +21,11 @@ class NotConvergent(StreamGraphsError):
     pass
 
 
-class CertificateMissing(StreamGraphsError):
-    pass
-
-
 class DegreeUnknown(StreamGraphsError):
     pass
 
 
 class PredicateUnsupported(StreamGraphsError):
-    pass
-
-
-class NotIndexDecidable(StreamGraphsError):
     pass
 
 
@@ -98,10 +90,6 @@ class HeightExceeded(StreamGraphsError):
 
 
 class CensusUnstable(StreamGraphsError):
-    pass
-
-
-class PartitionExhausted(StreamGraphsError):
     pass
 
 

@@ -6,10 +6,10 @@ paired with the decoder that extracts information back from a solution.
 import itertools
 import threading
 
-from .decide import CertForest, CertTree
 from .errors import (BadParam, HeightExceeded, MalformedInstance,
                      NoIllFoundedCertificate, NotConvergent, NotInB)
-from .graphs import OMEGA, CountableGraph, DisjointUnion, TreeAsGraph, _mul
+from .graphs import (OMEGA, CertTree, CountableGraph, DisjointUnion,
+                     ForestGraph, TreeAsGraph, _mul)
 from .spaces import SpaceName
 from .streams import (CertifiedStream, EventuallyConstant, GeneratorBacked,
                       Indicator, Periodic, Staged, first_index,
@@ -124,140 +124,6 @@ def sigma2_gadget(p, g):
 # Forests: the quantifier-hierarchy lift
 # ---------------------------------------------------------------------------
 
-class ForestGraph(CountableGraph):
-    """Concrete graph realization of a CertForest: nodes get consecutive ids
-    in a deterministic fair expansion; edges are the parent links."""
-
-    def __init__(self, forest):
-        self.cert_forest = forest
-        self._parent = []      # id -> parent id or None
-        self._template = []    # id -> CertTree
-        self._producers = []   # (kind, state...) generators yielding nodes
-        self._cursor = 0
-        self._producers.append(self._tree_list_producer(forest.trees, None))
-
-    def _tree_list_producer(self, entries, parent):
-        def gen():
-            pending = [(sub, mult) for sub, mult in entries]
-            while pending:
-                progressed = False
-                nxt = []
-                for sub, mult in pending:
-                    yield ("node", parent, sub)
-                    progressed = True
-                    if mult == OMEGA or mult > 1:
-                        nxt.append((sub, mult if mult == OMEGA else mult - 1))
-                pending = nxt
-                if not progressed:
-                    return
-        return gen()
-
-    def _child_producer(self, node_id):
-        template = self._template[node_id]
-
-        def gen():
-            entries = list(template.children)
-            stream = template.stream_children
-            pending = [(sub, mult) for sub, mult in entries]
-            idx = 0
-            while pending or stream is not None:
-                for sub, mult in list(pending):
-                    yield ("node", node_id, sub)
-                    pending.remove((sub, mult))
-                    if mult == OMEGA:
-                        pending.append((sub, OMEGA))
-                    elif mult > 1:
-                        pending.append((sub, mult - 1))
-                if stream is not None:
-                    p, shape = stream
-                    if p.eval(idx) == 0:
-                        yield ("node", node_id, shape)
-                    else:
-                        yield ("miss",)
-                    idx += 1
-        return gen()
-
-    def _create(self, parent, template):
-        node_id = len(self._parent)
-        self._parent.append(parent)
-        self._template.append(template)
-        self._producers.append(self._child_producer(node_id))
-        return node_id
-
-    def _poll_once(self):
-        """Advance the expansion by one producer step; True on progress."""
-        alive = [p for p in self._producers if p is not None]
-        if not alive:
-            return False
-        tried = 0
-        while tried < len(self._producers):
-            idx = self._cursor % len(self._producers)
-            self._cursor += 1
-            tried += 1
-            prod = self._producers[idx]
-            if prod is None:
-                continue
-            try:
-                item = next(prod)
-            except StopIteration:
-                self._producers[idx] = None
-                continue
-            if item[0] == "node":
-                self._create(item[1], item[2])
-            return True
-        return False
-
-    def _ensure(self, node_id):
-        while len(self._parent) <= node_id:
-            if not self._poll_once():
-                return False
-        return True
-
-    def vertex_count(self):
-        total = 0
-        for t, mult in self.cert_forest.trees:
-            total += t.node_count() if mult != OMEGA else OMEGA
-            if total == OMEGA:
-                return OMEGA
-        return total
-
-    def has_vertex(self, v):
-        count = self.vertex_count()
-        if count != OMEGA:
-            return v < count
-        return self._ensure(v)
-
-    def has_edge(self, a, b):
-        if a == b:
-            return False
-        count = self.vertex_count()
-        hi = max(a, b)
-        if count != OMEGA and hi >= count:
-            return False
-        if not self._ensure(hi):
-            return False
-        return self._parent[a] == b or self._parent[b] == a
-
-    def degree(self, v):
-        if not self.has_vertex(v):
-            raise BadParam("vertex %r absent" % v)
-        self._ensure(v)
-        template = self._template[v]
-        total = 0 if self._parent[v] is None else 1
-        for sub, mult in template.child_multiplicities():
-            if mult == OMEGA:
-                return OMEGA
-            total += mult
-        return total
-
-    def iter_vertices(self):
-        count = self.vertex_count()
-        v = 0
-        while count == OMEGA or v < count:
-            yield v
-            v += 1
-
-
 def forests_lift(arg, k=None):
     """Quantifier lift for forests.
 
@@ -272,7 +138,7 @@ def forests_lift(arg, k=None):
     """
     if isinstance(arg, CertifiedStream):
         root = CertTree(stream_children=(arg, CertTree()))
-        return ForestGraph(CertForest([(root, 1)]))
+        return ForestGraph([(root, 1)])
     trees = []
     for entry in arg:
         scale = 1
@@ -283,13 +149,12 @@ def forests_lift(arg, k=None):
             scale = OMEGA
         else:
             part = entry
-        forest = part.cert_forest
-        if k is not None and forest.height() > k:
+        if k is not None and part.height() > k:
             raise HeightExceeded(
-                "part of height %r exceeds bound %r" % (forest.height(), k))
-        children = [(sub, _mul(scale, m)) for sub, m in forest.trees]
+                "part of height %r exceeds bound %r" % (part.height(), k))
+        children = [(sub, _mul(scale, m)) for sub, m in part.trees]
         trees.append((CertTree(children=children), 1))
-    return ForestGraph(CertForest(trees))
+    return ForestGraph(trees)
 
 
 def p_complete_generator(level, membership, seed=0):

@@ -16,7 +16,8 @@ from functools import cached_property, partial
 
 from .errors import (BadParam, DegreeUnknown, NotATree, ParseError,
                      PreconditionUnverifiable, PromiseViolation)
-from .streams import GeneratorBacked, pair, unpair
+from .streams import (GeneratorBacked, infinitely_often, occurrences, pair,
+                      unpair)
 from .trees import (FiniteTree, FullBinary, SinglePath,
                     string_code, string_decode, comparable)
 
@@ -146,17 +147,9 @@ class FinGraph:
         return OMEGA
 
     def _printable(self):
-        """The sorted vertices; BadParam when one has more decimal digits
-        than Python turns into text (sys.get_int_max_str_digits; 0, or
-        no such function, means no limit)."""
+        """The sorted vertices; BadParam when one is too long to print."""
         vs = sorted(self.vertices)
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        top = vs[-1] if vs else 0
-        # a code of at most 3 * limit bits is below 10 ** limit
-        if limit and top.bit_length() > 3 * limit and top >= 10 ** limit:
-            raise BadParam("too long to print: a vertex code of %d bits has "
-                           "more than %d decimal digits"
-                           % (top.bit_length(), limit))
+        check_printable(vs[-1] if vs else 0)
         return vs
 
     def to_json(self):
@@ -178,6 +171,17 @@ class FinGraph:
         lines += ["  %d;" % v for v in self._printable()]
         lines += ["  %d -- %d;" % e for e in sorted(self.edges)]
         return "\n".join(lines + ["}"]) + "\n"
+
+
+def check_printable(top):
+    """BadParam when the vertex code `top` has more decimal digits than
+    Python turns into text (sys.get_int_max_str_digits; 0, or no such
+    function, means no limit)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # a code of at most 3 * limit bits is below 10 ** limit
+    if limit and top.bit_length() > 3 * limit and top >= 10 ** limit:
+        raise BadParam("too long to print: a vertex code of %d bits has "
+                       "more than %d decimal digits" % (top.bit_length(), limit))
 
 
 def distance(g, v, w):
@@ -269,11 +273,12 @@ class CountableGraph:
         The default scans the codes upward, so it yields increasing code
         order, and so do finite graphs, OmegaCopies and ConnectedUnion.
         Other orders exist: TreeAsGraph and Layered go breadth-first over
-        an infinite, finitely branching tree, TreeT and ForestF by growing
-        digit bound, and an infinite DisjointUnion merges its parts' orders
-        by code. Wherever lower_neighbors(v) is a list, every neighbour of
-        v yielded before v has a smaller code: a tree yields each parent
-        first, and the other orders are increasing or keep part orders."""
+        an infinite, finitely branching tree, a ForestGraph (TreeT, ForestF,
+        the forests gadget) goes by growing digit bound, and an infinite
+        DisjointUnion merges its parts' orders by code. Wherever
+        lower_neighbors(v) is a list, every neighbour of v yielded before v
+        has a smaller code: a tree yields each parent first, and the other
+        orders are increasing or keep part orders."""
         n = self.vertex_count()
         found = 0
         c = 0
@@ -472,87 +477,182 @@ def FullBinaryTreeGraph():
     return TreeAsGraph(FullBinary())
 
 
-def _by_digit_bound(depths):
-    """Codes of the strings with a length in `depths`, each once: those
-    with digits below n, for n = 1, 2, ..."""
-    seen = set()
-    for n in itertools.count(1):
-        for depth in depths:
-            for sigma in itertools.product(range(n), repeat=depth):
-                c = string_code(sigma)
-                if c not in seen:
-                    seen.add(c)
-                    yield c
+# ---------------------------------------------------------------------------
+# Certified forests: T_{2k+1}, F_{2k+2} and the forests gadget
+# ---------------------------------------------------------------------------
+
+class CertTree:
+    """Finitely described rooted tree: explicit children with multiplicities
+    in N ∪ {omega}, plus an optional stream-driven child family (one child
+    shaped `shape` for every index n with p(n) = 0)."""
+
+    def __init__(self, children=(), stream_children=None):
+        self.children = [(sub, mult) for sub, mult in children]
+        self.stream_children = stream_children  # (CertifiedStream, CertTree)
+
+    def child(self, d):
+        """The subtree at digit d, or None. With r child families (the
+        explicit ones in order, then the stream family), digit d is copy
+        d // r of family d % r: an explicit copy exists below its
+        multiplicity, stream copy n where p(n) = 0."""
+        r = len(self.children) + (self.stream_children is not None)
+        if not r:
+            return None
+        n, i = divmod(d, r)
+        if i < len(self.children):
+            sub, mult = self.children[i]
+            return sub if n < mult else None
+        p, shape = self.stream_children
+        return shape if p.eval(n) == 0 else None
+
+    def child_multiplicities(self):
+        """[(subtree, multiplicity)] with the stream family resolved via its
+        certificate."""
+        out = list(self.children)
+        if self.stream_children is not None:
+            p, shape = self.stream_children
+            if infinitely_often(p, 0):
+                out.append((shape, OMEGA))
+            else:
+                count = len(occurrences(p, 0))
+                if count:
+                    out.append((shape, count))
+        return out
+
+    def rank(self):
+        kids = [(sub.rank(), mult) for sub, mult in self.child_multiplicities()]
+        r = 0
+        while sum((mult for rk, mult in kids if rk >= r), 0) == OMEGA:
+            r += 1
+        return r
+
+    def count_rank_ge(self, k):
+        return (1 if self.rank() >= k else 0) + sum(
+            _mul(mult, sub.count_rank_ge(k))
+            for sub, mult in self.child_multiplicities())
+
+    def height(self):
+        return max((1 + sub.height() for sub, _ in self.child_multiplicities()),
+                   default=0)
+
+    def node_count(self):
+        return 1 + sum(_mul(mult, sub.node_count())
+                       for sub, mult in self.child_multiplicities())
 
 
-class TreeT(CountableGraph):
+class CertForest:
+    """A disjoint union of CertTrees with multiplicities."""
+
+    def __init__(self, trees):
+        self.trees = [(t, mult) for t, mult in trees]
+
+    def count_rank_ge(self, k):
+        return sum(_mul(mult, t.count_rank_ge(k)) for t, mult in self.trees)
+
+    def height(self):
+        return max((t.height() for t, _ in self.trees), default=0)
+
+
+def _chain_tree(k):
+    """The height-k tree with omega branching at every internal node."""
+    t = CertTree()
+    for _ in range(k):
+        t = CertTree(children=[(t, OMEGA)])
+    return t
+
+
+class ForestGraph(CertForest, CountableGraph):
+    """A certified forest as a graph: vertices are string codes, read
+    through CertTree.child, and edges are the parent links.
+
+    One tree of multiplicity 1 is coded from its root (). Otherwise the
+    trees hang under a root that is not a vertex, so the vertices are the
+    nonempty strings."""
+
+    def __init__(self, trees):
+        super().__init__(trees)
+        self._rooted = len(self.trees) == 1 and self.trees[0][1] == 1
+        self._root = self.trees[0][0] if self._rooted else CertTree(self.trees)
+
+    def _node(self, v):
+        """The subtree at code v, or None where v is not a vertex."""
+        sigma = string_decode(v)
+        node = self._root if sigma or self._rooted else None
+        for d in sigma:
+            node = node.child(d)
+            if node is None:
+                break
+        return node
+
+    def _parent(self, v):
+        p = unpair(v - 1)[0] if v else None
+        return p if p or self._rooted else None
+
+    def has_vertex(self, v):
+        return self._node(v) is not None
+
+    def has_edge(self, a, b):
+        a, b = min(a, b), max(a, b)
+        return b > 0 and self._parent(b) == a and self.has_vertex(b)
+
+    def degree(self, v):
+        node = self._node(v)
+        if node is None:
+            raise BadParam("vertex %r absent" % v)
+        kids = sum(mult for _, mult in node.child_multiplicities())
+        return kids + (0 if self._parent(v) is None else 1)
+
+    def lower_neighbors(self, v):
+        p = self._parent(v)
+        return [] if p is None else [p]
+
+    def vertex_count(self):
+        n = self._root.node_count()
+        return n if self._rooted else n - 1
+
+    def iter_vertices(self):
+        """By growing digit bound n = 1, 2, ...: for each length, the
+        strings with digits below n and one of them n - 1, in
+        lexicographic order; each parent comes before its children."""
+        depths = range(0 if self._rooted else 1, self._root.height() + 1)
+        codes = (c for n in itertools.count(1) for depth in depths
+                 for c in _bounded_codes(self._root, 0, depth, n, n == 1))
+        count = self.vertex_count()
+        return codes if count == OMEGA else itertools.islice(codes, count)
+
+
+def _bounded_codes(node, code, depth, n, fresh):
+    """Codes of the strings of length `depth` below `node` (coded `code`)
+    with digits below n, lexicographically; only those with a digit n - 1
+    unless `fresh`."""
+    if not depth:
+        if fresh:
+            yield code
+        return
+    for d in range(n):
+        sub = node.child(d)
+        if sub is not None:
+            yield from _bounded_codes(sub, pair(code, d) + 1, depth - 1, n,
+                                      fresh or d == n - 1)
+
+
+class TreeT(ForestGraph):
     """T_{2k+1}: the tree of height k, infinitely branching at every inner node."""
 
     def __init__(self, k):
         if k < 0:
             raise BadParam("TreeT needs k >= 0")
-        self.k = k
-
-    def has_vertex(self, v):
-        return len(string_decode(v)) <= self.k
-
-    def has_edge(self, a, b):
-        sa, sb = string_decode(a), string_decode(b)
-        if abs(len(sa) - len(sb)) != 1 or max(len(sa), len(sb)) > self.k:
-            return False
-        parent, child = (sa, sb) if len(sa) < len(sb) else (sb, sa)
-        return child[:-1] == parent
-
-    def degree(self, v):
-        d = len(string_decode(v))
-        kids = OMEGA if d < self.k else 0
-        return kids + (1 if d > 0 else 0)
-
-    lower_neighbors = TreeAsGraph.lower_neighbors
-
-    def vertex_count(self):
-        return 1 if self.k == 0 else OMEGA
-
-    def iter_vertices(self):
-        return iter([0]) if self.k == 0 else _by_digit_bound(range(self.k + 1))
+        super().__init__([(_chain_tree(k), 1)])
 
 
-class ForestF(CountableGraph):
-    """F_{2k+2}: infinitely many disjoint copies of T_{2k+1}.
-
-    Coded as the nonempty strings of length ≤ k+1 (the depth-1 nodes of the
-    height-(k+1) tree are the roots of the copies).
-    """
+class ForestF(ForestGraph):
+    """F_{2k+2}: infinitely many disjoint copies of T_{2k+1}, coded as the
+    nonempty strings of length ≤ k+1."""
 
     def __init__(self, k):
         if k < 0:
             raise BadParam("ForestF needs k >= 0")
-        self.k = k
-
-    def has_vertex(self, v):
-        return 1 <= len(string_decode(v)) <= self.k + 1
-
-    def has_edge(self, a, b):
-        sa, sb = string_decode(a), string_decode(b)
-        if abs(len(sa) - len(sb)) != 1:
-            return False
-        parent, child = (sa, sb) if len(sa) < len(sb) else (sb, sa)
-        return len(parent) >= 1 and len(child) <= self.k + 1 and child[:-1] == parent
-
-    def degree(self, v):
-        d = len(string_decode(v))
-        kids = OMEGA if d < self.k + 1 else 0
-        return kids + (1 if d > 1 else 0)
-
-    def lower_neighbors(self, v):
-        parent = unpair(v - 1)[0]
-        return [parent] if parent else []
-
-    def vertex_count(self):
-        return OMEGA
-
-    def iter_vertices(self):
-        return _by_digit_bound(range(1, self.k + 2))
+        super().__init__([(_chain_tree(k), OMEGA)])
 
 
 class OmegaCopies(CountableGraph):
@@ -820,11 +920,11 @@ def _code_order(p):
     """The vertices of p in increasing code order, taken from p itself: by
     a heap popped from the root of a finitely branching tree (a child's
     code exceeds its parent's), by merging a disjoint union's parts, by a
-    code scan for TreeT and ForestF, and else in p's own order."""
+    code scan for a ForestGraph, and else in p's own order."""
     if isinstance(p, DisjointUnion):
         yield from heapq.merge(*(map(partial(pair, i), _code_order(q))
                                  for i, q in enumerate(p.parts)))
-    elif isinstance(p, (TreeT, ForestF)):
+    elif isinstance(p, ForestGraph):
         yield from CountableGraph.iter_vertices(p)
     elif not (isinstance(p, (TreeAsGraph, Layered))
               and p.tree.finitely_branching):

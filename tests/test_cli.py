@@ -343,6 +343,21 @@ class TestInternalErrors:
                                 "of 118714 bits has more than %d decimal "
                                 "digits\n" % sys.get_int_max_str_digits())
 
+    @pytest.mark.parametrize("command", [["decide"],
+                                         ["search", "--solver", "finds"]])
+    def test_witness_too_long_to_print_is_refused(self, capsys, command):
+        """Eight disjoint edges map onto window codes past the int-to-text
+        limit: the report is refused with a BadParam, not printed."""
+        code = cli.main(command + ["--pattern", "du(%s)" % ",".join(["k2"] * 8),
+                                   "--host", "egr:l1(path(ec:[0];1),omega(k2))",
+                                   "--fuel", "30"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == ("BadParam: too long to print: a vertex code "
+                                "of 29680 bits has more than %d decimal "
+                                "digits\n" % sys.get_int_max_str_digits())
+
 
 _HOST = (st.builds("{}:{}".format, st.sampled_from(["gr", "egr"]),
                    _infinite(2) | _FINITE)

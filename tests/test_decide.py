@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from helpers import random_fin_graph
 
+from streamgraphs import cli
 from streamgraphs import decide as D
 from streamgraphs import graphs as G
 from streamgraphs import spaces as SP
@@ -126,6 +128,29 @@ class TestFinSubgraph:
         monkeypatch.setattr(D, "_extend", counting)
         assert D.fin_subgraph(pattern, fin) is None
         assert D.fin_subgraph(pattern, fin, induced=True) is None
+        assert calls == []
+
+    def test_more_pattern_edges_than_host_edges_backtracks_nowhere(
+            self, monkeypatch, capsys):
+        """Ten disjoint edges do not fit a 21-vertex window with 9 edges:
+        the edge count answers before any search, and decide is unknown."""
+        host = "egr:l1(path(ec:[0];1),omega(k2))"
+        fin = SP.truncate(specs.parse_name(host), 30)
+        assert (len(fin.vertices), len(fin.edges)) == (21, 9)
+        calls = []
+        extend = D._extend
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return extend(*args, **kwargs)
+
+        monkeypatch.setattr(D, "_extend", counting)
+        pattern = "du(%s)" % ",".join(["k2"] * 10)
+        assert D.fin_subgraph(specs.parse_pattern(pattern), fin) is None
+        code = cli.main(["decide", "--pattern", pattern, "--host", host,
+                         "--fuel", "30"])
+        assert code == 2
+        assert json.loads(capsys.readouterr().out)["verdict"] == "unknown"
         assert calls == []
 
 
@@ -258,7 +283,7 @@ class TestPredicateTF:
 class TestCertForest:
     def test_rank_of_chain(self):
         for kk in range(4):
-            assert D._chain_tree(kk).rank() == kk
+            assert G._chain_tree(kk).rank() == kk
 
     def test_stream_children_certificate(self):
         leaf = D.CertTree()
@@ -269,7 +294,7 @@ class TestCertForest:
         assert fin.node_count() == 4
 
     def test_counting(self):
-        t = D._chain_tree(2)
+        t = G._chain_tree(2)
         forest = D.CertForest([(t, 1)])
         assert forest.count_rank_ge(2) == 1
         assert forest.count_rank_ge(1) == D.OMEGA

@@ -149,16 +149,21 @@ class TestSigma2:
 
 class TestForestsLift:
     def test_base_infinite_zeros(self):
+        # the root is (); the leaf for p(n) = 0 is the string (n,)
         f = GD.forests_lift(Periodic([], [0, 1]))
+        leaves = [T.string_code((n,)) for n in (0, 2, 4)]
+        assert leaves == [1, 6, 15]
         assert f.vertex_count() == G.OMEGA
         assert f.degree(0) == G.OMEGA
-        assert f.has_edge(0, 1) and f.has_edge(0, 2)
-        assert not f.has_edge(1, 2)
+        assert all(f.has_edge(0, c) for c in leaves)
+        assert not f.has_edge(1, 6)
+        assert not f.has_vertex(T.string_code((1,)))
 
     def test_base_finite_zeros(self):
         f = GD.forests_lift(EventuallyConstant([0, 0], 1))
         assert f.vertex_count() == 3
-        assert f.has_vertex(2) and not f.has_vertex(3)
+        assert [v for v in range(50) if f.has_vertex(v)] == [0, 1, 3]
+        assert list(f.iter_vertices()) == [0, 1, 3]
         assert f.degree(0) == 2
         assert f.degree(1) == 1
 

@@ -1,12 +1,13 @@
 import itertools
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from streamgraphs import graphs as G
 from streamgraphs import specs
 from streamgraphs import trees as T
 from streamgraphs.errors import BadParam, DegreeUnknown, NotATree
-from streamgraphs.streams import EventuallyConstant, pair
+from streamgraphs.streams import EventuallyConstant, Periodic, pair
 
 
 def k(n):
@@ -166,6 +167,123 @@ class TestVertexOrder:
     def test_infinite_connected_union(self, g):
         want = list(itertools.islice(G.CountableGraph.iter_vertices(g), 8))
         assert list(itertools.islice(g.iter_vertices(), 8)) == want
+
+
+_MULT = st.sampled_from([1, 2, 3, G.OMEGA])
+_BITS = st.lists(st.integers(0, 1), max_size=3)
+_STREAM = (st.builds(EventuallyConstant, _BITS, st.integers(0, 1))
+           | st.builds(Periodic, _BITS,
+                       st.lists(st.integers(0, 1), min_size=1, max_size=3)))
+
+
+def _cert_trees(height):
+    """CertTrees of height <= `height`: up to two explicit child families
+    and an optional stream family."""
+    if height == 0:
+        return st.just(G.CertTree())
+    sub = _cert_trees(height - 1)
+    return st.builds(G.CertTree, st.lists(st.tuples(sub, _MULT), max_size=2),
+                     st.none() | st.tuples(_STREAM, sub))
+
+
+_FORESTS = (st.builds(lambda t: [(t, 1)], _cert_trees(3))
+            | st.lists(st.tuples(_cert_trees(3), _MULT), max_size=3))
+
+
+def _expansion(trees):
+    """The forest with every certified multiplicity spelt out, on the
+    vertices 0, 1, ... in depth-first order."""
+    vertices, edges = [], []
+
+    def grow(t, parent):
+        v = len(vertices)
+        vertices.append(v)
+        if parent is not None:
+            edges.append((parent, v))
+        for sub, mult in t.child_multiplicities():
+            for _ in range(mult):
+                grow(sub, v)
+
+    for t, mult in trees:
+        for _ in range(mult):
+            grow(t, None)
+    return G.FinGraph(vertices, edges)
+
+
+def _forest_form(fin):
+    """A canonical form of an acyclic FinGraph: each component's nested
+    parentheses from a centre, the least over its centres, sorted."""
+    def form(v, parent):
+        return "(%s)" % "".join(sorted(form(w, v) for w in fin.adjacency[v]
+                                       if w != parent))
+
+    out = []
+    for comp in fin.components():
+        left = set(comp)
+        while len(left) > 2:
+            left -= {v for v in left if len(fin.adjacency[v] & left) <= 1}
+        out.append(min(form(v, None) for v in left))
+    return sorted(out)
+
+
+def _by_digit_bound(depths):
+    """The strings with a length in `depths` by growing digit bound n: for
+    each length, those with digits below n in lexicographic order, each
+    the first time it shows."""
+    seen = set()
+    for n in itertools.count(1):
+        for depth in depths:
+            for sigma in itertools.product(range(n), repeat=depth):
+                if sigma not in seen:
+                    seen.add(sigma)
+                    yield T.string_code(sigma)
+
+
+class TestForestGraph:
+    @settings(max_examples=150, deadline=None)
+    @given(_FORESTS)
+    def test_random_forests(self, trees):
+        """A finite forest is its expansion; in every forest each parent
+        comes before its children and has the smaller code."""
+        f = G.ForestGraph(trees)
+        n = f.vertex_count()
+        assume(n == G.OMEGA or n <= 60)
+        if n != G.OMEGA:
+            fin = f.materialize()
+            assert len(fin.vertices) == n and fin.is_acyclic()
+            assert _forest_form(fin) == _forest_form(_expansion(trees))
+        rooted = len(trees) == 1 and trees[0][1] == 1
+        seen = set()
+        for v in itertools.islice(f.iter_vertices(), 60):
+            sigma = T.string_decode(v)
+            assert v not in seen and f.has_vertex(v)
+            if len(sigma) > (0 if rooted else 1):
+                parent = T.string_code(sigma[:-1])
+                assert parent in seen and parent < v
+                assert f.has_edge(parent, v)
+            seen.add(v)
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_tree_and_forest_families(self, k):
+        """T_{2k+1} is the strings of length <= k and F_{2k+2} the
+        nonempty ones of length <= k + 1, joined by parent links and
+        listed by growing digit bound."""
+        for g, lengths in ((G.TreeT(k), range(k + 1)),
+                           (G.ForestF(k), range(1, k + 2))):
+            codes = [c for c in range(5000)
+                     if len(T.string_decode(c)) in lengths]
+            assert [c for c in range(5000) if g.has_vertex(c)] == codes
+            for c in codes:
+                sigma = T.string_decode(c)
+                up = T.string_code(sigma[:-1])
+                linked = len(sigma) > lengths[0]
+                assert g.lower_neighbors(c) == ([up] if linked else [])
+                assert g.has_edge(up, c) == linked
+                assert g.degree(c) == ((G.OMEGA if len(sigma) < lengths[-1]
+                                        else 0) + linked)
+            first = min(400, g.vertex_count())  # T_1 is one vertex
+            want = list(itertools.islice(_by_digit_bound(lengths), first))
+            assert list(itertools.islice(g.iter_vertices(), 400)) == want
 
 
 class TestExactDegrees:

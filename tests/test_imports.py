@@ -1,5 +1,6 @@
 """No module of the package imports a name at module level that it never
-uses. `__init__.py` re-exports, and a line marked `# noqa` is exempt."""
+uses. `__init__.py` re-exports, and a line marked `# noqa` is exempt.
+Every exception class of `errors.py` is named by another module."""
 
 import ast
 import pathlib
@@ -30,6 +31,23 @@ def unused_imports(text):
     return out
 
 
+def unnamed_classes(defining, others):
+    """The classes defined at the top of the text `defining` that none of
+    the texts `others` names, as a name, an imported name or an
+    attribute."""
+    named = set()
+    for text in others:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    return [node.name for node in ast.parse(defining).body
+            if isinstance(node, ast.ClassDef) and node.name not in named]
+
+
 def test_checker_finds_unused_names():
     text = ("import os\nimport sys  # noqa\n"
             "from json import (dumps,\n    loads)\n"
@@ -46,3 +64,22 @@ def test_every_module_is_checked():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_checker_finds_unnamed_classes():
+    defining = ("class Base(Exception):\n    pass\n"
+                "class Imported(Base):\n    pass\n"
+                "class Attribute(Base):\n    pass\n"
+                "class Dead(Base):\n    pass\n")
+    others = ["from .errors import Imported as I\n",
+              "from . import errors\ndef f():\n"
+              "    try:\n        raise errors.Attribute()\n"
+              "    except Base:\n        pass\n"]
+    assert unnamed_classes(defining, others) == ["Dead"]
+
+
+def test_every_error_class_is_named():
+    others = [p.read_text(encoding="utf-8")
+              for p in PACKAGE.glob("*.py") if p.name != "errors.py"]
+    errors = (PACKAGE / "errors.py").read_text(encoding="utf-8")
+    assert unnamed_classes(errors, others) == []
