@@ -7,8 +7,6 @@ Refutations are only issued with a finiteness certificate; fuel exhaustion
 alone yields Unknown.
 """
 
-import itertools
-
 from .errors import (BadParam, DegreeUnknown, PredicateUnsupported,
                      PromiseViolation, UndecidableWithoutCertificate)
 from .graphs import (OMEGA, CertForest, CertTree, CompleteN, CountableGraph,
@@ -102,45 +100,56 @@ def embeddings(g, h, induced=False, exclude=()):
     test or has too few neighbours to extend, so the order of the hits is
     that of the exhaustive search.
     """
-    return _extend(g, h.adjacency, sorted(g.vertices), {}, exclude, induced)
+    return _extend(_tables(g, sorted(g.vertices), induced), h.adjacency, (),
+                   exclude)
 
 
-def _extend(g, hadj, order, start, exclude=(), induced=False, near=None):
-    """Every extension of the partial embedding `start` (trusted as given)
-    to the pattern vertices of `order`, placed in that order with the
-    candidate rules of `embeddings`, as a dict; the images of `order` come
-    in lexicographic order. A vertex without mapped neighbours draws its
-    candidates from near(v), a sorted list of host vertices, where that
-    is not None, else from every host vertex."""
-    gs = list(start) + list(order)
+def _tables(g, gs, induced):
+    """`_extend`'s tables for placing the pattern vertices gs in order: gs,
+    their degrees, and where in gs their earlier neighbours and (when
+    induced) earlier non-neighbours are."""
+    gadj = g.adjacency
+    return (gs, [len(gadj[v]) for v in gs],
+            [[j for j in range(i) if gs[j] in gadj[v]]
+             for i, v in enumerate(gs)],
+            [[j for j in range(i) if gs[j] not in gadj[v]] if induced else []
+             for i, v in enumerate(gs)])
+
+
+def _extend(tables, hadj, start, exclude=(), near=None):
+    """Every extension, as a dict, of the map of the first len(start)
+    vertices of the order of `tables` onto the host vertices `start` (trusted
+    as given), placing the rest in turn with the candidate rules of
+    `embeddings`; the images come in lexicographic order. A vertex without
+    mapped neighbours draws its candidates from near(v), a sorted list of
+    host vertices, where that is not None, else from every host vertex (the
+    first one placed reads them once, so lazily)."""
+    gs, need, mapped_nbrs, mapped_non = tables
     n = len(gs)
     k = len(start)
-    gadj = g.adjacency
     if n > len(hadj):
         return
     if n == k:
-        yield dict(start)
+        yield dict(zip(gs, start))
         return
-    need = [len(gadj[v]) for v in gs]
-    mapped_nbrs = [[j for j in range(i) if gs[j] in gadj[v]]
-                   for i, v in enumerate(gs)]
-    mapped_non = [[j for j in range(i) if gs[j] not in gadj[v]]
-                  if induced else [] for i, v in enumerate(gs)]
     free = {}
-    image = list(start.values())
+    image = list(start)
     used = set(image)
 
     def candidates(i):
         blocked = used.union(*[hadj[image[j]] for j in mapped_non[i]])
         nbrs = mapped_nbrs[i]
         if not nbrs:
-            if i not in free:
+            pool = free.get(i)
+            if pool is None:
                 pool = near(gs[i]) if near else None
-                if pool is None:
-                    pool = sorted(hadj)
-                free[i] = [u for u in pool
-                           if len(hadj[u]) >= need[i] and u not in exclude]
-            return iter([u for u in free[i] if u not in blocked])
+                d = need[i]
+                pool = (u for u in (sorted(hadj) if pool is None else pool)
+                        if len(hadj[u]) >= d and u not in exclude)
+                if i == k:
+                    return (u for u in pool if u not in blocked)
+                pool = free[i] = list(pool)
+            return iter([u for u in pool if u not in blocked])
         common = set.intersection(*[hadj[image[j]] for j in nbrs])
         if exclude:
             common.difference_update(exclude)
@@ -165,35 +174,30 @@ def _extend(g, hadj, order, start, exclude=(), induced=False, near=None):
             stack.append(candidates(len(image)))
 
 
-def least_new_embedding(g, h, vertices, edges, exclude=()):
-    """The least embedding of g into h, in the order of `embeddings`, that
-    maps some pattern vertex onto one of the host `vertices` or some
-    pattern edge onto one of the host `edges`, avoiding `exclude`; or None.
+class Plan:
+    """A pattern set up once per solver call for the first-hit searches of
+    all its stages: the sorted vertices, the vertex and edge pins with their
+    degrees, and per pin set `_extend`'s tables and the pattern distances."""
 
-    When h grew from an earlier graph by exactly those vertices and edges,
-    these are the embeddings the earlier graph lacks. Each anchor (every
-    pattern vertex on every new vertex, every pattern edge on every new
-    edge in both orientations) is pinned, and the other pattern vertices
-    are placed in sorted order; one at pattern distance d from the anchor
-    lies within host distance d of its image, which keeps the search near
-    the anchor. The answer is the least first hit over all anchors.
-    """
-    hadj, gadj = h.adjacency, g.adjacency
-    gs = sorted(g.vertices)
-    both = [e for x, y in edges for e in ((x, y), (y, x))]
-    anchors = itertools.chain(
-        (((p,), (u,)) for p in gs for u in vertices),
-        ((e, f) for e in sorted(g.edges) for f in both))
-    plans = {}   # pins -> (other vertices, pattern distance from the pins)
-    best = None
-    for pins, images in anchors:
-        if any(u in exclude or len(hadj[u]) < len(gadj[p])
-               for p, u in zip(pins, images)):
-            continue
-        if pins not in plans:
-            plans[pins] = ([v for v in gs if v not in pins],
-                           _distances(gadj, pins))
-        order, dist = plans[pins]
+    def __init__(self, g):
+        self.g, gadj = g, g.adjacency
+        self.vertices = sorted(g.vertices)
+        self.pins = [((v,), len(gadj[v])) for v in self.vertices]
+        self.edge_pins = [((a, b), len(gadj[a]), len(gadj[b]))
+                          for a, b in sorted(g.edges)]
+        self._pinned = {}   # pins -> (tables, distances from the pins)
+
+    def first(self, hadj, pins=(), images=(), exclude=()):
+        """The first embedding in the order of `embeddings` that maps the
+        pattern vertices `pins` onto the host vertices `images` and avoids
+        `exclude`, or None. A vertex at pattern distance d from the pins
+        lies within host distance d of their images."""
+        got = self._pinned.get(pins)
+        if got is None:
+            order = list(pins) + [v for v in self.vertices if v not in pins]
+            got = self._pinned[pins] = (_tables(self.g, order, False),
+                                        _distances(self.g.adjacency, pins))
+        tables, dist = got
         ball = {}
 
         def near(v):
@@ -203,13 +207,38 @@ def least_new_embedding(g, h, vertices, edges, exclude=()):
                 ball.update(_distances(hadj, images, max(dist.values())))
             return sorted(u for u, d in ball.items() if d <= dist[v])
 
-        hit = next(_extend(g, hadj, order, dict(zip(pins, images)), exclude,
-                           near=near), None)
-        if hit is not None:
-            key = [hit[v] for v in gs]
-            if best is None or key < best:
-                best = key
-    return None if best is None else dict(zip(gs, best))
+        return next(_extend(tables, hadj, images, exclude, near), None)
+
+
+def least_new_embedding(plan, h, vertices, edges, exclude=()):
+    """The least embedding of the plan's pattern into h, in the order of
+    `embeddings`, that maps some pattern vertex onto one of the host
+    `vertices` or some pattern edge onto one of the host `edges`, avoiding
+    `exclude`; or None. When h grew from an earlier graph by exactly those
+    vertices and edges, these are the embeddings the earlier graph lacks.
+
+    The answer is the least first hit (`Plan.first`) over the anchors: every
+    pattern vertex on every new vertex and every pattern edge on every new
+    edge in both orientations, where the images avoid `exclude` and have the
+    degrees of their pins."""
+    hadj, first = h.adjacency, plan.first
+    hits = []
+    for pins, d in plan.pins:
+        for u in vertices:
+            if len(hadj[u]) >= d and u not in exclude:
+                hits.append(first(hadj, pins, (u,), exclude))
+    for pins, da, db in plan.edge_pins:
+        for x, y in edges:
+            if x in exclude or y in exclude:
+                continue
+            dx, dy = len(hadj[x]), len(hadj[y])
+            if dx >= da and dy >= db:
+                hits.append(first(hadj, pins, (x, y), exclude))
+            if dy >= da and dx >= db:
+                hits.append(first(hadj, pins, (y, x), exclude))
+    gs = plan.vertices
+    keys = [[hit[v] for v in gs] for hit in hits if hit is not None]
+    return dict(zip(gs, min(keys))) if keys else None
 
 
 def _distances(adj, sources, radius=None):

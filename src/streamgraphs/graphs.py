@@ -298,10 +298,20 @@ class CountableGraph:
         return self.window(int(n))
 
     def window(self, k):
-        """Induced FinGraph on the first k enumerated vertices."""
+        """Induced FinGraph on the first k enumerated vertices. A vertex
+        whose lower neighbours are listed takes its edges to smaller codes
+        from that list; any other one is tested against every smaller code
+        of the window."""
         vs = self.first_vertices(k)
-        return FinGraph(vs, [(a, b) for a, b in itertools.combinations(vs, 2)
-                             if self.has_edge(a, b)])
+        members = set(vs)
+        es = []
+        for b in vs:
+            lower = self.lower_neighbors(b)
+            if lower is None:
+                es += [(a, b) for a in vs if a < b and self.has_edge(a, b)]
+            else:
+                es += [(a, b) for a in lower if a in members]
+        return FinGraph(vs, es)
 
 
 class Finite(CountableGraph):

@@ -5,7 +5,7 @@ constructive strategy appropriate to each pattern shape."""
 import functools
 import itertools
 
-from .decide import embeddings, least_new_embedding, predicate_tf
+from .decide import Plan, embeddings, least_new_embedding, predicate_tf
 from .errors import (BadParam, CensusUnstable, DegreeUnknown, FuelExhausted,
                      NoInfiniteDegreeVertex, OracleRefused, PatternNeverSeen,
                      PredicateUnsupported, PromiseViolation)
@@ -44,15 +44,28 @@ def find_s_finite(g, host, fuel=None):
     """Stage-search the host prefixes for the first subgraph embedding of
     the finite pattern g, then freeze it: the least embedding of the first
     stage that holds one. Every embedding of that stage is new there, so
-    each stage searches only the embeddings that use what it added."""
+    each stage searches only the embeddings that use what it added.
+
+    g has no copy while one of its components has none, so for a
+    disconnected g a stage answers None without a joint search until each
+    component has shown a copy, found by the same search on the component.
+    At the first stage where every one has, g had no copy the stage before,
+    so the joint search of what that stage added misses none of g's."""
     view = HostView(host)
+    plan = Plan(g)
+    parts = g.components()
+    waiting = [Plan(g.induced(c)) for c in parts] if len(parts) > 1 else []
     s, hit = 0, None
     while hit is None:
         s += 1
         if fuel is not None and s > fuel:
             raise FuelExhausted("no copy found", spent=fuel)
         vs, es = view.added(s - 1, s)
-        hit = least_new_embedding(g, view, vs, es) if g.vertices else {}
+        if waiting:
+            waiting = [p for p in waiting
+                       if least_new_embedding(p, view, vs, es) is None]
+        if not waiting:
+            hit = least_new_embedding(plan, view, vs, es) if parts else {}
     return SolutionStream(_copy_name(g, hit), hit)
 
 
@@ -144,6 +157,7 @@ class _ComponentsMachine:
             [(pair(i, a), pair(i, b))
              for i, part in enumerate(self.exceptional)
              for a, b in part.edges])
+        self.plans = {comp: Plan(comp) for comp in [self.big] + self.recurring}
         # pattern -> a stage whose unclaimed part held no copy of it
         self.empty_at = {}
 
@@ -162,12 +176,12 @@ class _ComponentsMachine:
         Claims only remove vertices, so a copy that was already there at a
         stage that held none is impossible: after such a stage, only copies
         that use what arrived since are searched."""
-        since = self.empty_at.pop(comp, None)
+        since, plan = self.empty_at.pop(comp, None), self.plans[comp]
         if since is None:
-            emb = next(embeddings(comp, self.view, exclude=self.used), None)
+            emb = plan.first(self.view.adjacency, exclude=self.used)
         else:
             vs, es = self.view.added(since, self.fuel)
-            emb = least_new_embedding(comp, self.view, vs, es, self.used)
+            emb = least_new_embedding(plan, self.view, vs, es, self.used)
         if emb is None:
             self.empty_at[comp] = self.fuel
         return emb
@@ -288,7 +302,7 @@ def ray_follow(kind, host, fuel=2000, steps=10):
             core = FinGraph(range(size),
                             [(a, b) for a in range(size)
                              for b in range(a + 1, size)])
-        pend = FinGraph(range(size + 1), list(core.edges) + [(0, size)])
+        pend = Plan(FinGraph(range(size + 1), list(core.edges) + [(0, size)]))
 
         def find_pendant(s):
             return least_new_embedding(pend, view, *delta(s))

@@ -184,6 +184,94 @@ def _cored_host(rng):
     return G.FinGraph(labels, [(labels[a], labels[b]) for a, b in es])
 
 
+def _growth(rng, h):
+    """h as the last of 1-3 graphs, each grown from the one before by some
+    vertices and edges: [(graph, graph before, new vertices, new edges)],
+    the new ones shuffled and each edge in a random orientation."""
+    stages = []
+    for _ in range(rng.randrange(1, 4)):
+        vs = set(rng.sample(sorted(h.vertices), len(h.vertices) // 2))
+        es = [e for e in h.edges if set(e) <= vs and rng.random() < 0.7]
+        stages.append(G.FinGraph(vs, es))
+    stages.sort(key=lambda f: (len(f.vertices), len(f.edges)))
+    out, before = [], G.FinGraph([])
+    for f in stages + [h]:
+        f = G.FinGraph(f.vertices | before.vertices, f.edges | before.edges)
+        vs = sorted(f.vertices - before.vertices)
+        es = [(b, a) if rng.random() < 0.5 else (a, b)
+              for a, b in sorted(f.edges - before.edges)]
+        rng.shuffle(vs)
+        rng.shuffle(es)
+        out.append((f, before, vs, es))
+        before = f
+    return out
+
+
+def _naive_least_new(g, h, before, exclude):
+    """The least embedding of g into h that avoids `exclude` and is not
+    one into `before`, by brute force."""
+    for m in _naive_embeddings(g, h):
+        if exclude.isdisjoint(m.values()) and not (
+                set(m.values()) <= before.vertices
+                and all(before.has_edge(m[a], m[b]) for a, b in g.edges)):
+            return m
+    return None
+
+
+def _delta_pattern(rng):
+    """A random graph or a random tree (which has edges between vertices
+    of different degrees) on 1-4 vertices, on non-contiguous labels."""
+    if rng.random() < 0.5:
+        return random_fin_graph(rng, min_v=1, max_v=4, density=rng.random())
+    n = rng.randrange(2, 5)
+    labels = rng.sample(range(3 * n), n)
+    return G.FinGraph(labels, [(labels[rng.randrange(v)], labels[v])
+                               for v in range(1, n)])
+
+
+def _one_sided(g, h, edges):
+    """Whether some pattern edge fits only one orientation of some of the
+    host `edges` by the degrees of their ends."""
+    gd = {v: len(g.adjacency[v]) for v in g.vertices}
+    hd = {v: len(h.adjacency[v]) for v in h.vertices}
+    return any((hd[x] >= gd[a] and hd[y] >= gd[b])
+               != (hd[y] >= gd[a] and hd[x] >= gd[b])
+               for a, b in g.edges for x, y in edges)
+
+
+class TestLeastNewEmbedding:
+    """The delta search of the stage loops against the brute-force oracle,
+    with one plan for every stage of a growing host."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2 ** 32))
+    def test_matches_naive(self, seed):
+        rng = random.Random(seed)
+        g = _delta_pattern(rng)
+        plan = D.Plan(g)
+        for h, before, vs, es in _growth(rng, _cored_host(rng)):
+            exclude = set(rng.sample(sorted(h.vertices),
+                                     rng.randrange(min(3, len(h.vertices)))))
+            got = D.least_new_embedding(plan, h, vs, es, exclude)
+            assert got == _naive_least_new(g, h, before, exclude)
+
+    def test_cases_reach_exclusions_and_one_sided_edges(self):
+        """The generator above excludes vertices of hits and brings new
+        edges that only one orientation of a pattern edge fits."""
+        one_sided = excluded_hit = 0
+        for seed in range(200):
+            rng = random.Random(seed)
+            g = _delta_pattern(rng)
+            for h, before, vs, es in _growth(rng, _cored_host(rng)):
+                exclude = set(rng.sample(
+                    sorted(h.vertices), rng.randrange(min(3, len(h.vertices)))))
+                hit = _naive_least_new(g, h, before, set())
+                excluded_hit += (hit is not None
+                                 and not exclude.isdisjoint(hit.values()))
+                one_sided += hit is not None and _one_sided(g, h, es)
+        assert one_sided > 40 and excluded_hit > 100
+
+
 class TestSemidecide:
     def test_k2_in_c3_enumeration(self):
         host = SP.name_of("EGr", c(3))

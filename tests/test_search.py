@@ -8,6 +8,7 @@ from helpers import (random_fin_graph, reference_co_enum,
                      reference_components, reference_find_s_finite,
                      reference_ray_follow, reference_restrict_to_connected)
 
+from streamgraphs import decide as D
 from streamgraphs import graphs as G
 from streamgraphs import search as S
 from streamgraphs import spaces as SP
@@ -117,6 +118,59 @@ class TestFindSFinite:
         sol = S.find_s_finite(specs.parse_pattern("du(k1,r3)"),
                               specs.parse_name("gr:fbt"), fuel=20)
         assert sol.inclusion == {0: 2, 1: 1, 4: 0, 8: 3}
+
+    @staticmethod
+    def _pattern_setups(monkeypatch):
+        """Record the pattern-side setup of the searches (the placement
+        orders given to `_tables`, the pins given to `_distances` on a
+        pattern adjacency, as host balls pass a radius) and count the
+        searches (`_extend` calls)."""
+        orders, pins, searches = [], [], []
+        tables, distances, extend = D._tables, D._distances, D._extend
+
+        def counting_tables(g, gs, induced):
+            orders.append(tuple(gs))
+            return tables(g, gs, induced)
+
+        def counting_distances(adj, sources, radius=None):
+            if radius is None:
+                pins.append((id(adj), tuple(sources)))
+            return distances(adj, sources, radius)
+
+        def counting_extend(*args):
+            searches.append(len(args[0][0]))
+            return extend(*args)
+
+        monkeypatch.setattr(D, "_tables", counting_tables)
+        monkeypatch.setattr(D, "_distances", counting_distances)
+        monkeypatch.setattr(D, "_extend", counting_extend)
+        return orders, pins, searches
+
+    @pytest.mark.parametrize("pattern, host, fuel", [
+        ("k3", "egr:omega(c5)", 48), ("c4", "egr:omega(c5)", 60),
+        ("r4", "egr:omega(k3)", 60), ("du(k2,c3)", "egr:omega(c4)", 60)])
+    def test_each_pin_set_is_set_up_once(self, monkeypatch, pattern, host,
+                                         fuel):
+        """One plan serves every stage: each pin set's order, tables and
+        distances are built once, however many searches pin it."""
+        orders, pins, searches = self._pattern_setups(monkeypatch)
+        try:
+            S.find_s_finite(specs.parse_pattern(pattern),
+                            specs.parse_name(host), fuel)
+        except FuelExhausted:
+            pass
+        assert len(set(orders)) == len(orders) == len(pins) == len(set(pins))
+        assert len(searches) > 3 * len(orders) > 0
+
+    def test_absent_component_stops_the_joint_search(self, monkeypatch):
+        """du(k1,c3) on a path: c3 never shows, so no stage searches the
+        whole pattern, and the work is that of k1 and c3 alone."""
+        orders, _, searches = self._pattern_setups(monkeypatch)
+        g = specs.parse_pattern("du(k1,c3)")
+        with pytest.raises(FuelExhausted):
+            S.find_s_finite(g, specs.parse_name("egr:l"), 200)
+        assert searches
+        assert max(searches + [len(gs) for gs in orders]) < len(g.vertices)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 2 ** 32))

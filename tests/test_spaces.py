@@ -200,6 +200,19 @@ class TestLowerNeighbors:
                 assert sorted(lower) == [w for w in below
                                          if w < v and g.has_edge(v, w)]
 
+    @settings(max_examples=150, deadline=None)
+    @given(_infinite(2) | _parts(_SMALL).map("du({})".format)
+           | _parts(_FINITE).map("cu({})".format), st.integers(0, 30))
+    def test_window_is_pairwise(self, text, k):
+        """window(k), which takes edges from the lists of lower neighbours,
+        is the graph of has_edge on every pair of the first k vertices."""
+        g = specs.parse_graph(text)
+        # path codes grow doubly exponentially with depth
+        vs = g.first_vertices(min(k, 8) if "path(" in text else k)
+        want = G.FinGraph(vs, [(a, b) for a, b in itertools.combinations(vs, 2)
+                               if g.has_edge(a, b)])
+        assert g.window(len(vs)) == want
+
     @pytest.mark.parametrize("text", ["fbt", "t3", "l1(fulltree,l)"])
     def test_tree_names_call_no_tree_has_edge(self, monkeypatch, text):
         calls = []
