@@ -395,6 +395,9 @@ class CompleteOmega(CountableGraph):
     def degree(self, v):
         return OMEGA
 
+    def lower_neighbors(self, v):
+        return list(range(v))
+
     def vertex_count(self):
         return OMEGA
 
@@ -481,10 +484,6 @@ class TreeAsGraph(CountableGraph):
             return
         # diagonal scan over codes
         yield from CountableGraph.iter_vertices(self)
-
-
-def FullBinaryTreeGraph():
-    return TreeAsGraph(FullBinary())
 
 
 # ---------------------------------------------------------------------------
@@ -634,12 +633,12 @@ class ForestGraph(CertForest, CountableGraph):
 def _bounded_codes(node, code, depth, n, fresh):
     """Codes of the strings of length `depth` below `node` (coded `code`)
     with digits below n, lexicographically; only those with a digit n - 1
-    unless `fresh`."""
+    unless `fresh`, so a string not yet fresh tries only n - 1 last."""
     if not depth:
         if fresh:
             yield code
         return
-    for d in range(n):
+    for d in range(0 if fresh or depth > 1 else n - 1, n):
         sub = node.child(d)
         if sub is not None:
             yield from _bounded_codes(sub, pair(code, d) + 1, depth - 1, n,
@@ -1062,7 +1061,7 @@ _STANDARD = {
     "Ray": lambda: Ray(),
     "TwoWayRay": lambda: TwoWayRay(),
     "CompleteOmega": lambda: CompleteOmega(),
-    "FullBinaryTree": FullBinaryTreeGraph,
+    "FullBinaryTree": lambda: TreeAsGraph(FullBinary()),
 }
 
 

@@ -16,7 +16,7 @@ a dedicated symbol; an all-padding stream denotes the empty graph.
 import random
 from bisect import bisect_left, insort
 from collections import deque, namedtuple
-from itertools import chain, combinations
+from itertools import combinations
 
 from .errors import BadParam, FuelExhausted
 from .streams import (CertifiedStream, EventuallyConstant, GeneratorBacked,
@@ -200,6 +200,20 @@ def name_of_tree(tree, space="Tr"):
 # Reading a name: prefixes (HostView, truncate) and vertex windows
 # ---------------------------------------------------------------------------
 
+def _window(pairs):
+    """The FinGraph of the (i, j) pairs (i == j: a vertex), built in one
+    unchecked pass; FinGraph.adjacency builds the adjacency on first use."""
+    vs, es = set(), set()
+    for i, j in pairs:
+        vs.add(i)
+        if i != j:
+            vs.add(j)
+            es.add((i, j) if i < j else (j, i))
+    g = FinGraph.__new__(FinGraph)
+    g.vertices, g.edges = frozenset(vs), frozenset(es)
+    return g
+
+
 class HostView:
     """Reader of a Gr or EGr name that evaluates and decodes each position
     only once.
@@ -216,10 +230,13 @@ class HostView:
     graph(s) builds none of this.
     """
 
+    _SLICE = 4096   # positions evaluated and decoded at a time
+
     def __init__(self, name):
         if name.space not in ("Gr", "EGr"):
             raise BadParam("truncate expects a graph name")
         self.name = name
+        self._top = zero_from(name.stream)   # None, or only padding from it
         self._read = 0     # positions evaluated so far
         self._pos = []     # positions that carry a vertex or an edge
         self._pairs = []   # what each of them carries, as (i, j)
@@ -232,24 +249,24 @@ class HostView:
         self._log = []         # first arrivals (position, i, j); i == j: vertex
 
     def _read_to(self, s):
-        value = self.name.stream.eval
-        pos, pairs = self._pos, self._pairs
-        n = self._read
-        try:   # if a position raises, the next call resumes at it
-            if self.name.space == "Gr":
-                for n in range(self._read, s):
-                    if value(n) == 1:
-                        pairs.append(unpair(n))
-                        pos.append(n)
-            else:
-                for n in range(self._read, s):
-                    v = value(n)
-                    if v:
-                        pairs.append(unpair(v - 1))
-                        pos.append(n)
-            n = s
-        finally:
-            self._read = n
+        """Decode up to s by bounded slices; a raising slice commits nothing."""
+        if self._top is not None and s > self._top:   # not min(): per stage
+            s = self._top
+        while self._read < s:
+            lo = self._read
+            hi = lo + self._SLICE if s - lo > self._SLICE else s
+            vals = self.name.stream.values(lo, hi)
+            if self.name.space == "Gr":   # a 1 at n carries the code n
+                vals = [n + 1 if v == 1 else 0 for n, v in enumerate(vals, lo)]
+            pos, pairs = [], []
+            # a loop, not comprehensions: most stages read one position
+            for n, v in enumerate(vals, lo):
+                if v:
+                    pos.append(n)
+                    pairs.append(unpair(v - 1))
+            self._pos += pos
+            self._pairs += pairs
+            self._read = hi
 
     def graph(self, s):
         if s < 0:
@@ -258,10 +275,8 @@ class HostView:
             self._read_to(s)
         count = bisect_left(self._pos, s)
         if count != self._count:
-            pairs = self._pairs[:count]
             self._count = count
-            self._graph = FinGraph(chain.from_iterable(pairs),
-                                   [p for p in pairs if p[0] != p[1]])
+            self._graph = _window(self._pairs[:count])
         return self._graph
 
     def grow(self, s):
@@ -287,7 +302,8 @@ class HostView:
                 arrivals[i].append((p, j))
                 arrivals[j].append((p, i))
                 log.append((p, i, j))
-        self._grown = max(self._grown, end)
+        if end > self._grown:
+            self._grown = end
 
     def added(self, s0, s1):
         """(vertices, edges) of the graph of stage s1 that the graph of

@@ -22,7 +22,6 @@ ones instead of sampling; fueled approximations live in the decide module.
 """
 
 import math
-import threading
 
 from .errors import NotConvergent, ParseError, UndecidableWithoutCertificate
 
@@ -58,9 +57,13 @@ class CertifiedStream:
     def __getitem__(self, n):
         return self.eval(n)
 
+    def values(self, lo, hi):
+        """The values at positions lo <= n < hi, as a list."""
+        return [self.eval(n) for n in range(lo, hi)]
+
     def prefix(self, n):
         """First n values as a list."""
-        return [self.eval(i) for i in range(n)]
+        return self.values(0, n)
 
 
 class Periodic(CertifiedStream):
@@ -142,14 +145,11 @@ class GeneratorBacked(CertifiedStream):
     def __init__(self, step):
         self.step = step
         self._cache = {}
-        self._lock = threading.Lock()
 
     def eval(self, n):
         v = self._cache.get(n, _MISSING)
         if v is _MISSING:
-            v = self.step(n)
-            with self._lock:
-                v = self._cache.setdefault(n, v)
+            v = self._cache.setdefault(n, self.step(n))
         return v
 
     def __repr__(self):
@@ -161,19 +161,22 @@ class Staged(CertifiedStream):
     stage and returns the values it emits as a list, and a stage that emits
     none emits one padding 0.
 
-    eval(n) runs stages until the output covers n, so each stage runs once
-    and none past the one that covers n. A stage that raises adds nothing,
-    and the next eval runs step() again."""
+    eval(n) and values(lo, n + 1) run stages until the output covers n, so
+    each stage runs once and none past the one that covers n. A stage that
+    raises adds nothing, and the next read runs step() again."""
 
     def __init__(self, step):
         self.step = step
         self._out = []
 
     def eval(self, n):
+        return self.values(n, n + 1)[0]
+
+    def values(self, lo, hi):
         out = self._out
-        while len(out) <= n:
+        while len(out) < hi:
             out.extend(self.step() or (0,))
-        return out[n]
+        return out[lo:hi]
 
     def __repr__(self):
         return "Staged(%r)" % (self.step,)

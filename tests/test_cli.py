@@ -87,24 +87,31 @@ class TestDecide:
     def test_oversized_clique_is_not_built(self, capsys, monkeypatch, host,
                                            mode, fuel):
         """k200 has more vertices than the host can show: the answer is the
-        engine's, and no FinGraph of 200 vertices gets built."""
+        engine's, and no FinGraph of 200 vertices gets built, neither by the
+        constructor nor as a host window by spaces._window."""
         want = semidecide_s(specs.parse_pattern("k200"),
                             specs.parse_name(host), induced=mode == "is",
                             fuel=fuel)
-        sizes = []
-        init = FinGraph.__init__
+        sizes, windows = [], []
+        init, window = FinGraph.__init__, cli._spaces._window
 
         def counting(self, vertices, edges=()):
             init(self, vertices, edges)
             sizes.append(len(self.vertices))
 
+        def counting_window(pairs):
+            g = window(pairs)
+            windows.append(len(g.vertices))
+            return g
+
         monkeypatch.setattr(FinGraph, "__init__", counting)
+        monkeypatch.setattr(cli._spaces, "_window", counting_window)
         code, out = run(capsys, "decide", "--pattern", "k200", "--host", host,
                         "--mode", mode, "--fuel", str(fuel))
         report = json.loads(out)
         assert (report["verdict"], report.get("reason")) == (want.kind,
                                                              want.reason)
-        assert sizes and max(sizes) < 200
+        assert windows and max(sizes + windows) < 200
 
     def test_is_witness_beyond_fuel_on_certified_host(self, capsys):
         # the copy lies beyond the fuel; the witness comes from the

@@ -7,6 +7,7 @@ from streamgraphs import graphs as G
 from streamgraphs import specs
 from streamgraphs import trees as T
 from streamgraphs.errors import BadParam, DegreeUnknown, NotATree
+from streamgraphs.gadgets import forests_lift
 from streamgraphs.streams import EventuallyConstant, Periodic, pair
 
 
@@ -284,6 +285,20 @@ class TestForestGraph:
             first = min(400, g.vertex_count())  # T_1 is one vertex
             want = list(itertools.islice(_by_digit_bound(lengths), first))
             assert list(itertools.islice(g.iter_vertices(), 400)) == want
+
+    @pytest.mark.parametrize("k", [60, 240])
+    def test_listing_tries_a_child_per_vertex(self, monkeypatch, k):
+        """Listing the first k vertices calls CertTree.child fewer than 2k
+        times: at each digit bound, a string without the top digit tries
+        no last digit but the top one."""
+        calls = []
+        child = G.CertTree.child
+        monkeypatch.setattr(G.CertTree, "child",
+                            lambda node, d: calls.append(d) or child(node, d))
+        for g in (forests_lift(Periodic([], [0, 1])), G.TreeT(2)):
+            calls.clear()
+            assert len(g.first_vertices(k)) == k
+            assert len(calls) < 2 * k
 
 
 class TestExactDegrees:

@@ -1,6 +1,7 @@
 import itertools
 import random
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +14,9 @@ from streamgraphs import graphs as G
 from streamgraphs import spaces as SP
 from streamgraphs import specs
 from streamgraphs.errors import BadParam, FuelExhausted
-from streamgraphs.streams import EventuallyConstant, GeneratorBacked, pair
+from streamgraphs.streams import (EventuallyConstant, GeneratorBacked,
+                                  Indicator, Periodic, pair, unpair,
+                                  zero_from)
 
 
 def k(n):
@@ -341,6 +344,153 @@ class TestHostView:
     def test_only_graph_names(self):
         with pytest.raises(BadParam):
             SP.HostView(SP.SpaceName("Tr", EventuallyConstant([1], 0)))
+
+
+def _arrivals_one_at_a_time(name, s):
+    """First arrivals (position, i, j), i == j a vertex, of the first s
+    positions, read one position at a time through eval."""
+    log, nbrs = [], {}
+    for p in range(s):
+        v = name.stream.eval(p)
+        if name.space == "Gr" and v == 1:
+            i, j = unpair(p)
+        elif name.space == "EGr" and v:
+            i, j = unpair(v - 1)
+        else:
+            continue
+        for x in (i, j):
+            if x not in nbrs:
+                nbrs[x] = []
+                log.append((p, x, x))
+        if i != j and j not in nbrs[i]:
+            nbrs[i].append(j)
+            nbrs[j].append(i)
+            log.append((p, i, j))
+    return log
+
+
+_SLICED_NAMES = ["egr:komega", "egr:l", "egr:fbt", "egr:cu(c4,ray)",
+                 "egr:omega(c3)", "gr:l", "gr:komega", "gr:c5",
+                 "egr(3,0.5):du(c4,k3)", "egr(8,0.2):k5", "egr:k4"]
+
+
+def _sliced_name(rng, kind, fail=True):
+    """A fresh name of the given kind; the same rng state gives the same
+    name. A "raises" name raises once at a random position unless not
+    `fail`, and answers the same either way."""
+    if kind == "indicator":
+        return SP.SpaceName("Gr", Indicator(set(rng.sample(range(90), 12))))
+    if kind == "periodic":
+        head = [rng.randrange(2) for _ in range(rng.randrange(30))]
+        return SP.SpaceName("Gr", Periodic(head, [rng.randrange(2)
+                                                  for _ in range(3)]))
+    if kind == "raises":
+        q = rng.randrange(40)
+        raised = []
+
+        def step(n):
+            if fail and n == q and not raised:
+                raised.append(n)
+                raise FuelExhausted("not yet")
+            return pair(n % 7, n % 7) + 1 if n % 3 else pair(n % 7,
+                                                             n % 5) + 1
+
+        return SP.SpaceName("EGr", GeneratorBacked(step))
+    return specs.parse_name(kind)
+
+
+class TestSlicedReads:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2 ** 32),
+           st.sampled_from(_SLICED_NAMES + ["indicator", "periodic",
+                                            "raises"]),
+           st.integers(1, 9))
+    def test_matches_one_position_at_a_time(self, seed, kind, size):
+        """graph, grow, added and neighbors, read in slices of `size`
+        positions, against first arrivals read one position at a time;
+        no call evaluates a position at or past its stage, or at or past
+        zero_from. A position that raises once is read again."""
+        name = _sliced_name(random.Random(seed), kind)
+        log = _arrivals_one_at_a_time(
+            _sliced_name(random.Random(seed), kind, fail=False), 100)
+        top = zero_from(name.stream)
+        bound = [0]
+        stream = name.stream
+
+        def guarded(read):
+            def wrapper(n):
+                assert n < bound[0] and (top is None or n < top)
+                return read(n)
+            return wrapper
+
+        if hasattr(stream, "step") and not isinstance(stream,
+                                                      GeneratorBacked):
+            step = stream.step
+
+            def checked_step():
+                assert len(stream._out) < bound[0]
+                return step()
+
+            stream.step = checked_step
+        else:
+            stream.eval = guarded(stream.eval)
+        rng = random.Random(seed + 1)
+        view = SP.HostView(name)
+        with mock.patch.object(SP.HostView, "_SLICE", size):
+            for _ in range(12):
+                op = rng.choice(["graph", "grow", "added", "neighbors"])
+                s = rng.randrange(100)
+                bound[0] = s
+                args = {"graph": (s,), "grow": (s,),
+                        "added": (rng.randrange(s + 1), s),
+                        "neighbors": (rng.randrange(12), s)}[op]
+                try:
+                    got = getattr(view, op)(*args)
+                except FuelExhausted:
+                    assert kind == "raises"
+                    got = getattr(view, op)(*args)
+                before = [e for e in log if e[0] < s]
+                if op == "graph":
+                    want = G.FinGraph([i for _, i, j in before if i == j],
+                                      [(i, j) for _, i, j in before if i != j])
+                    assert got == want and got.adjacency == want.adjacency
+                elif op == "added":
+                    new = [e for e in before if e[0] >= args[0]]
+                    assert got == ([i for _, i, j in new if i == j],
+                                   [(i, j) for _, i, j in new if i != j])
+                elif op == "neighbors":
+                    v = args[0]
+                    want = [j if i == v else i for _, i, j in before
+                            if i != j and v in (i, j)]
+                    known = any(e[1:] == (v, v) for e in before)
+                    assert got == (want if known else None)
+
+    @pytest.mark.parametrize("space, stream", [
+        ("Gr", Indicator({pair(0, 0), pair(1, 1), pair(0, 1), pair(1, 0)})),
+        ("Gr", specs.parse_name("gr:c4").stream),
+        ("EGr", specs.parse_name("egr:c4").stream),
+        ("EGr", EventuallyConstant([1, 0, pair(1, 1) + 1, pair(0, 1) + 1],
+                                   0))])
+    def test_reads_nothing_from_zero_from_on(self, space, stream):
+        """A certified name is read below cert_start only, at any fuel."""
+        read = []
+        real = stream.eval
+
+        def counting(n):
+            assert n < stream.cert_start
+            read.append(n)
+            return real(n)
+
+        stream.eval = counting
+        name = SP.SpaceName(space, stream)
+        view = SP.HostView(name)
+        fin = view.graph(4_000_000)
+        view.grow(10 ** 9)
+        assert sorted(view.added(0, 10 ** 9)[0]) == sorted(fin.vertices)
+        assert view.neighbors(0, 10 ** 9) is not None
+        assert sorted(read) == list(range(stream.cert_start))
+        del stream.eval
+        assert fin == reference_truncate(name, stream.cert_start)
 
 
 class TestGrToEgr:
