@@ -16,7 +16,8 @@ a dedicated symbol; an all-padding stream denotes the empty graph.
 import random
 from bisect import bisect_left, insort
 from collections import deque, namedtuple
-from itertools import combinations
+from itertools import chain, combinations
+from math import isqrt
 
 from .errors import BadParam, FuelExhausted
 from .streams import (CertifiedStream, EventuallyConstant, GeneratorBacked,
@@ -201,16 +202,12 @@ def name_of_tree(tree, space="Tr"):
 # ---------------------------------------------------------------------------
 
 def _window(pairs):
-    """The FinGraph of the (i, j) pairs (i == j: a vertex), built in one
-    unchecked pass; FinGraph.adjacency builds the adjacency on first use."""
-    vs, es = set(), set()
-    for i, j in pairs:
-        vs.add(i)
-        if i != j:
-            vs.add(j)
-            es.add((i, j) if i < j else (j, i))
+    """The FinGraph of the (i, j) pairs (i == j: a vertex), built unchecked
+    by C-level passes; FinGraph.adjacency builds the adjacency on first use."""
     g = FinGraph.__new__(FinGraph)
-    g.vertices, g.edges = frozenset(vs), frozenset(es)
+    g.vertices = frozenset(chain.from_iterable(pairs))
+    g.edges = frozenset([(i, j) if i < j else (j, i)
+                         for i, j in pairs if i != j])
     return g
 
 
@@ -252,18 +249,27 @@ class HostView:
         """Decode up to s by bounded slices; a raising slice commits nothing."""
         if self._top is not None and s > self._top:   # not min(): per stage
             s = self._top
+        gr = self.name.space == "Gr"
         while self._read < s:
             lo = self._read
             hi = lo + self._SLICE if s - lo > self._SLICE else s
             vals = self.name.stream.values(lo, hi)
-            if self.name.space == "Gr":   # a 1 at n carries the code n
-                vals = [n + 1 if v == 1 else 0 for n, v in enumerate(vals, lo)]
             pos, pairs = [], []
-            # a loop, not comprehensions: most stages read one position
-            for n, v in enumerate(vals, lo):
-                if v:
-                    pos.append(n)
-                    pairs.append(unpair(v - 1))
+            # loops, not comprehensions: most stages read one position
+            if gr:   # a 1 at n carries the code n: unpair(n), inlined
+                for n, v in enumerate(vals, lo):
+                    if v == 1:
+                        d = (isqrt(8 * n + 1) - 1) // 2
+                        j = n - d * (d + 1) // 2
+                        pos.append(n)
+                        pairs.append((d - j, j))
+            else:   # v > 0 carries the code v - 1: unpair(v - 1), inlined
+                for n, v in enumerate(vals, lo):
+                    if v:
+                        d = (isqrt(8 * v - 7) - 1) // 2
+                        j = v - 1 - d * (d + 1) // 2
+                        pos.append(n)
+                        pairs.append((d - j, j))
             self._pos += pos
             self._pairs += pairs
             self._read = hi

@@ -30,7 +30,7 @@ from .errors import ParseError
 from .graphs import (FinGraph, OmegaCopies, connected_union,
                      construction, disjoint_union, standard)
 from .spaces import SpaceName, name_of
-from .streams import Staged, pair, parse_stream
+from .streams import Staged, parse_stream
 from .trees import FiniteTree, FullBinary, SinglePath
 
 
@@ -128,7 +128,7 @@ def _dense_egr_name(g):
     emitted before it has a smaller code (CountableGraph.iter_vertices), so
     the listed ones already emitted are all of them, emitted in the order
     they came. Where g cannot list them, the new vertex is tested against
-    every earlier one."""
+    every earlier one. Codes are pair(min, max) + 1, computed inline."""
     has_edge = g.has_edge
 
     def stages():
@@ -136,13 +136,15 @@ def _dense_egr_name(g):
         for v in g.iter_vertices():
             lower = g.lower_neighbors(v)
             if lower is None:
-                edges = [(w, v) if w < v else (v, w)
-                         for w in index if has_edge(v, w)]
+                ws = [w for w in index if has_edge(v, w)]
             else:
-                edges = [(w, v) for w in sorted(
-                    (w for w in lower if w in index), key=index.__getitem__)]
+                ws = [w for w in lower if w in index]
+                if len(ws) > 1:
+                    ws.sort(key=index.__getitem__)
             index[v] = len(index)
-            yield [pair(v, v) + 1] + [pair(a, b) + 1 for a, b in edges]
+            ws.insert(0, v)   # pair(v, v) first
+            yield [(w + v) * (w + v + 1) // 2 + (w if w > v else v) + 1
+                   for w in ws]
 
     return SpaceName("EGr", Staged(stages().__next__), meta={"denotes": g})
 

@@ -132,9 +132,6 @@ class Indicator(EventuallyConstant):
         return "Indicator(%r)" % (sorted(self.ones),)
 
 
-_MISSING = object()
-
-
 class GeneratorBacked(CertifiedStream):
     """Stream computed on demand by a total step function, memoized.
 
@@ -147,10 +144,14 @@ class GeneratorBacked(CertifiedStream):
         self._cache = {}
 
     def eval(self, n):
-        v = self._cache.get(n, _MISSING)
-        if v is _MISSING:
-            v = self._cache.setdefault(n, self.step(n))
-        return v
+        cache = self._cache
+        return cache[n] if n in cache else cache.setdefault(n, self.step(n))
+
+    def values(self, lo, hi):
+        """eval(n) for lo <= n < hi, in order, in one pass."""
+        cache, step = self._cache, self.step
+        return [cache[n] if n in cache else cache.setdefault(n, step(n))
+                for n in range(lo, hi)]
 
     def __repr__(self):
         return "GeneratorBacked(%r)" % (self.step,)

@@ -129,17 +129,24 @@ def _parts(draw_from):
 def _infinite(depth):
     """Spec texts nested at most `depth` deep: deeper omega(...) towers
     have no vertex among any code that can be scanned."""
-    out = (_CODED | st.sampled_from(["fbt", "t2", "f2"])
-           | st.builds("cu({},{})".format, _parts(_FINITE), _CODED)
-           | st.builds("cu({},{})".format, _CODED, _parts(_FINITE | _CODED))
+    out = (_CODED | st.sampled_from(["fbt", "t2", "f2"]) | _unions(depth)
            | st.builds("{}({},{})".format, st.sampled_from(["l1", "l2"]),
                        _TREE, _CODED | st.just("fbt")))
     if depth == 0:
         return out
     inner = _infinite(depth - 1)
     return (out | st.builds("omega({})".format, inner)
-            | st.builds("du({},{})".format, _parts(_SMALL | inner), inner)
-            | st.builds("cu({},{})".format, _parts(_FINITE | inner), inner))
+            | st.builds("du({},{})".format, _parts(_SMALL | inner), inner))
+
+
+def _unions(depth):
+    """The cu(...) texts of `_infinite(depth)`."""
+    out = (st.builds("cu({},{})".format, _parts(_FINITE), _CODED)
+           | st.builds("cu({},{})".format, _CODED, _parts(_FINITE | _CODED)))
+    if depth == 0:
+        return out
+    inner = _infinite(depth - 1)
+    return out | st.builds("cu({},{})".format, _parts(_FINITE | inner), inner)
 
 
 def _joined_unions():
@@ -173,6 +180,18 @@ class TestDenseEgrName:
         name = specs.parse_name("egr:" + text)
         want = reference_dense_egr_name(specs.parse_graph(text), positions)
         assert name.stream.prefix(positions) == want
+
+    @pytest.mark.parametrize("text", ["komega", "omega(c4)", "omega(c5)",
+                                      "l", "fbt", "cu(c4,ray)",
+                                      "l2(fulltree,l)"])
+    def test_long_prefixes(self, text):
+        """The families the benchmark reads, to 1000 positions; l2(...)
+        lists no lower neighbours, so each new vertex is tested."""
+        g = specs.parse_graph(text)
+        assert (g.lower_neighbors(g.first_vertices(3)[-1]) is None) == \
+            text.startswith("l2(")
+        name = specs.parse_name("egr:" + text)
+        assert name.stream.prefix(1000) == reference_dense_egr_name(g, 1000)
 
     @pytest.mark.parametrize("text", ["cu(c4,cu(ray),c4)",
                                       "cu(c4,cu(ray,c3))",
@@ -230,7 +249,7 @@ class TestLowerNeighbors:
 
 class TestConnectedUnionOrder:
     @settings(max_examples=100, deadline=None)
-    @given(_infinite(2).filter(lambda text: text.startswith("cu(")))
+    @given(_unions(2))
     def test_increasing_code_order(self, text):
         g = specs.parse_graph(text)
         vs = list(itertools.islice(itertools.takewhile(
@@ -298,6 +317,19 @@ class TestHostView:
         stages = [rng.randrange(80) for _ in range(12)]
         for s in stages:
             assert view.graph(s) == reference_truncate(name, s)
+
+    @pytest.mark.parametrize("text", ["egr:komega", "gr:l"])
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_slice_boundaries(self, text, order):
+        """Reads that end just below, at and just past a slice boundary,
+        and past two of them, in shuffled order."""
+        n = SP.HostView._SLICE
+        stages = [n - 1, n, n + 1, 2 * n + 1]
+        random.Random(order).shuffle(stages)
+        view = SP.HostView(specs.parse_name(text))
+        plain = specs.parse_name(text)
+        for s in stages:
+            assert view.graph(s) == reference_truncate(plain, s)
 
     def test_reads_only_below_the_stage(self):
         seen = []
@@ -423,8 +455,9 @@ class TestSlicedReads:
                 return read(n)
             return wrapper
 
-        if hasattr(stream, "step") and not isinstance(stream,
-                                                      GeneratorBacked):
+        if isinstance(stream, GeneratorBacked):   # values() calls step only
+            stream.step = guarded(stream.step)
+        elif hasattr(stream, "step"):
             step = stream.step
 
             def checked_step():

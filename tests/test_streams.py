@@ -70,6 +70,25 @@ class TestEval:
         s.eval(10)
         assert calls == [10]
 
+    def test_values_step_each_index_once_in_order(self):
+        calls = []
+
+        def step(n):
+            calls.append(n)
+            if n == 6 and calls.count(6) == 1:
+                raise ValueError("not yet")
+            return n * n
+
+        s = S.GeneratorBacked(step)
+        assert s.eval(3) == 9
+        with pytest.raises(ValueError):
+            s.values(2, 9)
+        assert calls == [3, 2, 4, 5, 6]
+        assert s.values(1, 8) == [n * n for n in range(1, 8)]
+        assert calls == [3, 2, 4, 5, 6, 1, 6, 7]
+        assert s.values(4, 4) == [] and s.eval(7) == 49
+        assert calls[-1] == 7 and len(calls) == 8
+
 
 class TestStaged:
     def _machine(self, stages):
