@@ -4,13 +4,20 @@ Every subcommand prints one RunReport as sorted JSON on stdout and exits
 0 when the query was decided / the object was produced, 2 when the answer
 is Unknown (fuel ran out, a semidecision did not settle, an oracle refused),
 and 1 on usage or parse errors.  Reports are deterministic for fixed argv.
+
+`COMMANDS` is the one table of commands and their options, and `_parse`
+reads argv with it: `--opt value` or `--opt=value`, any unique prefix of an
+option (`--help` counts, so `--h` is ambiguous where `--host` exists), the
+last of a repeated option, positionals anywhere, and `--` to end the
+options. `-h` / `--help` prints the usage to stdout and exits 0; every
+usage error is one line on stderr and exit 1.
 """
 
-import argparse
-import functools
 import json
 import os
+import re
 import sys
+import types
 
 from . import gadgets as _gadgets
 from . import problems as _problems
@@ -18,7 +25,7 @@ from . import search as _search
 from . import spaces as _spaces
 from . import specs as _specs
 from . import suites as _suites
-from .errors import (FuelExhausted, OracleRefused, ParseError,
+from .errors import (BadParam, FuelExhausted, OracleRefused, ParseError,
                      PatternNeverSeen, StreamGraphsError, UnknownSuite)
 from .graphs import check_printable
 from .streams import parse_stream
@@ -87,8 +94,7 @@ def cmd_truncate(args):
     fin = _spaces.truncate(name, args.fuel)
     keys = {"graph": json.loads(fin.to_json())}
     if args.dot:
-        with open(args.dot, "w") as fh:
-            fh.write(fin.to_dot())
+        _write(args.dot, fin.to_dot())
         keys["artifacts"] = [args.dot]
     return keys, EXIT_OK
 
@@ -150,6 +156,8 @@ def cmd_search(args):
         return {"vertices": _search.ray_follow(
             kind, host, fuel=args.fuel, steps=args.steps)}, EXIT_OK
     if solver == "finds":
+        if args.pattern is None:
+            raise _Usage("sgraph search: finds needs --pattern")
         pattern = _specs.parse_pattern(args.pattern)
         sol = _search.find_s_finite(pattern, host, fuel=args.fuel)
         return {"inclusion": sol.inclusion_pairs()}, EXIT_OK
@@ -322,9 +330,17 @@ def cmd_export(args):
     if not args.out:
         sys.stdout.write(text)
         return None, EXIT_OK
-    with open(args.out, "w") as fh:
-        fh.write(text)
+    _write(args.out, text)
     return {"artifacts": [args.out]}, EXIT_OK
+
+
+def _write(path, text):
+    """Write an artifact; a path that cannot be written is a BadParam."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise BadParam("cannot write %r: %s" % (path, exc.strerror or exc))
 
 
 # ---------------------------------------------------------------------------
@@ -335,93 +351,140 @@ class _Usage(Exception):
     pass
 
 
-@functools.lru_cache(maxsize=None)
-def _build_parser():
-    """The argument parser, built once: parse_args keeps no state in it."""
-    top = argparse.ArgumentParser(
-        prog="sgraph",
-        description="certified streams, countable graphs and their solvers")
-    subs = top.add_subparsers(dest="command")
+REQUIRED = ...   # the default of an option that must be given
+_MUST, _MAY, _FUEL = (str, REQUIRED), (str, None), (int, None)
 
-    def sub(name, fn, **kwargs):
-        p = subs.add_parser(name, **kwargs)
-        p.set_defaults(fn=fn)
-        return p
+# command -> (handler, help, {--option or POSITIONAL: (kind, default)}); a
+# kind is str, int, bool (a flag) or a tuple of choices. main turns a fuel
+# of None into default_fuel().
+COMMANDS = {
+    "validate": (cmd_validate, "check a name against its space",
+                 {"--in": _MUST, "--fuel": _FUEL}),
+    "convert": (cmd_convert, "convert between name spaces",
+                {"--in": _MUST, "--f": (bool, False), "--fuel": _FUEL}),
+    "truncate": (cmd_truncate, "finite window of a name",
+                 {"--in": _MUST, "--fuel": _FUEL, "--dot": _MAY}),
+    "decide": (cmd_decide, "fueled (induced-)subgraph query",
+               {"--pattern": _MUST, "--host": _MUST,
+                "--mode": (("is", "s"), "s"), "--fuel": _FUEL}),
+    "search": (cmd_search, "produce a copy of a known pattern",
+               {"--solver": _MUST, "--host": _MUST, "--pattern": _MAY,
+                "--fuel": _FUEL, "--steps": (int, 10)}),
+    "gadget": (cmd_gadget, "run a reduction gadget",
+               {"--name": _MUST, "--in": _MUST, "--pattern": _MAY,
+                "--decode": (bool, False), "--fuel": _FUEL}),
+    "oracle": (cmd_oracle, "call a certified oracle problem",
+               {"--problem": _MUST, "--in": _MUST, "--fuel": _FUEL}),
+    "compose": (cmd_compose, "gadget -> oracle -> decode",
+                {"--gadget": _MUST, "--oracle": _MUST, "--in": _MUST,
+                 "--pattern": _MAY, "--fuel": _FUEL}),
+    "suite": (cmd_suite, "run a self-check suite",
+              {"NAME": _MUST, "--seed": (int, 0)}),
+    "export": (cmd_export, "render a truncation",
+               {"KIND": (("dot", "json"), REQUIRED), "--in": _MUST,
+                "--fuel": _FUEL, "--out": _MAY}),
+}
+_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$").match   # -5 is a value
 
-    fuel_kw = dict(type=int, default=None)
 
-    p = sub("validate", cmd_validate, help="check a name against its space")
-    p.add_argument("--in", required=True)
-    p.add_argument("--fuel", **fuel_kw)
+def _lookup(token, options):
+    """How a token reads: None for a positional, else the options it names
+    (itself, else all it is a prefix of) and its text after '=' or None."""
+    if token[:1] != "-" or token == "-":
+        return None
+    if token[1] == "-":
+        name, eq, text = token.partition("=")
+        hits = ([name] if name in options else
+                [o for o in options if o.startswith(name)])
+        return (hits, text if eq else None) if hits or " " not in token \
+            else None
+    if token.startswith("-h"):   # with any text glued on
+        return ["--help"], token[2:] or None
+    return None if _NUMBER(token) or " " in token else ([], None)
 
-    p = sub("convert", cmd_convert, help="convert between name spaces")
-    p.add_argument("--in", required=True)
-    p.add_argument("--f", action="store_true",
-                   help="enumeration-to-characteristic conversion")
-    p.add_argument("--fuel", **fuel_kw)
 
-    p = sub("truncate", cmd_truncate, help="finite window of a name")
-    p.add_argument("--in", required=True)
-    p.add_argument("--fuel", **fuel_kw)
-    p.add_argument("--dot", default=None)
+def _parse(argv):
+    """argv's command and option values as a namespace, or None once the
+    help it asks for is printed; _Usage on a parse error."""
+    command = argv[0] if argv else None
+    fn, _, table = COMMANDS.get(command, (None, None, {}))
+    if not fn and (not argv or command == "--"
+                   or not _lookup(command, ["--help"])):
+        raise _Usage("sgraph: %s; choose from %s" % (
+            "unknown command %r" % command if argv else "missing command",
+            ", ".join(COMMANDS)))
+    where = "sgraph " + command if fn else "sgraph"
+    options = [key for key in table if key[0] == "-"] + ["--help"]
+    positionals = [key for key in table if key[0] != "-"]
+    values = {key: default for key, (_, default) in table.items()}
+    i, dashed = (1 if fn else 0), False   # dashed: "--" ended the options
+    while i < len(argv):
+        token, i = argv[i], i + 1
+        if token == "--" and not dashed:
+            dashed = True
+            continue
+        hit = None if dashed else _lookup(token, options)
+        if hit is None:
+            if not positionals:
+                raise _Usage("%s: unexpected argument %r" % (where, token))
+            key, text = positionals.pop(0), token
+        elif len(hit[0]) != 1:
+            raise _Usage("%s: option %r is %s" % (where, token, (
+                "ambiguous: " + ", ".join(hit[0]) if hit[0] else "unknown")))
+        else:
+            (key,), text = hit
+            if table.get(key, (bool,))[0] is bool and text is not None:
+                raise _Usage("%s: %s takes no value, got %r"
+                             % (where, key, token))
+            if key == "--help":
+                print(_help([command] if fn else COMMANDS))
+                return None
+            if text is None and table[key][0] is not bool:
+                if i == len(argv) or _lookup(argv[i], options) is not None:
+                    raise _Usage("%s: %s needs a value" % (where, key))
+                text, i = argv[i], i + 1
+        kind = table[key][0]
+        try:
+            text = True if kind is bool else int(text) if kind is int else text
+        except ValueError:
+            raise _Usage("%s: %s: not an int: %r" % (where, key, text))
+        if isinstance(kind, tuple) and text not in kind:
+            raise _Usage("%s: %s: %r is not one of %s"
+                         % (where, key, text, ", ".join(kind)))
+        values[key] = text
+    missing = [key for key, value in values.items() if value is REQUIRED]
+    if missing:
+        raise _Usage("%s: missing %s" % (where, ", ".join(missing)))
+    return types.SimpleNamespace(command=command, fn=fn, **{
+        key.strip("-").lower(): value for key, value in values.items()})
 
-    p = sub("decide", cmd_decide, help="fueled (induced-)subgraph query")
-    p.add_argument("--pattern", required=True)
-    p.add_argument("--host", required=True)
-    p.add_argument("--mode", choices=["is", "s"], default="s")
-    p.add_argument("--fuel", **fuel_kw)
 
-    p = sub("search", cmd_search, help="produce a copy of a known pattern")
-    p.add_argument("--solver", required=True)
-    p.add_argument("--host", required=True)
-    p.add_argument("--pattern", default=None)
-    p.add_argument("--fuel", **fuel_kw)
-    p.add_argument("--steps", type=int, default=10)
-
-    p = sub("gadget", cmd_gadget, help="run a reduction gadget")
-    p.add_argument("--name", required=True)
-    p.add_argument("--in", required=True)
-    p.add_argument("--pattern", default=None)
-    p.add_argument("--decode", action="store_true")
-    p.add_argument("--fuel", **fuel_kw)
-
-    p = sub("oracle", cmd_oracle, help="call a certified oracle problem")
-    p.add_argument("--problem", required=True)
-    p.add_argument("--in", required=True)
-    p.add_argument("--fuel", **fuel_kw)
-
-    p = sub("compose", cmd_compose, help="gadget -> oracle -> decode")
-    p.add_argument("--gadget", required=True)
-    p.add_argument("--oracle", required=True)
-    p.add_argument("--in", required=True)
-    p.add_argument("--pattern", default=None)
-    p.add_argument("--fuel", **fuel_kw)
-
-    p = sub("suite", cmd_suite, help="run a self-check suite")
-    p.add_argument("name")
-    p.add_argument("--seed", type=int, default=0)
-
-    p = sub("export", cmd_export, help="render a truncation")
-    p.add_argument("kind", choices=["dot", "json"])
-    p.add_argument("--in", required=True)
-    p.add_argument("--fuel", **fuel_kw)
-    p.add_argument("--out", default=None)
-
-    return top
+def _help(commands):
+    """The usage line of each command, built from its table entry."""
+    lines = []
+    for command in commands:
+        _, text, table = COMMANDS[command]
+        words = [command]
+        for key, (kind, default) in table.items():
+            meta = ("{%s}" % ",".join(kind) if isinstance(kind, tuple)
+                    else key.strip("-").upper())
+            word = (key if kind is bool else key + " " + meta
+                    if key[0] == "-" else meta)
+            words.append(word if default is REQUIRED else "[%s]" % word)
+        lines.append("usage: sgraph %s\n  %s" % (" ".join(words), text))
+    return "\n".join(lines)
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if not getattr(args, "fn", None):
-        parser.print_usage(sys.stderr)
-        return EXIT_USAGE
-    if hasattr(args, "fuel") and args.fuel is None:
-        args.fuel = default_fuel()
-    if getattr(args, "fuel", 0) < 0:
-        print("fuel must be >= 0, got %d" % args.fuel, file=sys.stderr)
-        return EXIT_USAGE
     try:
+        args = _parse(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            return EXIT_OK
+        if hasattr(args, "fuel"):
+            if args.fuel is None:
+                args.fuel = default_fuel()
+            if args.fuel < 0:
+                raise _Usage("fuel must be >= 0, got %d" % args.fuel)
         keys, code = args.fn(args)
         if keys is not None:
             report = {"command": args.command}

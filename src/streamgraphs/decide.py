@@ -137,7 +137,9 @@ def _extend(tables, hadj, start, exclude=(), near=None):
     used = set(image)
 
     def candidates(i):
-        blocked = used.union(*[hadj[image[j]] for j in mapped_non[i]])
+        # `used` itself holds the images above level i at every next()
+        non = mapped_non[i]
+        blocked = used.union(*[hadj[image[j]] for j in non]) if non else used
         nbrs = mapped_nbrs[i]
         if not nbrs:
             pool = free.get(i)

@@ -5,9 +5,11 @@ The brute-force embedding oracle is `streamgraphs.suites._naive_embeddings`
 (and its first hit, `_naive_least_embedding`): the shipped `bruteforce`
 suite needs it, so the tests import it from there."""
 
+import argparse
 import itertools
 import random
 
+from streamgraphs import cli
 from streamgraphs import graphs as G
 from streamgraphs.decide import embeddings, fin_subgraph
 from streamgraphs.errors import FuelExhausted, PatternNeverSeen
@@ -377,3 +379,79 @@ def random_certified_stream(rng, values=(0, 1), max_prefix=6):
         return EventuallyConstant(prefix, rng.choice(values))
     period = [rng.choice(values) for _ in range(rng.randrange(1, 4))]
     return Periodic(prefix, period)
+
+
+def reference_parser():
+    """The argparse parser `cli` used before its command table: the table's
+    parser is checked against it on drawn argv."""
+    top = argparse.ArgumentParser(
+        prog="sgraph",
+        description="certified streams, countable graphs and their solvers")
+    subs = top.add_subparsers(dest="command")
+
+    def sub(name, fn, **kwargs):
+        p = subs.add_parser(name, **kwargs)
+        p.set_defaults(fn=fn)
+        return p
+
+    fuel_kw = dict(type=int, default=None)
+
+    p = sub("validate", cli.cmd_validate, help="check a name against its space")
+    p.add_argument("--in", required=True)
+    p.add_argument("--fuel", **fuel_kw)
+
+    p = sub("convert", cli.cmd_convert, help="convert between name spaces")
+    p.add_argument("--in", required=True)
+    p.add_argument("--f", action="store_true",
+                   help="enumeration-to-characteristic conversion")
+    p.add_argument("--fuel", **fuel_kw)
+
+    p = sub("truncate", cli.cmd_truncate, help="finite window of a name")
+    p.add_argument("--in", required=True)
+    p.add_argument("--fuel", **fuel_kw)
+    p.add_argument("--dot", default=None)
+
+    p = sub("decide", cli.cmd_decide, help="fueled (induced-)subgraph query")
+    p.add_argument("--pattern", required=True)
+    p.add_argument("--host", required=True)
+    p.add_argument("--mode", choices=["is", "s"], default="s")
+    p.add_argument("--fuel", **fuel_kw)
+
+    p = sub("search", cli.cmd_search, help="produce a copy of a known pattern")
+    p.add_argument("--solver", required=True)
+    p.add_argument("--host", required=True)
+    p.add_argument("--pattern", default=None)
+    p.add_argument("--fuel", **fuel_kw)
+    p.add_argument("--steps", type=int, default=10)
+
+    p = sub("gadget", cli.cmd_gadget, help="run a reduction gadget")
+    p.add_argument("--name", required=True)
+    p.add_argument("--in", required=True)
+    p.add_argument("--pattern", default=None)
+    p.add_argument("--decode", action="store_true")
+    p.add_argument("--fuel", **fuel_kw)
+
+    p = sub("oracle", cli.cmd_oracle, help="call a certified oracle problem")
+    p.add_argument("--problem", required=True)
+    p.add_argument("--in", required=True)
+    p.add_argument("--fuel", **fuel_kw)
+
+    p = sub("compose", cli.cmd_compose, help="gadget -> oracle -> decode")
+    p.add_argument("--gadget", required=True)
+    p.add_argument("--oracle", required=True)
+    p.add_argument("--in", required=True)
+    p.add_argument("--pattern", default=None)
+    p.add_argument("--fuel", **fuel_kw)
+
+    p = sub("suite", cli.cmd_suite, help="run a self-check suite")
+    p.add_argument("name")
+    p.add_argument("--seed", type=int, default=0)
+
+    p = sub("export", cli.cmd_export, help="render a truncation")
+    p.add_argument("kind", choices=["dot", "json"])
+    p.add_argument("--in", required=True)
+    p.add_argument("--fuel", **fuel_kw)
+    p.add_argument("--out", default=None)
+
+    return top
+

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 import sys
 
 import pytest
@@ -11,6 +12,7 @@ from streamgraphs import specs
 from streamgraphs.decide import Embedding, semidecide_s
 from streamgraphs.errors import ParseError
 from streamgraphs.graphs import FinGraph, Layered, OmegaCopies, TwoWayRay
+from helpers import reference_parser
 from test_spaces import _FINITE, _infinite
 
 
@@ -366,6 +368,236 @@ class TestInternalErrors:
                                 "digits\n" % sys.get_int_max_str_digits())
 
 
+class TestUsageErrors:
+    """Every parse error is one stderr line and exit 1, returned, not
+    raised; a help request prints the usage and exits 0."""
+
+    @pytest.mark.parametrize("argv", [
+        ["decide", "--host", "egr:l"],                       # missing option
+        ["decide", "--pattern", "c3", "--host", "egr:l", "--fuel", "abc"],
+        ["decide", "--pattern", "c3", "--host", "egr:l", "--mode", "x"],
+        ["truncate", "--in", "egr:l", "--nosuch"],           # unknown option
+        ["decide", "--h", "egr:l", "--pattern", "c3"],       # ambiguous
+        ["truncate", "--in"],                                # missing value
+        ["truncate", "--in", "-h x"],                        # -h, not a value
+        ["suite", "f-convert", "stray"],                     # extra positional
+        ["export", "xml", "--in", "gr:k3"],                  # bad positional
+        ["convert", "--f=1", "--in", "gr:k3"],               # flag with value
+        ["frobnicate"],                                      # unknown command
+        [],                                                  # no command
+    ])
+    def test_one_line_exit_1(self, capsys, argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            pytest.fail("SystemExit(%r) raised" % exc.code)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("sgraph")
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("argv, first", [
+        (["-h"], "usage: sgraph validate --in IN [--fuel FUEL]"),
+        (["--he"], "usage: sgraph validate --in IN [--fuel FUEL]"),
+        (["decide", "--help"], "usage: sgraph decide --pattern PATTERN "
+                               "--host HOST [--mode {is,s}] [--fuel FUEL]"),
+        (["export", "--in", "gr:k3", "-h"],
+         "usage: sgraph export {dot,json} --in IN [--fuel FUEL] [--out OUT]"),
+    ])
+    def test_help_exits_0(self, capsys, argv, first):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            pytest.fail("SystemExit(%r) raised" % exc.code)
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        assert captured.out.startswith(first + "\n")
+        assert captured.out.count("usage: sgraph") == (
+            len(cli.COMMANDS) if len(argv) == 1 else 1)
+
+    def test_options_read_as_argparse_did(self, capsys):
+        """Prefixes, '=' forms, the last of a repeat and a positional after
+        the options all reach the handler as before."""
+        _, want = run(capsys, "decide", "--pattern", "c3", "--host", "egr:l",
+                      "--fuel", "50")
+        for argv in (["decide", "--host=egr:l", "--pa", "c3", "--fu=50"],
+                     ["decide", "--pattern", "k2", "--fuel", "9", "--ho",
+                      "egr:l", "--pattern=c3", "--fuel", "50"]):
+            code, out = run(capsys, *argv)
+            assert (code, out) == (2, want)
+        _, want = run(capsys, "export", "json", "--in", "gr:k3", "--fuel",
+                      "20")
+        code, out = run(capsys, "export", "--in", "gr:k3", "--f", "20",
+                        "--", "json")
+        assert (code, out) == (0, want)
+
+
+class TestInputErrors:
+    def test_finds_without_pattern(self, capsys):
+        code = cli.main(["search", "--solver", "finds", "--host", "egr:l"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "sgraph search: finds needs --pattern\n"
+
+    @pytest.mark.parametrize("command, flag", [
+        (["truncate"], "--dot"), (["export", "dot"], "--out"),
+        (["export", "json"], "--out")])
+    def test_unwritable_path(self, capsys, tmp_path, command, flag):
+        path = str(tmp_path / "missing" / "out.txt")
+        code = cli.main(command + ["--in", "gr:k3", "--fuel", "20",
+                                   flag, path])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == ("BadParam: cannot write %r: No such file or "
+                                "directory\n" % path)
+
+
+def _options(table):
+    return [key for key in table if key[0] == "-"] + ["--help"]
+
+
+def _prefixes(key, options):
+    """The texts that name option `key` among `options`: itself and every
+    prefix of it that no other option shares."""
+    return [key[:n] for n in range(3, len(key) + 1)
+            if key[:n] == key or key[:n] not in options and
+            [o for o in options if o.startswith(key[:n])] == [key]]
+
+
+_STR = (st.sampled_from(["egr:l", "k3", "ec:[0];0", "", "-", "-5", "-1.5",
+                         "a b", "-x y", "--in x", "x=y"])
+        | st.text(max_size=5).filter(lambda t: not t.startswith("-")))
+_INT = (st.integers(-10 ** 6, 10 ** 6).map(str)
+        | st.sampled_from([" 7", "+3", "1_000", "007", "-0", "\u0663"]))
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+@st.composite
+def _table_argv(draw):
+    """A command and its option groups, drawn from `cli.COMMANDS`: every
+    required option and some others, a repeat here and there, each as
+    `--opt value`, `--opt=value` or a unique prefix, in shuffled order; a
+    last positional may follow `--`, which ends the options."""
+    command = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    table = cli.COMMANDS[command][2]
+    options = _options(table)
+    groups = []
+    for key, (kind, default) in table.items():
+        if default is not cli.REQUIRED and draw(st.booleans()):
+            continue
+        for _ in range(1 if key[0] != "-" else draw(st.integers(1, 2))):
+            value = draw(_INT if kind is int else st.sampled_from(kind)
+                         if isinstance(kind, tuple) else _STR)
+            if key[0] != "-":
+                groups.append((key, [value]))
+                continue
+            name = draw(st.sampled_from(_prefixes(key, options)))
+            if kind is bool:
+                groups.append((key, [name]))
+            elif (value[:1] == "-" and len(value) > 1 and " " not in value
+                  and not _NEGATIVE.match(value) or draw(st.booleans())):
+                groups.append((key, [name + "=" + value]))
+            else:
+                groups.append((key, [name, value]))
+    groups = draw(st.permutations(groups))
+    if groups and groups[-1][0][0] != "-" and draw(st.booleans()):
+        groups[-1] = (groups[-1][0], ["--"] + groups[-1][1])
+    return command, groups
+
+
+def _flat(command, groups):
+    return [command] + [token for _, tokens in groups for token in tokens]
+
+
+@st.composite
+def _malformed_argv(draw):
+    """A drawn argv with one fault that argparse rejected: a required
+    option dropped, a bad int or choice, an unknown or ambiguous option, a
+    value missing, a stray positional or an unknown command."""
+    command, groups = draw(_table_argv())
+    table = cli.COMMANDS[command][2]
+    options = _options(table)
+    required = [key for key, (_, d) in table.items() if d is cli.REQUIRED]
+    ints = [key for key, (kind, _) in table.items() if kind is int]
+    choices = [key for key, (kind, _) in table.items()
+               if isinstance(kind, tuple)]
+    ambiguous = ["--=x"] + [key[:n] for key in options
+                            for n in range(3, len(key))
+                            if key[:n] not in options and sum(
+                                o.startswith(key[:n]) for o in options) > 1]
+    faults = ["unknown option", "missing value", "stray", "command"]
+    faults += ["drop"] * bool(required) + ["int"] * bool(ints)
+    faults += ["choice"] * bool(choices) + ["ambiguous"] * (len(ambiguous) > 1)
+    fault = draw(st.sampled_from(faults))
+    at = draw(st.integers(0, len(groups)))
+    if fault == "drop":
+        key = draw(st.sampled_from(required))
+        groups = [g for g in groups if g[0] != key]
+    elif fault == "int":
+        key = draw(st.sampled_from(ints))
+        junk = draw(st.sampled_from(["abc", "1.5", "", "0x10", "1e3", "½"]))
+        groups.insert(at, (key, [key, junk]))
+    elif fault == "choice":
+        key = draw(st.sampled_from(choices))
+        bad = draw(st.sampled_from(["x", "S", "", "JSON"]))
+        if key[0] == "-":
+            groups.insert(at, (key, [key, bad]))
+        else:
+            groups = [(k, t[:-1] + [bad] if k == key else t)
+                      for k, t in groups]
+    elif fault == "unknown option":
+        groups.insert(at, (None, [draw(st.sampled_from(
+            ["--zzz", "-x", "--nosuch=1", "-q", "---in"]))]))
+    elif fault == "ambiguous":
+        groups.insert(at, (None, [draw(st.sampled_from(ambiguous)), "k3"]))
+    elif fault == "missing value":   # at the end, or before no value
+        groups.append((None, [draw(st.sampled_from(
+            [key for key in options if table.get(key, (bool,))[0]
+             is not bool]))] + draw(st.sampled_from(
+                 [[], ["--"], ["--", "k3"], ["-h x"]]))))
+    elif fault == "stray":
+        groups.insert(at, (None, ["stray"]))
+    else:
+        command = draw(st.sampled_from(["frobnicate", "", "Decide",
+                                        "sgraph"]))
+    return _flat(command, groups)
+
+
+def _reference(argv):
+    """The argparse namespace of argv as a dict, or SystemExit's code."""
+    with contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(reference_parser().parse_args(argv))
+        except SystemExit as exc:
+            return exc.code
+
+
+class TestTableParser:
+    """The command table's parser against the argparse parser it replaced
+    (`helpers.reference_parser`)."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_table_argv())
+    def test_same_values_as_argparse(self, drawn):
+        argv = _flat(*drawn)
+        want = _reference(argv)
+        assert isinstance(want, dict), argv
+        assert vars(cli._parse(argv)) == want
+
+    @settings(max_examples=400, deadline=None)
+    @given(_malformed_argv())
+    def test_rejects_what_argparse_rejected(self, argv):
+        assert _reference(argv) == 2
+        with pytest.raises(cli._Usage):
+            cli._parse(argv)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert (code, out.getvalue()) == (1, "")
+        assert err.getvalue().count("\n") == 1
+
+
 _HOST = (st.builds("{}:{}".format, st.sampled_from(["gr", "egr"]),
                    _infinite(2) | _FINITE)
          | st.builds("egr({},{}):{}".format, st.integers(0, 99),
@@ -400,6 +632,42 @@ class TestFuzz:
             line = out.getvalue()
             assert line.count("\n") == 1 and line.endswith("\n")
             assert json.dumps(json.loads(line), sort_keys=True) == line[:-1]
+
+    @settings(max_examples=150, deadline=None)
+    @given(_ARGV, st.integers(0, 30), st.data())
+    def test_malformed(self, argv, fuel, data):
+        """The same argv with a required option dropped, a junk fuel or a
+        stray token: an exit code of the CLI, no traceback, and exit 1 with
+        one stderr line for a parse error."""
+        argv = list(argv) + ["--fuel", str(fuel)]
+        fault = data.draw(st.sampled_from(["drop", "junk", "stray"]))
+        if fault == "drop":
+            at = data.draw(st.sampled_from(
+                [i for i, token in enumerate(argv)
+                 if token in ("--in", "--pattern", "--host", "--solver")]))
+            del argv[at:at + 2]
+        elif fault == "junk":
+            argv[-1] = data.draw(
+                st.sampled_from(["abc", "1.5", "", "0x1f", "- 3", "-x", "--"])
+                | st.text("ab1.-x ", max_size=4))
+        else:
+            argv.insert(data.draw(st.integers(1, len(argv))), data.draw(
+                st.sampled_from(["stray", "-x", "--", "--zz", "-5", "--f",
+                                 "-h"]) | st.text("ab-= ", max_size=4)))
+        with contextlib.redirect_stdout(io.StringIO()):   # help prints
+            try:
+                cli._parse(argv)
+                parse_error = False
+            except cli._Usage:
+                parse_error = True
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if parse_error:
+            assert (code, out.getvalue()) == (1, "")
+            assert err.getvalue().count("\n") == 1
 
 
 class TestDeterminism:
