@@ -13,8 +13,7 @@ from .graphs import (OMEGA, FinGraph, standard, disjoint_union,
 from .trees import (FiniteTree, FullBinary, SinglePath, LevelRule,
                     DisjointTreeUnion, string_code, string_decode)
 from .spaces import (SpaceName, validate_prefix, validate_name, name_of,
-                     name_of_tree, truncate, gr_to_egr, f_convert, pc,
-                     IotaTrace)
+                     truncate, gr_to_egr, f_convert, pc, IotaTrace)
 from .decide import (Embedding, Verdict, embeddings, fin_subgraph,
                      semidecide_s, decide_is_egr_noncomplete,
                      to_cert_forest, predicate_tf, wf2)

@@ -22,7 +22,6 @@ from math import isqrt
 from .errors import BadParam, FuelExhausted
 from .streams import (CertifiedStream, EventuallyConstant, GeneratorBacked,
                       Indicator, Staged, pair, unpair, zero_from)
-from .trees import string_decode
 from .graphs import OMEGA, FinGraph, Finite
 
 SPACES = ("Gr", "EGr", "Tr", "Tr2")
@@ -190,13 +189,6 @@ def _random_schedule(fin, seed, stutter):
     return out
 
 
-def name_of_tree(tree, space="Tr"):
-    """Characteristic name of a TreeGen (decidable membership per node code)."""
-    return SpaceName(space, GeneratorBacked(
-        lambda n: 1 if tree.contains(string_decode(n)) else 0),
-        meta={"tree": tree})
-
-
 # ---------------------------------------------------------------------------
 # Reading a name: prefixes (HostView, truncate) and vertex windows
 # ---------------------------------------------------------------------------
@@ -246,25 +238,34 @@ class HostView:
         self._log = []         # first arrivals (position, i, j); i == j: vertex
 
     def _read_to(self, s):
-        """Decode up to s by bounded slices; a raising slice commits nothing."""
+        """Read up to s by bounded slices, taking a stream's pairs where it
+        has them and decoding its values otherwise; a raising slice commits
+        nothing."""
         if self._top is not None and s > self._top:   # not min(): per stage
             s = self._top
+        stream = self.name.stream
+        pairs_of = getattr(stream, "pairs", None)
         gr = self.name.space == "Gr"
         while self._read < s:
             lo = self._read
             hi = lo + self._SLICE if s - lo > self._SLICE else s
-            vals = self.name.stream.values(lo, hi)
             pos, pairs = [], []
+            if pairs_of is not None:   # padding (None) carries nothing
+                pairs = pairs_of(lo, hi)
+                pos = range(lo, hi)
+                if None in pairs:
+                    pos = [n for n, p in zip(pos, pairs) if p is not None]
+                    pairs = [p for p in pairs if p is not None]
             # loops, not comprehensions: most stages read one position
-            if gr:   # a 1 at n carries the code n: unpair(n), inlined
-                for n, v in enumerate(vals, lo):
+            elif gr:   # a 1 at n carries the code n: unpair(n), inlined
+                for n, v in enumerate(stream.values(lo, hi), lo):
                     if v == 1:
                         d = (isqrt(8 * n + 1) - 1) // 2
                         j = n - d * (d + 1) // 2
                         pos.append(n)
                         pairs.append((d - j, j))
             else:   # v > 0 carries the code v - 1: unpair(v - 1), inlined
-                for n, v in enumerate(vals, lo):
+                for n, v in enumerate(stream.values(lo, hi), lo):
                     if v:
                         d = (isqrt(8 * v - 7) - 1) // 2
                         j = v - 1 - d * (d + 1) // 2

@@ -30,7 +30,7 @@ from .errors import ParseError
 from .graphs import (FinGraph, OmegaCopies, connected_union,
                      construction, disjoint_union, standard)
 from .spaces import SpaceName, name_of
-from .streams import Staged, parse_stream
+from .streams import StagedPairs, parse_stream
 from .trees import FiniteTree, FullBinary, SinglePath
 
 
@@ -122,31 +122,37 @@ def parse_graph(text):
 def _dense_egr_name(g):
     """EGr name emitting each vertex at its enumeration index, with edges
     to earlier vertices interleaved right after (no idle padding): one
-    stage per vertex.
+    stage per vertex, emitted as (min, max) pairs.
 
     A new vertex's edges come from g.lower_neighbors: every neighbour
     emitted before it has a smaller code (CountableGraph.iter_vertices), so
     the listed ones already emitted are all of them, emitted in the order
     they came. Where g cannot list them, the new vertex is tested against
-    every earlier one. Codes are pair(min, max) + 1, computed inline."""
+    every earlier one. A stage that raises keeps its vertex, so the next
+    read runs that stage again."""
     has_edge = g.has_edge
+    vertices = g.iter_vertices()
+    index = {}     # emitted vertex -> its emission index, in order
+    v = None       # the vertex of the stage to run next, once drawn
 
-    def stages():
-        index = {}     # emitted vertex -> its emission index, in order
-        for v in g.iter_vertices():
-            lower = g.lower_neighbors(v)
-            if lower is None:
-                ws = [w for w in index if has_edge(v, w)]
-            else:
-                ws = [w for w in lower if w in index]
-                if len(ws) > 1:
-                    ws.sort(key=index.__getitem__)
-            index[v] = len(index)
-            ws.insert(0, v)   # pair(v, v) first
-            yield [(w + v) * (w + v + 1) // 2 + (w if w > v else v) + 1
-                   for w in ws]
+    def stage():
+        nonlocal v
+        if v is None:
+            v = next(vertices)
+        lower = g.lower_neighbors(v)
+        if lower is None:
+            ws = [w for w in index if has_edge(v, w)]
+        else:
+            ws = [w for w in lower if w in index]
+            if len(ws) > 1:
+                ws.sort(key=index.__getitem__)
+        index[v] = len(index)
+        out = [(v, v)]
+        out += [(w, v) if w < v else (v, w) for w in ws]
+        v = None
+        return out
 
-    return SpaceName("EGr", Staged(stages().__next__), meta={"denotes": g})
+    return SpaceName("EGr", StagedPairs(stage), meta={"denotes": g})
 
 
 def parse_name(text):

@@ -14,7 +14,10 @@ The uncertified kinds:
 
   * GeneratorBacked(step)            -- a total function n -> value, memoized;
   * Staged(step)                     -- a machine's output, one stage's
-                                        values per call of step(), memoized.
+                                        values per call of step(), memoized;
+  * StagedPairs(step)                -- an EGr machine's output, one stage's
+                                        (i, j) pairs per call of step(),
+                                        memoized as pairs, not as codes.
 
 The quantifier operations (exists_one, infinitely_often, limit, ...) and
 zero_from answer exactly on the certified kinds and refuse the uncertified
@@ -181,6 +184,45 @@ class Staged(CertifiedStream):
 
     def __repr__(self):
         return "Staged(%r)" % (self.step,)
+
+
+class StagedPairs(CertifiedStream):
+    """The EGr name a stage machine emits as (i, j) pairs (i == j: the
+    vertex i), memoized as those pairs: each call step() runs the next
+    stage and returns its pairs as a list, and a stage that emits none
+    emits one padding None.
+
+    pairs(lo, hi) gives the pairs themselves, so a reader needs no decode;
+    eval and values give the EGr values pair(i, j) + 1 (0 for padding),
+    computed on each read. Stages run, and a raising one commits nothing,
+    as in Staged."""
+
+    def __init__(self, step):
+        self.step = step
+        self._pairs = []
+
+    def pairs(self, lo, hi):
+        out = self._pairs
+        while len(out) < hi:
+            out.extend(self.step() or (None,))
+        return out[lo:hi]
+
+    def eval(self, n):
+        out = self._pairs
+        while len(out) <= n:
+            out.extend(self.step() or (None,))
+        p = out[n]
+        if p is None:
+            return 0
+        i, j = p
+        return (i + j) * (i + j + 1) // 2 + j + 1
+
+    def values(self, lo, hi):   # pair(i, j) + 1, inlined as in eval
+        return [0 if p is None else (p[0] + p[1]) * (p[0] + p[1] + 1) // 2
+                + p[1] + 1 for p in self.pairs(lo, hi)]
+
+    def __repr__(self):
+        return "StagedPairs(%r)" % (self.step,)
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,8 @@ from streamgraphs import spaces as SP
 from streamgraphs import specs
 from streamgraphs.errors import BadParam, FuelExhausted
 from streamgraphs.streams import (EventuallyConstant, GeneratorBacked,
-                                  Indicator, Periodic, pair, unpair,
-                                  zero_from)
+                                  Indicator, Periodic, StagedPairs, pair,
+                                  unpair, zero_from)
 
 
 def k(n):
@@ -192,6 +192,55 @@ class TestDenseEgrName:
             text.startswith("l2(")
         name = specs.parse_name("egr:" + text)
         assert name.stream.prefix(1000) == reference_dense_egr_name(g, 1000)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_infinite(2), st.lists(st.integers(1, 9), min_size=1,
+                                  max_size=8), st.booleans())
+    def test_pairs_are_the_decoded_values(self, text, sizes, pairs_first):
+        """Read in consecutive slices that cross stage boundaries,
+        pairs(lo, hi)[k] is unpair(values(lo, hi)[k] - 1) and eval agrees,
+        whichever of them runs the stages; values is the reference name."""
+        cuts = list(itertools.accumulate([0] + sizes))
+        if "path(" in text:
+            # path codes grow doubly exponentially with depth
+            cuts = [c for c in cuts if c <= 16]
+        stream = specs.parse_name("egr:" + text).stream
+        assert isinstance(stream, StagedPairs)
+        for lo, hi in zip(cuts, cuts[1:]):
+            if pairs_first:
+                got = stream.pairs(lo, hi)
+            vals = stream.values(lo, hi)
+            if not pairs_first:
+                got = stream.pairs(lo, hi)
+            assert got == [None if v == 0 else unpair(v - 1) for v in vals]
+            assert [stream.eval(n) for n in range(lo, hi)] == vals
+        want = reference_dense_egr_name(specs.parse_graph(text), cuts[-1])
+        assert stream.values(0, cuts[-1]) == want
+
+    def test_raising_stage_commits_nothing(self):
+        """A stage whose has_edge raises adds no pair, and the next read runs
+        that stage again; the stub ray lists no lower neighbours, so each
+        new vertex is tested, and has_edge raises once at vertex 3."""
+        class FlakyRay(G.Ray):
+            raised = False
+
+            def lower_neighbors(self, v):
+                return None
+
+            def has_edge(self, a, b):
+                if a == 3 and not self.raised:
+                    self.raised = True
+                    raise FuelExhausted("not yet")
+                return super().has_edge(a, b)
+
+        name = specs._dense_egr_name(FlakyRay())
+        assert name.stream.pairs(0, 3) == [(0, 0), (1, 1), (0, 1)]
+        with pytest.raises(FuelExhausted):
+            SP.truncate(name, 7)
+        assert name.stream._pairs == [(0, 0), (1, 1), (0, 1), (2, 2), (1, 2)]
+        assert SP.truncate(name, 7) == r(4)
+        assert name.stream.values(0, 12) == reference_dense_egr_name(
+            G.Ray(), 12)
 
     @pytest.mark.parametrize("text", ["cu(c4,cu(ray),c4)",
                                       "cu(c4,cu(ray,c3))",
@@ -416,6 +465,17 @@ def _sliced_name(rng, kind, fail=True):
         head = [rng.randrange(2) for _ in range(rng.randrange(30))]
         return SP.SpaceName("Gr", Periodic(head, [rng.randrange(2)
                                                   for _ in range(3)]))
+    if kind == "padded":   # a pair stream whose empty stages pad
+        r, vs = random.Random(rng.random()), []
+
+        def stage():
+            if r.random() < 0.3:
+                return []
+            vs.append(len(vs))
+            return [(vs[-1], vs[-1])] + [(w, vs[-1]) for w in vs[:-1]
+                                         if r.random() < 0.1]
+
+        return SP.SpaceName("EGr", StagedPairs(stage))
     if kind == "raises":
         q = rng.randrange(40)
         raised = []
@@ -435,7 +495,7 @@ class TestSlicedReads:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2 ** 32),
            st.sampled_from(_SLICED_NAMES + ["indicator", "periodic",
-                                            "raises"]),
+                                            "padded", "raises"]),
            st.integers(1, 9))
     def test_matches_one_position_at_a_time(self, seed, kind, size):
         """graph, grow, added and neighbors, read in slices of `size`
@@ -457,14 +517,18 @@ class TestSlicedReads:
 
         if isinstance(stream, GeneratorBacked):   # values() calls step only
             stream.step = guarded(stream.step)
-        elif hasattr(stream, "step"):
-            step = stream.step
+        elif isinstance(stream, StagedPairs):   # a dense or a padded name
+            step, pairs = stream.step, stream.pairs
 
             def checked_step():
-                assert len(stream._out) < bound[0]
+                assert len(stream._pairs) < bound[0]
                 return step()
 
-            stream.step = checked_step
+            def checked_pairs(lo, hi):   # reads positions lo <= n < hi
+                assert hi <= bound[0] and (top is None or hi <= top)
+                return pairs(lo, hi)
+
+            stream.step, stream.pairs = checked_step, checked_pairs
         else:
             stream.eval = guarded(stream.eval)
         rng = random.Random(seed + 1)

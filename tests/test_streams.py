@@ -139,6 +139,55 @@ class TestStaged:
             S.exists_one(S.Staged(lambda: [1]), 1)
 
 
+class TestStagedPairs:
+    def _machine(self, stages):
+        """StagedPairs stream over the given stage outputs, plus its call
+        log."""
+        calls = []
+
+        def step():
+            calls.append(len(calls))
+            return list(stages[len(calls) - 1])
+        return S.StagedPairs(step), calls
+
+    def test_codes_are_computed_from_the_pairs(self):
+        s, calls = self._machine([[(0, 0)], [], [(1, 1), (0, 1)], [(3, 7)]])
+        assert s.pairs(0, 5) == [(0, 0), None, (1, 1), (0, 1), (3, 7)]
+        want = [1, 0, S.pair(1, 1) + 1, S.pair(0, 1) + 1, S.pair(3, 7) + 1]
+        assert s.values(0, 5) == want
+        assert [s.eval(n) for n in (4, 1, 0, 3)] == [want[n]
+                                                     for n in (4, 1, 0, 3)]
+        assert calls == [0, 1, 2, 3]
+
+    def test_reads_run_no_stage_past_the_covering_one(self):
+        s, calls = self._machine([[(0, 0), (1, 1)], [(2, 2)], [(3, 3)]])
+        assert s.eval(1) == S.pair(1, 1) + 1 and calls == [0]
+        assert s.pairs(1, 3) == [(1, 1), (2, 2)] and calls == [0, 1]
+        assert s.values(3, 3) == [] and calls == [0, 1]
+
+    def test_raising_stage_adds_nothing_and_is_retried(self):
+        state = {"stage": 0, "failed": False}
+
+        def step():
+            k = state["stage"]
+            if k == 1 and not state["failed"]:
+                state["failed"] = True
+                raise RuntimeError("flaky")
+            state["stage"] += 1
+            return [(k, k), (k, k + 1)]
+        s = S.StagedPairs(step)
+        assert s.pairs(0, 2) == [(0, 0), (0, 1)]
+        with pytest.raises(RuntimeError):
+            s.eval(2)
+        assert s._pairs == [(0, 0), (0, 1)]
+        assert s.pairs(0, 6) == [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2),
+                                 (2, 3)]
+
+    def test_refused_by_quantifiers(self):
+        with pytest.raises(UndecidableWithoutCertificate):
+            S.exists_one(S.StagedPairs(lambda: [(0, 0)]), 1)
+
+
 class TestQuantifiers:
     def test_exists_one(self):
         assert S.exists_one(S.EventuallyConstant([0, 0, 1], 0), 1)
