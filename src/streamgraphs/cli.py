@@ -111,40 +111,10 @@ def _verdict_keys(verdict):
 
 def cmd_decide(args):
     n = _specs.clique_order(args.pattern)
-    pattern = None if n else _specs.parse_pattern(args.pattern)
-    host = _specs.parse_name(args.host)
-    from .decide import (Verdict, decide_is_egr_noncomplete,
-                         semidecide_clique, semidecide_s)
-    if pattern is None:   # complete, so the induced decider refuses it
-        return _verdict_keys(semidecide_clique(
-            n, host, induced=(args.mode == "is"), fuel=args.fuel))
-    if args.mode == "is" and host.space == "EGr":
-        try:
-            if not decide_is_egr_noncomplete(pattern, host):
-                verdict = Verdict.refuted("induced copy impossible")
-            else:
-                # decided positively; "found" needs a witness
-                emb = _is_witness(pattern, host, args.fuel)
-                verdict = (Verdict.found(emb) if emb is not None
-                           else Verdict.unknown(args.fuel))
-            return _verdict_keys(verdict)
-        except StreamGraphsError:
-            pass  # fall back to the fueled semidecider
-    verdict = semidecide_s(pattern, host, induced=(args.mode == "is"),
-                           fuel=args.fuel)
-    return _verdict_keys(verdict)
-
-
-def _is_witness(pattern, host, fuel):
-    """Least induced copy within the fuel window, else the least one in the
-    window a finite-stream certificate reads; None when neither holds one."""
-    from .decide import certified_window, fin_subgraph
-    emb = fin_subgraph(pattern, _spaces.truncate(host, fuel), induced=True)
-    if emb is None:
-        window = certified_window(host)
-        if window is not None:
-            emb = fin_subgraph(pattern, window, induced=True)
-    return emb
+    pattern = n or _specs.parse_pattern(args.pattern)
+    from .decide import decide
+    return _verdict_keys(decide(pattern, _specs.parse_name(args.host),
+                                induced=(args.mode == "is"), fuel=args.fuel))
 
 
 def cmd_search(args):

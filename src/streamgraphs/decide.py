@@ -8,11 +8,12 @@ alone yields Unknown.
 """
 
 from .errors import (BadParam, DegreeUnknown, PredicateUnsupported,
-                     PromiseViolation, UndecidableWithoutCertificate)
+                     PromiseViolation, StreamGraphsError,
+                     UndecidableWithoutCertificate)
 from .graphs import (OMEGA, CertForest, CertTree, CompleteN, CountableGraph,
                      DisjointUnion, Finite, FinGraph, OmegaCopies, TreeAsGraph)
 from .spaces import SpaceName, truncate
-from .streams import Periodic, infinitely_often, zero_from
+from .streams import Periodic, infinitely_often, pair, zero_from
 from .trees import (DisjointTreeUnion, FiniteTree, FullBinary, LevelRule,
                     SinglePath)
 
@@ -185,6 +186,7 @@ class Plan:
         self.g, gadj = g, g.adjacency
         self.vertices = sorted(g.vertices)
         self.pins = [((v,), len(gadj[v])) for v in self.vertices]
+        self.least = min([d for _, d in self.pins], default=0)
         self.edge_pins = [((a, b), len(gadj[a]), len(gadj[b]))
                           for a, b in sorted(g.edges)]
         self._pinned = {}   # pins -> (tables, distances from the pins)
@@ -225,19 +227,24 @@ def least_new_embedding(plan, h, vertices, edges, exclude=()):
     degrees of their pins."""
     hadj, first = h.adjacency, plan.first
     hits = []
-    for pins, d in plan.pins:
-        for u in vertices:
-            if len(hadj[u]) >= d and u not in exclude:
+    for u in vertices:
+        du = len(hadj[u])
+        if du < plan.least or u in exclude:
+            continue
+        for pins, d in plan.pins:
+            if du >= d:
                 hits.append(first(hadj, pins, (u,), exclude))
-    for pins, da, db in plan.edge_pins:
-        for x, y in edges:
-            if x in exclude or y in exclude:
-                continue
-            dx, dy = len(hadj[x]), len(hadj[y])
+    for x, y in edges:
+        dx, dy = len(hadj[x]), len(hadj[y])
+        if min(dx, dy) < plan.least or x in exclude or y in exclude:
+            continue
+        for pins, da, db in plan.edge_pins:
             if dx >= da and dy >= db:
                 hits.append(first(hadj, pins, (x, y), exclude))
             if dy >= da and dx >= db:
                 hits.append(first(hadj, pins, (y, x), exclude))
+    if not hits:
+        return None
     gs = plan.vertices
     keys = [[hit[v] for v in gs] for hit in hits if hit is not None]
     return dict(zip(gs, min(keys))) if keys else None
@@ -261,10 +268,10 @@ def _distances(adj, sources, radius=None):
     return dist
 
 
-def fin_subgraph(g, h, induced=False):
+def fin_subgraph(g, h, induced=False, accept=None):
     """Lexicographically least embedding of g into h, or None: the first
-    hit of `embeddings`, "least" referring to the association list ordered
-    by source vertex.
+    hit of `embeddings` (that `accept` takes, when given), "least" referring
+    to the association list ordered by source vertex.
 
     A copy's image induces a subgraph of minimum degree >= delta(g), so it
     lies in the delta(g)-core of h; the search skips the rest of h, which
@@ -277,7 +284,8 @@ def fin_subgraph(g, h, induced=False):
     if outside is None:
         return None
     for m in embeddings(g, h, induced, outside):
-        return Embedding(m)
+        if accept is None or accept(m):
+            return Embedding(m)
     return None
 
 
@@ -318,16 +326,6 @@ def semidecide_s(g, host, induced=False, fuel=1000):
     if not isinstance(host, SpaceName):
         raise BadParam("semidecide_s expects a SpaceName host")
     return _semidecide_in(truncate(host, fuel), g, host, induced, fuel)
-
-
-def semidecide_clique(n, host, induced=False, fuel=1000):
-    """semidecide_s for the pattern K_n, which is built only when the window
-    of `fuel` positions holds n vertices."""
-    fin = truncate(host, fuel)
-    if n > len(fin.vertices):
-        return _no_copy(host, fuel)
-    return _semidecide_in(fin, CompleteN(n).materialize(), host, induced,
-                          fuel)
 
 
 def _semidecide_in(fin, g, host, induced, fuel):
@@ -401,7 +399,7 @@ def certified_window(host):
     emitted code set is then finite and shows within the head plus one
     period), else None."""
     s = host.stream
-    if not isinstance(s, Periodic):
+    if host.space != "EGr" or not isinstance(s, Periodic):
         return None
     return truncate(host, s.cert_start + len(s.period))
 
@@ -440,6 +438,42 @@ def decide_is_egr_noncomplete(g, host):
             return False
     raise UndecidableWithoutCertificate(
         "host carries no certificate usable for an exists-forall decision")
+
+
+def decide(g, host, induced=False, fuel=1000):
+    """Verdict on a copy of g (induced when `induced`; g a FinGraph, or an
+    int n for K_n) in a Gr or EGr host, from `fuel` positions and its
+    certificates. Unless the window is the whole graph, a non-complete g's
+    induced copy is the least window copy whose non-edges are the host's:
+    read in both bits (Gr), or confirmed by the whole graph."""
+    if isinstance(g, int):   # K_n, built only when the window holds n vertices
+        fin = truncate(host, fuel)
+        if g > len(fin.vertices):
+            return _no_copy(host, fuel)
+        return _semidecide_in(fin, CompleteN(g).materialize(), host, induced,
+                              fuel)
+    if not induced or _is_complete(g):
+        return semidecide_s(g, host, induced, fuel)
+    try:
+        if host.space == "EGr" and not decide_is_egr_noncomplete(g, host):
+            return Verdict.refuted("induced copy impossible")
+    except StreamGraphsError:
+        pass   # no certificate decides it; the window still may
+    fin, window = truncate(host, fuel), certified_window(host)
+    if _host_exhausted(host, fuel):
+        return _semidecide_in(fin, g, host, True, fuel)
+    whole, gr = host.meta.get("denotes", window), host.space == "Gr"
+
+    def non_edge(x, y):
+        return (gr and pair(min(x, y), max(x, y)) < fuel
+                or whole is not None and not whole.has_edge(x, y))
+
+    emb = None if whole is None and not gr else fin_subgraph(
+        g, fin, True, lambda m: all(g.has_edge(a, b) or non_edge(m[a], m[b])
+                                    for a in m for b in m if a < b))
+    if emb is None and window is not None:
+        emb = fin_subgraph(g, window, induced=True)
+    return Verdict.found(emb) if emb is not None else Verdict.unknown(fuel)
 
 
 # ---------------------------------------------------------------------------

@@ -435,12 +435,12 @@ def _validate_host_name(host):
 
 
 def subgraph_presence_problem(g, induced=False, fuel=200):
-    """Does the host contain a copy of the finite graph g?  Backed by the
-    fueled semidecision procedure; refuses rather than guessing."""
-    from .decide import semidecide_s
+    """Does the host contain a copy of the finite graph g?  Backed by
+    `decide.decide`, as `sgraph decide` is; refuses rather than guessing."""
+    from .decide import decide
 
     def solve(host, budget):
-        verdict = semidecide_s(g, host, induced=induced, fuel=budget)
+        verdict = decide(g, host, induced=induced, fuel=budget)
         if verdict.kind == "found":
             return 1
         if verdict.kind == "refuted":

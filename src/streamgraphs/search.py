@@ -322,12 +322,12 @@ def emb_ray_r(host, lim_oracle, fuel=2000, steps=10):
     """Embed into a host isomorphic to the one-way ray: probe which side of
     the first discovered edge is the infinite one (a convergent bit stream,
     answered by the oracle), then walk that way. An EGr host is read by
-    prefixes, a Gr host by vertex windows."""
+    prefixes, a Gr host by vertex windows, each built once per call."""
     if host.space == "EGr":
         view = HostView(host)
         window, neighbors = view.graph, view.neighbors
     else:
-        window = functools.partial(gr_window, host)
+        window = functools.lru_cache(None)(functools.partial(gr_window, host))
 
         def neighbors(v, s):
             fin = window(s)

@@ -213,10 +213,11 @@ class HostView:
 
     Stage loops read the host through one adjacency that grows in place
     instead: grow(s) extends `adjacency` (vertex -> set of neighbours) to the
-    graph of stage s, unless it already holds a later stage; added(s0, s1)
+    graph of stage s, unless it already stands at s or later; added(s0, s1)
     lists what first arrived at positions s0 <= p < s1, and neighbors(v, s)
     gives v's neighbours in the graph of any stage up to the furthest grown.
-    graph(s) builds none of this.
+    graph(s) builds none of this. A step added(s, s1) from the stage s where
+    the view stands costs one stream read and the updates of what arrived.
     """
 
     _SLICE = 4096   # positions evaluated and decoded at a time
@@ -226,12 +227,14 @@ class HostView:
             raise BadParam("truncate expects a graph name")
         self.name = name
         self._top = zero_from(name.stream)   # None, or only padding from it
+        self._pairs_of = getattr(name.stream, "pairs", None)
         self._read = 0     # positions evaluated so far
         self._pos = []     # positions that carry a vertex or an edge
         self._pairs = []   # what each of them carries, as (i, j)
         self._count = -1   # how many of them the last graph holds
         self._graph = None
-        self._grown = 0        # how many of the pairs `adjacency` holds
+        self._stood = 0        # the stage `adjacency` holds
+        self._grown = 0        # how many of the pairs it holds
         self.adjacency = {}
         self._born = {}        # vertex -> position where it arrived
         self._arrivals = {}    # vertex -> [(position, neighbour)], in order
@@ -243,8 +246,7 @@ class HostView:
         nothing."""
         if self._top is not None and s > self._top:   # not min(): per stage
             s = self._top
-        stream = self.name.stream
-        pairs_of = getattr(stream, "pairs", None)
+        stream, pairs_of = self.name.stream, self._pairs_of
         gr = self.name.space == "Gr"
         while self._read < s:
             lo = self._read
@@ -288,33 +290,43 @@ class HostView:
 
     def grow(self, s):
         """Extend `adjacency` by the positions below s not yet in it."""
-        if s < 0:
-            raise BadParam("fuel must be >= 0, got %r" % (s,))
+        if s <= self._stood:
+            if s < 0:
+                raise BadParam("fuel must be >= 0, got %r" % (s,))
+            return
         if s > self._read:
             self._read_to(s)
-        end = bisect_left(self._pos, s)
+        pos, pairs, k = self._pos, self._pairs, self._grown
+        # graph(s) may have read past s: only then search for where s ends
+        end = len(pos) if s >= self._read else bisect_left(pos, s, k)
         adj, arrivals, log = self.adjacency, self._arrivals, self._log
-        for k in range(self._grown, end):
-            p = self._pos[k]
-            i, j = self._pairs[k]
+        vs, es = self._new = [], []   # what this growth adds, for added()
+        for k in range(k, end):
+            p = pos[k]
+            i, j = pairs[k]
             for v in (i, j):
                 if v not in adj:
                     adj[v] = set()
                     arrivals[v] = []
                     self._born[v] = p
                     log.append((p, v, v))
+                    vs.append(v)
             if i != j and j not in adj[i]:
                 adj[i].add(j)
                 adj[j].add(i)
                 arrivals[i].append((p, j))
                 arrivals[j].append((p, i))
                 log.append((p, i, j))
-        if end > self._grown:
-            self._grown = end
+                es.append((i, j))
+        self._grown, self._stood = end, s
 
     def added(self, s0, s1):
         """(vertices, edges) of the graph of stage s1 that the graph of
-        stage s0 lacks, in order of arrival; grows to s1."""
+        stage s0 lacks, in order of arrival; grows to s1. From the stage
+        where the view stands, these are what that growth folds in."""
+        if s0 == self._stood and s1 > s0:
+            self.grow(s1)
+            return self._new
         self.grow(s1)
         log = self._log
         new = log[bisect_left(log, (s0,)):bisect_left(log, (s1,))]
@@ -328,8 +340,7 @@ class HostView:
         born = self._born.get(v)
         if born is None or born >= s:
             return None
-        arr = self._arrivals[v]
-        return [w for _, w in arr[:bisect_left(arr, (s,))]]
+        return [w for p, w in self._arrivals[v] if p < s]
 
 
 def truncate(name, fuel):
@@ -425,6 +436,7 @@ class _FConvert:
 
     def __init__(self, stream):
         self.stream = stream
+        self._pairs_of = getattr(stream, "pairs", None)
         self.trace = IotaTrace()
         self.ones = self.trace.ones
         self.used = set()      # the codes in iota's image
@@ -452,9 +464,13 @@ class _FConvert:
 
     def run_stage(self):
         s = self.stage
-        v = self.stream.eval(s)
-        if v != 0:
-            u, w = unpair(v - 1)
+        if self._pairs_of is not None:   # a dense name: no code to invert
+            p = self._pairs_of(s, s + 1)[0]
+        else:
+            v = self.stream.eval(s)
+            p = unpair(v - 1) if v else None
+        if p is not None:
+            u, w = p
             self._add_vertex(u)
             if u != w:
                 self._add_vertex(w)

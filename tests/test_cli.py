@@ -617,6 +617,53 @@ _ARGV = (st.tuples(st.sampled_from(["validate", "truncate", "convert"]),
                      st.just("--host"), _HOST))
 
 
+class TestInducedVerdicts:
+    """An EGr window can lack an edge that arrives later, so an induced
+    copy in the window need not be one in the host."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--pattern", "r3", "--host", "egr:omega(komega)"],
+        ["--pattern", "r3", "--host", "egr:du(komega,l)", "--fuel", "8"],
+        ["--pattern", "du(k1,k1)", "--host", "egr:cu(k4,ray)",
+         "--fuel", "2"]])
+    def test_window_copy_broken_later_is_unknown(self, capsys, argv):
+        code, out = run(capsys, "decide", *argv, "--mode", "is")
+        assert code == 2 and json.loads(out)["verdict"] == "unknown"
+
+    def test_confirmed_window_copy(self, capsys):
+        """The least window copy is broken later; the next one holds."""
+        code, out = run(capsys, "decide", "--pattern", "r3", "--host",
+                        "egr:du(komega,l)", "--mode", "is", "--fuel", "13")
+        assert code == 0
+        assert json.loads(out)["witness"] == [[0, 4], [1, 1], [2, 8]]
+
+    @settings(max_examples=300, deadline=None)
+    @given(_PATTERN | st.sampled_from(["du(k1,k1)", "du(k1,k2)",
+                                       "du(k2,k1,k1)"]),
+           _HOST, st.sampled_from(["s", "is"]), st.integers(0, 12))
+    def test_found_witnesses_hold_in_the_denoted_graph(self, pattern, host,
+                                                        mode, fuel):
+        """Every found witness is a copy in the denoted graph, and more
+        fuel keeps the answer found. The fuel stays at most 20: the vertex
+        codes of some l2 names double in length at every position."""
+        g = specs.parse_pattern(pattern)
+        denoted = specs.parse_name(host).meta["denotes"]
+        verdicts = []
+        for f in (fuel, fuel + 8):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(["decide", "--pattern", pattern, "--host",
+                                 host, "--mode", mode, "--fuel", str(f)])
+            assert code in (0, 2)
+            report = json.loads(out.getvalue())
+            verdicts.append(report["verdict"])
+            if report["verdict"] == "found":
+                assert Embedding(report["witness"]).check(
+                    g, denoted, induced=mode == "is")
+        assert verdicts[0] != "found" or verdicts[1] == "found"
+
+
 class TestFuzz:
     @settings(max_examples=150, deadline=None)
     @given(_ARGV, st.integers(0, 30))

@@ -1,5 +1,6 @@
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +20,8 @@ from streamgraphs.errors import (BadParam, CensusUnstable, FuelExhausted,
                                  NoInfiniteDegreeVertex, OracleRefused,
                                  PatternNeverSeen, PredicateUnsupported,
                                  PromiseViolation)
-from streamgraphs.streams import EventuallyConstant, pair, unpair
+from streamgraphs.streams import (EventuallyConstant, GeneratorBacked,
+                                  StagedPairs, pair, unpair, zero_from)
 from streamgraphs.suites import _naive_least_embedding
 
 
@@ -65,6 +67,95 @@ def _outcome(call):
         return call()
     except (FuelExhausted, OracleRefused, PatternNeverSeen) as exc:
         return type(exc).__name__
+
+
+def _record_reads(name):
+    """The positions the name's stream hands out, in the order of the
+    reads, recorded at the method each stream kind reads them through."""
+    stream, reads = name.stream, []
+    ranged = ("pairs" if isinstance(stream, StagedPairs) else
+              "values" if isinstance(stream, GeneratorBacked) else None)
+    if ranged is not None:
+        real = getattr(stream, ranged)
+
+        def read(lo, hi):
+            reads.extend(range(lo, hi))
+            return real(lo, hi)
+
+        setattr(stream, ranged, read)
+    real_eval = stream.eval
+
+    def one(n):
+        reads.append(n)
+        return real_eval(n)
+
+    stream.eval = one
+    return reads
+
+
+class TestPeekGuard:
+    """The stage loops read each position once and in order, and none at
+    or past the stage where they stop or past their fuel; the reads are
+    counted through the stream."""
+
+    @staticmethod
+    def _read_below(name, stop):
+        top = zero_from(name.stream)
+        return list(range(stop if top is None else min(stop, top)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2 ** 32))
+    def test_find_s_finite(self, seed):
+        """A found copy stops at the first stage whose window holds one,
+        an absent one at the fuel."""
+        rng = random.Random(seed)
+        host, g = _random_host(rng), _random_pattern(rng)
+        fuel = rng.randrange(60)
+        plain = _random_host(random.Random(seed))
+        reads = _record_reads(host)
+        try:
+            S.find_s_finite(g, host, fuel)
+            stop = next(s for s in range(fuel + 1) if D.fin_subgraph(
+                g, SP.truncate(plain, s)) is not None)
+        except FuelExhausted:
+            stop = fuel
+        assert reads == self._read_below(host, stop)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2 ** 32))
+    def test_ray_follow(self, seed):
+        """The furthest stage a follower asks its view for is within the
+        fuel, and it reads nothing past it."""
+        rng = random.Random(seed)
+        host = _random_host(rng)
+        kind = rng.choice(["TwoWayRay", "FullBinaryTree",
+                           ("CycleTailRay", 3), ("CompleteTailRay", 3)])
+        fuel, steps = rng.randrange(300), rng.randrange(1, 9)
+        reads, asked = _record_reads(host), [0]
+        grow = SP.HostView.grow
+
+        def recording(view, s):
+            asked[0] = max(asked[0], s)
+            return grow(view, s)
+
+        with mock.patch.object(SP.HostView, "grow", recording):
+            _outcome(lambda: S.ray_follow(kind, host, fuel, steps))
+        assert asked[0] <= fuel
+        assert reads == self._read_below(host, asked[0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32))
+    def test_find_s_components(self, seed):
+        """Each step of the machine reads the next 10 positions."""
+        rng = random.Random(seed)
+        host = specs.parse_name(rng.choice(
+            ["egr:omega(k3)", "egr:omega(c4)", "egr:omega(du(k1,k2))",
+             "gr:omega(k2)", "egr(5,0.3):du(k3,k3,c4)"]))
+        reads = _record_reads(host)
+        sol = S.find_s_components([(k(rng.choice([2, 3])), G.OMEGA)], host)
+        sol.name.stream.prefix(rng.randrange(1, 40))
+        machine = sol.name.meta["components"]
+        assert reads == self._read_below(host, machine.fuel)
 
 
 class TestFindSFinite:
@@ -416,6 +507,19 @@ class TestEmbRayR:
         ray = G.standard("Ray")
         for a, b in zip(walk, walk[1:]):
             assert ray.has_edge(a, b)
+
+    def test_each_vertex_window_is_built_once(self, monkeypatch):
+        """The walk probes the same window sizes at every step."""
+        tops, real = [], S.gr_window
+
+        def counting(name, top):
+            tops.append(top)
+            return real(name, top)
+
+        monkeypatch.setattr(S, "gr_window", counting)
+        walk = S.emb_ray_r(SP.name_of("Gr", G.standard("Ray")),
+                           lambda q: q.eval(60), steps=10)
+        assert len(walk) == 10 and len(tops) == len(set(tops))
 
     def test_random_relabelings(self):
         for seed in range(10):

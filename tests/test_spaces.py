@@ -590,6 +590,72 @@ class TestSlicedReads:
         assert fin == reference_truncate(name, stream.cert_start)
 
 
+class TestStageLoopCalls:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2 ** 32),
+           st.sampled_from(["egr:l", "egr:komega", "egr:omega(c3)",
+                            "egr(3,0.5):du(c4,k3)", "egr(8,0.2):k5", "gr:l",
+                            "gr:c5", "indicator", "padded", "raises"]))
+    def test_interleaved_calls(self, seed, kind):
+        """One view through a random mix of one-position steps
+        added(s, s + 1) and forward ranges from the stage where it stands,
+        look-back ranges, grow(s) with nothing new, neighbors(v, s) and
+        graph(s): every answer and the adjacency match first arrivals read
+        one position at a time, and every graph the reference truncate. A
+        position that raises once is read again."""
+        name = _sliced_name(random.Random(seed), kind)
+        plain = _sliced_name(random.Random(seed), kind, fail=False)
+        log = _arrivals_one_at_a_time(plain, 100)
+        rng = random.Random(seed + 1)
+        view, stood = SP.HostView(name), 0
+        for _ in range(30):
+            op = rng.choice(["step", "forward", "back", "regrow",
+                             "neighbors", "graph"])
+            if op == "step":
+                call = ("added", stood, stood + 1)
+            elif op == "forward":
+                call = ("added", stood, stood + rng.randrange(1, 9))
+            elif op == "back":
+                s1 = rng.randrange(stood + 1)
+                call = ("added", rng.randrange(s1 + 1), s1)
+            elif op == "regrow":
+                call = ("grow", rng.randrange(stood + 1))
+            elif op == "neighbors":
+                call = ("neighbors", rng.randrange(12), max(0, rng.choice(
+                    [stood - 1, stood, stood + 1, rng.randrange(90)])))
+            else:
+                call = ("graph", rng.randrange(90))
+            s = min(call[-1], 90)
+            call = call[:-1] + (s,)
+            try:
+                got = getattr(view, call[0])(*call[1:])
+            except FuelExhausted:
+                assert kind == "raises"
+                got = getattr(view, call[0])(*call[1:])
+            before = [e for e in log if e[0] < s]
+            if call[0] == "added":
+                new = [e for e in before if e[0] >= call[1]]
+                assert got == ([i for _, i, j in new if i == j],
+                               [(i, j) for _, i, j in new if i != j])
+            elif call[0] == "neighbors":
+                v = call[1]
+                known = any(e[1:] == (v, v) for e in before)
+                assert got == ([j if i == v else i for _, i, j in before
+                                if i != j and v in (i, j)]
+                               if known else None)
+            elif call[0] == "graph":
+                assert got == reference_truncate(plain, s)
+            if call[0] != "graph":
+                stood = max(stood, s)
+            grown = [e for e in log if e[0] < stood]
+            want = {i: set() for _, i, j in grown if i == j}
+            for _, i, j in grown:
+                if i != j:
+                    want[i].add(j)
+                    want[j].add(i)
+            assert view.adjacency == want
+
+
 class TestGrToEgr:
     def test_k2_replay(self):
         egr = SP.gr_to_egr(SP.name_of("Gr", k(2)))
@@ -748,6 +814,20 @@ class TestFConvert:
         out.stream.eval(pair(stages - 1, stages - 1))
         self._assert_matches_reference(specs.parse_name(host), out, trace,
                                        stages)
+
+    @pytest.mark.parametrize("host", ["egr:komega", "egr:omega(c4)"])
+    def test_dense_names_are_read_as_pairs(self, host):
+        """A dense name hands each stage its (i, j) pair: no Cantor code
+        is computed, so none is inverted either."""
+        def no_code(*_):
+            raise AssertionError("a Cantor code was computed")
+
+        name = specs.parse_name(host)
+        name.stream.eval = name.stream.values = no_code
+        out, trace = SP.f_convert(name)
+        out.stream.eval(pair(39, 39))
+        self._assert_matches_reference(specs.parse_name(host), out, trace,
+                                       40)
 
 
 class TestPC:
