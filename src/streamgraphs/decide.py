@@ -12,7 +12,7 @@ from .errors import (BadParam, DegreeUnknown, PredicateUnsupported,
                      UndecidableWithoutCertificate)
 from .graphs import (OMEGA, CertForest, CertTree, CompleteN, CountableGraph,
                      DisjointUnion, Finite, FinGraph, OmegaCopies, TreeAsGraph)
-from .spaces import SpaceName, truncate
+from .spaces import HostView, SpaceName, truncate
 from .streams import Periodic, infinitely_often, pair, zero_from
 from .trees import (DisjointTreeUnion, FiniteTree, FullBinary, LevelRule,
                     SinglePath)
@@ -276,8 +276,8 @@ def fin_subgraph(g, h, induced=False, accept=None):
     A copy's image induces a subgraph of minimum degree >= delta(g), so it
     lies in the delta(g)-core of h; the search skips the rest of h, which
     leaves the hits and their order as they are. A copy also needs as many
-    edges as g has."""
-    if len(g.edges) > len(h.edges):
+    edges as g has; h's is half its degree sum, as only h.adjacency is read."""
+    if 2 * len(g.edges) > sum(map(len, h.adjacency.values())):
         return None
     k = min(map(len, g.adjacency.values()), default=0)
     outside = core_outside(h.adjacency, k, len(g.vertices)) if k > 1 else ()
@@ -330,9 +330,7 @@ def semidecide_s(g, host, induced=False, fuel=1000):
 
 def _semidecide_in(fin, g, host, induced, fuel):
     emb = fin_subgraph(g, fin, induced)
-    if emb is not None:
-        return Verdict.found(emb)
-    return _no_copy(host, fuel)
+    return Verdict.found(emb) if emb is not None else _no_copy(host, fuel)
 
 
 def _no_copy(host, fuel):
@@ -354,19 +352,14 @@ def _sufficient_window(parts, pattern_size):
     """Finite graph holding one copy of each finite part and pattern_size
     copies of each omega-replicated finite part: enough host material for any
     induced copy of a pattern with pattern_size vertices."""
-    expanded = []
-    for part, count in parts:
-        reps = 1 if count == 1 else pattern_size
-        expanded.extend([part] * reps)
-    vs, es = [], []
-    for idx, part in enumerate(expanded):
-        for v in part.vertices:
-            vs.append((idx, v))
-        for a, b in part.edges:
-            es.append(((idx, a), (idx, b)))
-    relabel = {v: i for i, v in enumerate(sorted(vs))}
+    expanded = list(enumerate(
+        part for part, count in parts
+        for _ in range(1 if count == 1 else pattern_size)))
+    relabel = {v: i for i, v in enumerate(sorted(
+        (idx, v) for idx, part in expanded for v in part.vertices))}
     return FinGraph(relabel.values(),
-                    [(relabel[a], relabel[b]) for a, b in es])
+                    [(relabel[idx, a], relabel[idx, b])
+                     for idx, part in expanded for a, b in part.edges])
 
 
 def _algebra_parts(g):
@@ -374,8 +367,6 @@ def _algebra_parts(g):
     None when it is not a finite/omega-replicated disjoint union."""
     if isinstance(g, FinGraph):
         return [(g, 1)]
-    if isinstance(g, Finite):
-        return [(g.materialize(), 1)]
     if isinstance(g, OmegaCopies):
         inner = _algebra_parts(g.base)
         if inner is None:
@@ -394,14 +385,14 @@ def _algebra_parts(g):
     return None
 
 
-def certified_window(host):
+def certified_window(host, view=None):
     """The whole graph named by an EGr host whose stream is Periodic (its
     emitted code set is then finite and shows within the head plus one
-    period), else None."""
+    period), read through `view` when given, else None."""
     s = host.stream
     if host.space != "EGr" or not isinstance(s, Periodic):
         return None
-    return truncate(host, s.cert_start + len(s.period))
+    return (view or HostView(host)).graph(s.cert_start + len(s.period))
 
 
 def decide_is_egr_noncomplete(g, host):
@@ -448,18 +439,22 @@ def decide(g, host, induced=False, fuel=1000):
     read in both bits (Gr), or confirmed by the whole graph."""
     if isinstance(g, int):   # K_n, built only when the window holds n vertices
         fin = truncate(host, fuel)
-        if g > len(fin.vertices):
+        if g > len(fin.adjacency):
             return _no_copy(host, fuel)
         return _semidecide_in(fin, CompleteN(g).materialize(), host, induced,
                               fuel)
     if not induced or _is_complete(g):
         return semidecide_s(g, host, induced, fuel)
-    try:
-        if host.space == "EGr" and not decide_is_egr_noncomplete(g, host):
+    view = HostView(host)   # one read for the whole graph and the window
+    window = certified_window(host, view)
+    copy = None if window is None else fin_subgraph(g, window, induced=True)
+    try:   # decide_is_egr_noncomplete, with the window searched only once
+        if host.space == "EGr" and (copy is None if window is not None else
+                                    not decide_is_egr_noncomplete(g, host)):
             return Verdict.refuted("induced copy impossible")
     except StreamGraphsError:
         pass   # no certificate decides it; the window still may
-    fin, window = truncate(host, fuel), certified_window(host)
+    fin = view.graph(fuel)
     if _host_exhausted(host, fuel):
         return _semidecide_in(fin, g, host, True, fuel)
     whole, gr = host.meta.get("denotes", window), host.space == "Gr"
@@ -471,8 +466,8 @@ def decide(g, host, induced=False, fuel=1000):
     emb = None if whole is None and not gr else fin_subgraph(
         g, fin, True, lambda m: all(g.has_edge(a, b) or non_edge(m[a], m[b])
                                     for a in m for b in m if a < b))
-    if emb is None and window is not None:
-        emb = fin_subgraph(g, window, induced=True)
+    if emb is None:
+        emb = copy
     return Verdict.found(emb) if emb is not None else Verdict.unknown(fuel)
 
 

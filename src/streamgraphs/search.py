@@ -234,23 +234,23 @@ def find_s_components(parts, host):
 # Ray followers
 # ---------------------------------------------------------------------------
 
-def _wait_for(predicate, fuel):
-    s = 1
-    while s < fuel:
-        got = predicate(s)
+def _wait_for(predicate, fuel, after=0):
+    """The first answer of predicate(s) at s = 1, 2, 4, ... below fuel, then
+    at fuel, skipping the s up to `after`, which are known to miss."""
+    s = 1 << after.bit_length()
+    while True:
+        got = predicate(min(s, fuel))
         if got is not None:
             return got
+        if s >= fuel:
+            raise PatternNeverSeen("no witness within fuel %d" % fuel)
         s *= 2
-    got = predicate(fuel)
-    if got is not None:
-        return got
-    raise PatternNeverSeen("no witness within fuel %d" % fuel)
 
 
-def _extend_walk(neighbors, walk, banned, fuel):
+def _extend_walk(neighbors, walk, banned, fuel, after=0):
     """Least fresh neighbour of the walk's tip, waiting on the growing
     finite windows of the host; neighbors(v, s) lists v's neighbours in
-    the window at s, or is None when v is not in it."""
+    the window at s, or is None when v is not in it (as at s <= after)."""
     tip = walk[-1]
     seen = set(walk) | set(banned)
 
@@ -258,7 +258,7 @@ def _extend_walk(neighbors, walk, banned, fuel):
         cands = [w for w in neighbors(tip, s) or () if w not in seen]
         return min(cands) if cands else None
 
-    return _wait_for(probe, fuel)
+    return _wait_for(probe, fuel, after)
 
 
 def ray_follow(kind, host, fuel=2000, steps=10):
@@ -314,7 +314,8 @@ def ray_follow(kind, host, fuel=2000, steps=10):
         raise BadParam("unknown follower kind %r" % (kind,))
     walk = [start]
     while len(walk) < steps:
-        walk.append(_extend_walk(view.neighbors, walk, banned, fuel))
+        walk.append(_extend_walk(view.neighbors, walk, banned, fuel,
+                                 view.arrival(walk[-1])))
     return walk
 
 
@@ -334,9 +335,7 @@ def emb_ray_r(host, lim_oracle, fuel=2000, steps=10):
             return fin.neighbors(v) if v in fin.vertices else None
 
     def first_edge(s):
-        fin = window(s)
-        es = sorted(fin.edges)
-        return es[0] if es else None
+        return min(window(s).edges, default=None)
 
     v, w = _wait_for(first_edge, fuel)
 

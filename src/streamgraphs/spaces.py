@@ -15,7 +15,8 @@ a dedicated symbol; an all-padding stream denotes the empty graph.
 
 import random
 from bisect import bisect_left, insort
-from collections import deque, namedtuple
+from collections import defaultdict, deque, namedtuple
+from functools import cached_property
 from itertools import chain, combinations
 from math import isqrt
 
@@ -193,14 +194,35 @@ def _random_schedule(fin, seed, stutter):
 # Reading a name: prefixes (HostView, truncate) and vertex windows
 # ---------------------------------------------------------------------------
 
-def _window(pairs):
-    """The FinGraph of the (i, j) pairs (i == j: a vertex), built unchecked
-    by C-level passes; FinGraph.adjacency builds the adjacency on first use."""
-    g = FinGraph.__new__(FinGraph)
-    g.vertices = frozenset(chain.from_iterable(pairs))
-    g.edges = frozenset([(i, j) if i < j else (j, i)
-                         for i, j in pairs if i != j])
-    return g
+class _Window(FinGraph):
+    """The FinGraph of the (i, j) pairs (i == j: a vertex), unchecked, that
+    builds each of its views from them when, and only when, it is read."""
+
+    def __init__(self, pairs):
+        self._pairs = pairs
+
+    @cached_property
+    def vertices(self):
+        return frozenset(chain.from_iterable(self._pairs))
+
+    @cached_property
+    def edges(self):
+        return frozenset([(i, j) if i < j else (j, i)
+                          for i, j in self._pairs if i != j])
+
+    @cached_property
+    def adjacency(self):   # a Gr edge may come before its ends' own bits
+        adj = defaultdict(set)
+        for i, j in self._pairs:
+            if i != j:
+                adj[i].add(j)
+                adj[j].add(i)
+            elif i not in adj:
+                adj[i] = set()
+        return dict(adj)
+
+
+_window = _Window   # HostView.graph's window, looked up at each call
 
 
 class HostView:
@@ -332,6 +354,10 @@ class HostView:
         new = log[bisect_left(log, (s0,)):bisect_left(log, (s1,))]
         return ([i for _, i, j in new if i == j],
                 [(i, j) for _, i, j in new if i != j])
+
+    def arrival(self, v):
+        """Where v arrived, or None while the growth has not reached it."""
+        return self._born.get(v)
 
     def neighbors(self, v, s):
         """v's neighbours in the graph of stage s, in order of arrival, or

@@ -7,7 +7,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from streamgraphs import cli
+from streamgraphs import cli, decide, spaces
 from streamgraphs import specs
 from streamgraphs.decide import Embedding, semidecide_s
 from streamgraphs.errors import ParseError
@@ -636,6 +636,32 @@ class TestInducedVerdicts:
                         "egr:du(komega,l)", "--mode", "is", "--fuel", "13")
         assert code == 0
         assert json.loads(out)["witness"] == [[0, 4], [1, 1], [2, 8]]
+
+    def test_certified_host_is_read_and_searched_once(self, capsys,
+                                                      monkeypatch):
+        """The fuel window and the certified whole graph come from one
+        view, and the whole graph's copy, searched once to rule out a
+        refutation, is the witness when no window copy is confirmed: one
+        view and two searches (three of each when each was its own)."""
+        views, searches = [], []
+        init, search = spaces.HostView.__init__, decide.fin_subgraph
+
+        def counting_init(view, name):
+            views.append(name)
+            init(view, name)
+
+        def counting_search(g, h, *args, **kwargs):
+            searches.append(h)
+            return search(g, h, *args, **kwargs)
+
+        monkeypatch.setattr(spaces.HostView, "__init__", counting_init)
+        monkeypatch.setattr(decide, "fin_subgraph", counting_search)
+        code, out = run(capsys, "decide", "--pattern", "r3", "--host",
+                        "egr(11,0.3):du(c4,k3,r5)", "--mode", "is",
+                        "--fuel", "8")
+        assert code == 0
+        assert json.loads(out)["witness"] == [[0, 0], [1, 2], [2, 5]]
+        assert len(views) == 1 and len(searches) == 2
 
     @settings(max_examples=300, deadline=None)
     @given(_PATTERN | st.sampled_from(["du(k1,k1)", "du(k1,k2)",

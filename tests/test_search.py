@@ -498,6 +498,44 @@ class TestRayFollow:
         assert _outcome(lambda: S.ray_follow(kind, host, fuel, steps)) == \
             _outcome(lambda: reference_ray_follow(kind, host, fuel, steps))
 
+    # the ray kinds and hosts of the search-staged bench workload
+    RAYS = [("TwoWayRay", "egr:l"), (("CycleTailRay", 4), "egr:cu(c4,ray)"),
+            (("CycleTailRay", 5), "egr:cu(c5,ray)"),
+            (("CompleteTailRay", 4), "egr:cu(k4,ray)")]
+
+    @pytest.mark.parametrize("steps", [10, 20, 25])
+    @pytest.mark.parametrize("kind, host", RAYS)
+    def test_long_walks_match_snapshot_probes(self, kind, host, steps):
+        assert S.ray_follow(kind, specs.parse_name(host), steps=steps) == \
+            reference_ray_follow(kind, specs.parse_name(host), steps=steps)
+
+    @pytest.mark.parametrize("steps, fuel", [(4, 200), (6, 200), (8, 200),
+                                             (10, 2000), (12, 2000)])
+    def test_tree_walks_match_snapshot_probes(self, steps, fuel):
+        def walk(follow):
+            return _outcome(lambda: follow("FullBinaryTree",
+                                           specs.parse_name("egr:fbt"),
+                                           fuel, steps))
+
+        assert walk(S.ray_follow) == walk(reference_ray_follow)
+
+    @pytest.mark.parametrize("kind, host, calls", [
+        RAYS[0] + (32,), RAYS[1] + (27,), RAYS[3] + (27,)])
+    def test_walk_probes_start_past_the_tip(self, kind, host, calls):
+        """A step's probes start at the least stage of the doubling schedule
+        past the tip's arrival, so none answers None: a 25-step walk asks
+        `calls` times (161, 154 and 156 times from stage 1 at every step)."""
+        answers = []
+        neighbors = SP.HostView.neighbors
+
+        def recording(view, v, s):
+            answers.append(neighbors(view, v, s))
+            return answers[-1]
+
+        with mock.patch.object(SP.HostView, "neighbors", recording):
+            S.ray_follow(kind, specs.parse_name(host), steps=25)
+        assert len(answers) == calls and None not in answers
+
 
 class TestEmbRayR:
     def test_standard_ray(self):

@@ -1,4 +1,7 @@
+import collections
+import functools
 import itertools
+import json
 import random
 import tracemalloc
 from unittest import mock
@@ -10,6 +13,7 @@ from helpers import (random_fin_graph, reference_dense_egr_name,
                      reference_f_convert, reference_random_schedule,
                      reference_truncate)
 
+from streamgraphs import cli
 from streamgraphs import graphs as G
 from streamgraphs import spaces as SP
 from streamgraphs import specs
@@ -654,6 +658,67 @@ class TestStageLoopCalls:
                     want[i].add(j)
                     want[j].add(i)
             assert view.adjacency == want
+
+
+def _count_window_views(monkeypatch):
+    """How often each of a window's views gets built, from now on."""
+    built = collections.Counter()
+    for view in ("vertices", "edges", "adjacency"):
+        def counting(window, build=vars(SP._Window)[view].func, view=view):
+            built[view] += 1
+            return build(window)
+
+        prop = functools.cached_property(counting)
+        prop.__set_name__(SP._Window, view)
+        monkeypatch.setattr(SP._Window, view, prop)
+    return built
+
+
+class TestLazyWindow:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2 ** 32),
+           st.sampled_from(["egr:komega", "egr:fbt", "egr:omega(c3)",
+                            "egr(3,0.5):du(c4,k3)", "egr(8,0.2):k5", "gr:l",
+                            "gr:c5", "indicator", "periodic", "padded"]))
+    def test_views_match_reference_in_any_order(self, seed, kind):
+        """Windows of dense, scheduled (a stutter emits a code again),
+        padded and Gr names (an edge bit may come before its ends' own
+        bits, or without them), at shuffled stages of one view: the three
+        views, == and hash, read in a random order, equal those of the
+        FinGraph of the reference truncate."""
+        rng = random.Random(seed)
+        name = _sliced_name(rng, kind)
+        plain = _sliced_name(random.Random(seed), kind)
+        view = SP.HostView(name)
+        for s in rng.sample(range(90), 8):
+            window, want = view.graph(s), reference_truncate(plain, s)
+            reads = {"vertices": lambda: window.vertices == want.vertices,
+                     "edges": lambda: window.edges == want.edges,
+                     "adjacency": lambda: window.adjacency == want.adjacency,
+                     "eq": lambda: window == want and want == window,
+                     "hash": lambda: hash(window) == hash(want)}
+            for read in rng.sample(sorted(reads), len(reads)):
+                assert reads[read](), (s, read)
+
+    @pytest.mark.parametrize("pattern, mode", [
+        ("k3", "s"), ("k4", "s"), ("c4", "s"), ("r3", "s"), ("k3", "is"),
+        ("k5", "s")])
+    def test_search_builds_no_edge_set(self, capsys, monkeypatch, pattern,
+                                       mode):
+        """A one-shot decide on a dense host reads the window's adjacency
+        alone, for the edge count, the core and the search."""
+        built = _count_window_views(monkeypatch)
+        assert cli.main(["decide", "--pattern", pattern, "--host",
+                         "egr:komega", "--mode", mode]) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "found"
+        assert dict(built) == {"adjacency": 1}
+
+    @pytest.mark.parametrize("argv", [["truncate"], ["export", "json"],
+                                      ["export", "dot"]])
+    def test_export_builds_no_adjacency(self, capsys, monkeypatch, argv):
+        built = _count_window_views(monkeypatch)
+        assert cli.main(argv + ["--in", "egr:komega"]) == 0
+        assert dict(built) == {"vertices": 1, "edges": 1}
 
 
 class TestGrToEgr:
