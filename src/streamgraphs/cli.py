@@ -92,7 +92,7 @@ def cmd_convert(args):
 def cmd_truncate(args):
     name = _specs.parse_name(getattr(args, "in"))
     fin = _spaces.truncate(name, args.fuel)
-    keys = {"graph": json.loads(fin.to_json())}
+    keys = {"graph": fin.to_dict()}
     if args.dot:
         _write(args.dot, fin.to_dot())
         keys["artifacts"] = [args.dot]
@@ -214,7 +214,7 @@ def cmd_gadget(args):
         tree = coinfinite_wrap(_specs.parse_tree(spec))
         box = _gadgets.cycles_box(tree)
         fin = box.window(min(fuel, 40))
-        keys["graph"] = json.loads(fin.to_json())
+        keys["graph"] = fin.to_dict()
     elif name == "enuminf":
         lam_table = _lam_table(spec)
         a = _gadgets.CertifiedPiSet(

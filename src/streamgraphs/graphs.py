@@ -152,11 +152,14 @@ class FinGraph:
         check_printable(vs[-1] if vs else 0)
         return vs
 
+    def to_dict(self):
+        """The CLI's format as a dict: {"e": [[a, b], ...], "v": [...]},
+        sorted."""
+        return {"v": self._printable(),
+                "e": [list(e) for e in sorted(self.edges)]}
+
     def to_json(self):
-        """The CLI's format: {"e": [[a, b], ...], "v": [...]}, sorted."""
-        return json.dumps({"v": self._printable(),
-                           "e": [list(e) for e in sorted(self.edges)]},
-                          sort_keys=True)
+        return json.dumps(self.to_dict(), sort_keys=True)
 
     @classmethod
     def from_json(cls, text):

@@ -326,13 +326,15 @@ def emb_ray_r(host, lim_oracle, fuel=2000, steps=10):
     prefixes, a Gr host by vertex windows, each built once per call."""
     if host.space == "EGr":
         view = HostView(host)
-        window, neighbors = view.graph, view.neighbors
+        window, neighbors, arrival = view.graph, view.neighbors, view.arrival
     else:
         window = functools.lru_cache(None)(functools.partial(gr_window, host))
 
         def neighbors(v, s):
             fin = window(s)
             return fin.neighbors(v) if v in fin.vertices else None
+
+        arrival = {}.get   # a vertex window's size is no stream position
 
     def first_edge(s):
         return min(window(s).edges, default=None)
@@ -350,7 +352,8 @@ def emb_ray_r(host, lim_oracle, fuel=2000, steps=10):
     choice = lim_oracle(GeneratorBacked(q_bit))
     walk = [w, v] if choice == 0 else [v, w]
     while len(walk) < steps:
-        walk.append(_extend_walk(neighbors, walk, (), fuel))
+        walk.append(_extend_walk(neighbors, walk, (), fuel,
+                                 arrival(walk[-1]) or 0))
     return walk
 
 

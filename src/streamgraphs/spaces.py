@@ -103,11 +103,28 @@ def validate_name(name, horizon=2000):
 # Name synthesis
 # ---------------------------------------------------------------------------
 
-def _gr_bit(g, n):
-    i, j = unpair(n)
-    if i == j:
-        return 1 if g.has_vertex(i) else 0
-    return 1 if (g.has_vertex(i) and g.has_vertex(j) and g.has_edge(i, j)) else 0
+def _gr_name_bits(g):
+    """The bit function of one Gr name of g: position pair(i, j) is 1 iff
+    i and j are vertices and, for i != j, (i, j) is an edge. Each vertex is
+    decided once, into a dict this name holds; has_edge is asked only when
+    both ends are vertices."""
+    member = {}
+
+    def bit(n):
+        d = (isqrt(8 * n + 1) - 1) // 2   # unpair(n), inlined
+        j = n - d * (d + 1) // 2
+        i = d - j
+        a = member.get(i)
+        if a is None:
+            a = member[i] = bool(g.has_vertex(i))
+        if not a or i == j:
+            return 1 if a else 0
+        b = member.get(j)
+        if b is None:
+            b = member[j] = bool(g.has_vertex(j))
+        return 1 if b and g.has_edge(i, j) else 0
+
+    return bit
 
 
 def _finite_emissions(fin):
@@ -134,7 +151,7 @@ def name_of(space, g, schedule=None):
                 ones.add(pair(a, b))
                 ones.add(pair(b, a))
             return SpaceName("Gr", Indicator(ones), meta={"denotes": g})
-        return SpaceName("Gr", GeneratorBacked(lambda n: _gr_bit(g, n)),
+        return SpaceName("Gr", GeneratorBacked(_gr_name_bits(g)),
                          meta={"denotes": g})
     if space == "EGr":
         if g.vertex_count() != OMEGA:
@@ -151,7 +168,7 @@ def name_of(space, g, schedule=None):
             return SpaceName("EGr",
                              EventuallyConstant([c + 1 for c in order], 0),
                              meta={"denotes": g})
-        return SpaceName("EGr", _egr_stages(lambda n: _gr_bit(g, n)),
+        return SpaceName("EGr", _egr_stages(_gr_name_bits(g)),
                          meta={"denotes": g})
     raise BadParam("name_of supports Gr and EGr")
 
@@ -398,11 +415,15 @@ def _egr_stages(bit_at):
 
     def stage():
         nonlocal c
-        if bit_at(c) == 1:
-            i, j = unpair(c)
-            # both vertices, then the edge; all three are c when i == j
-            for code in (pair(i, i), pair(j, j),
-                         pair(min(i, j), max(i, j))):
+        # an emitted code's vertices and edge are all queued already
+        if bit_at(c) == 1 and c not in emitted:
+            d = (isqrt(8 * c + 1) - 1) // 2   # unpair(c), inlined
+            j = c - d * (d + 1) // 2
+            i = d - j
+            # both ends' codes 2v(v + 1) = pair(v, v), then the edge's
+            # pair(min, max), c + i - j when i > j; all three are c if i == j
+            for code in (2 * i * (i + 1), 2 * j * (j + 1),
+                         c + i - j if i > j else c):
                 if code not in emitted:
                     emitted.add(code)
                     queue.append(code)
@@ -488,13 +509,10 @@ class _FConvert:
         self._assign(u, self._fresh())
         self.trace.first_emission.setdefault(u, self.stage)
 
-    def run_stage(self):
+    def run_stage(self, p):
+        """Stage self.stage on its emission p: an (i, j) pair, or None for
+        padding."""
         s = self.stage
-        if self._pairs_of is not None:   # a dense name: no code to invert
-            p = self._pairs_of(s, s + 1)[0]
-        else:
-            v = self.stream.eval(s)
-            p = unpair(v - 1) if v else None
         if p is not None:
             u, w = p
             self._add_vertex(u)
@@ -525,13 +543,25 @@ class _FConvert:
             self.ones.add(pair(c, m))
 
     def run_until(self, stages):
-        while self.stage < stages:
-            self.run_stage()
+        """Run the stages below `stages` on their emissions, read in one
+        call; a read that raises runs none of them."""
+        lo = self.stage
+        if lo < stages:
+            if self._pairs_of is not None:   # a dense name: no code to invert
+                run = self._pairs_of(lo, stages)
+            else:   # v > 0 carries the code v - 1
+                run = [unpair(v - 1) if v else None
+                       for v in self.stream.values(lo, stages)]
+            for p in run:
+                self.run_stage(p)
         self.trace.stages_run = self.stage
 
     def bit(self, n):
-        i, j = unpair(n)
-        self.run_until(max(i, j) + 1)
+        d = (isqrt(8 * n + 1) - 1) // 2   # unpair(n), inlined
+        j = n - d * (d + 1) // 2
+        top = max(d - j, j) + 1
+        if top > self.stage:
+            self.run_until(top)
         return 1 if n in self.ones else 0
 
 

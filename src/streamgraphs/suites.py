@@ -175,8 +175,8 @@ def suite_f_convert(seed=0):
             return sum(1 for p in conv.trace.ones
                        if v in unpair(p) and unpair(p)[0] != unpair(p)[1])
 
-        for _stage in range(horizon):
-            replay.run_stage()
+        for stage in range(horizon):
+            replay.run_until(stage + 1)
             for (s, _, old, _) in replay.trace.injuries:
                 if (old, s) not in snapshots:
                     snapshots[(old, s)] = live_degree(replay, old)

@@ -134,6 +134,34 @@ def reference_f_convert(stream, stages):
     return machine
 
 
+def reference_gr_bit(g, n):
+    """Position n of the Gr name of the countable graph g, decided from
+    scratch: both ends of unpair(n) are vertices and, when they differ,
+    adjacent."""
+    i, j = unpair(n)
+    if i == j:
+        return 1 if g.has_vertex(i) else 0
+    return 1 if (g.has_vertex(i) and g.has_vertex(j)
+                 and g.has_edge(i, j)) else 0
+
+
+def reference_gr_to_egr(bit_at, length):
+    """The first `length` values of the Gr -> EGr transducer on the bits
+    bit_at(c): stage c reads bit c, queues the codes of both ends and of
+    the edge (min, max) that are new on a 1, and emits the oldest queued
+    code + 1, or padding 0."""
+    emitted, queue, out = set(), [], []
+    for c in range(length):
+        if bit_at(c) == 1:
+            i, j = unpair(c)
+            for code in (pair(i, i), pair(j, j), pair(min(i, j), max(i, j))):
+                if code not in emitted:
+                    emitted.add(code)
+                    queue.append(code)
+        out.append(queue.pop(0) + 1 if queue else 0)
+    return out
+
+
 def reference_gr_head(ones):
     """The dense head of the Gr stream that is 1 exactly on the codes in
     `ones`: one 0/1 entry per position up to the last 1."""

@@ -546,6 +546,24 @@ class TestEmbRayR:
         for a, b in zip(walk, walk[1:]):
             assert ray.has_edge(a, b)
 
+    def test_egr_walk_probes_start_past_the_tip(self):
+        """On an EGr host a step's probes start past the tip's arrival, as
+        in ray_follow: a 25-step walk asks 38 times (218 from stage 1 at
+        every step). The first two vertices come from graph(s), which
+        grows nothing, so only the first step's first probe answers None."""
+        answers = []
+        neighbors = SP.HostView.neighbors
+
+        def recording(view, v, s):
+            answers.append(neighbors(view, v, s))
+            return answers[-1]
+
+        with mock.patch.object(SP.HostView, "neighbors", recording):
+            walk = S.emb_ray_r(SP.name_of("EGr", G.standard("Ray")),
+                               lambda q: q.eval(60), steps=25)
+        assert walk == list(range(25))
+        assert len(answers) == 38 and answers.count(None) == 1
+
     def test_each_vertex_window_is_built_once(self, monkeypatch):
         """The walk probes the same window sizes at every step."""
         tops, real = [], S.gr_window

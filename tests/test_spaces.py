@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (random_fin_graph, reference_dense_egr_name,
-                     reference_f_convert, reference_random_schedule,
+                     reference_f_convert, reference_gr_bit,
+                     reference_gr_to_egr, reference_random_schedule,
                      reference_truncate)
 
 from streamgraphs import cli
@@ -18,9 +19,9 @@ from streamgraphs import graphs as G
 from streamgraphs import spaces as SP
 from streamgraphs import specs
 from streamgraphs.errors import BadParam, FuelExhausted
-from streamgraphs.streams import (EventuallyConstant, GeneratorBacked,
-                                  Indicator, Periodic, StagedPairs, pair,
-                                  unpair, zero_from)
+from streamgraphs.streams import (CertifiedStream, EventuallyConstant,
+                                  GeneratorBacked, Indicator, Periodic,
+                                  StagedPairs, pair, unpair, zero_from)
 
 
 def k(n):
@@ -254,6 +255,60 @@ class TestDenseEgrName:
         name = specs.parse_name("egr:" + text)
         want = reference_dense_egr_name(specs.parse_graph(text), 40)
         assert name.stream.prefix(40) == want
+
+
+class TestGrBits:
+    """A Gr name of an infinite spec graph decides each vertex once, and
+    its bits are the plain formula's, in any order of reading."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(_infinite(2), st.lists(st.integers(0, 1200), min_size=1,
+                                  max_size=40),
+           st.lists(st.tuples(st.integers(0, 1200), st.integers(0, 60)),
+                    min_size=1, max_size=4))
+    def test_matches_reference_in_any_order(self, text, positions, slices):
+        g = specs.parse_graph(text)
+        stream = specs.parse_name("gr:" + text).stream
+        want = {}
+
+        def ref(n):
+            if n not in want:
+                want[n] = reference_gr_bit(g, n)
+            return want[n]
+
+        for _ in range(2):   # the second read gives the same values
+            assert [stream.eval(n) for n in positions] == \
+                [ref(n) for n in positions]
+            for lo, size in slices:
+                assert stream.values(lo, lo + size) == \
+                    [ref(n) for n in range(lo, lo + size)]
+
+    @pytest.mark.parametrize("text", ["fbt", "komega", "omega(c4)",
+                                      "cu(c4,ray)", "l"])
+    def test_each_vertex_is_decided_once(self, monkeypatch, text):
+        """has_vertex is asked once per vertex, and has_edge only about
+        two vertices."""
+        g = specs.parse_graph(text)
+        asked = collections.Counter()
+        has_vertex, has_edge = g.has_vertex, g.has_edge
+        ends = []
+
+        def counting(v):
+            asked[v] += 1
+            return has_vertex(v)
+
+        def edge(a, b):
+            ends.extend((a, b))
+            return has_edge(a, b)
+
+        monkeypatch.setattr(g, "has_vertex", counting)
+        monkeypatch.setattr(g, "has_edge", edge)
+        name = SP.name_of("Gr", g)
+        assert name.stream.prefix(1000) == \
+            [reference_gr_bit(specs.parse_graph(text), n)
+             for n in range(1000)]
+        assert set(asked.values()) == {1}
+        assert ends and all(has_vertex(v) for v in ends)
 
 
 class TestLowerNeighbors:
@@ -747,6 +802,14 @@ class TestGrToEgr:
             assert SP.truncate(egr, 2000) == fin
 
 
+    @settings(max_examples=80, deadline=None)
+    @given(_infinite(1), st.integers(1, 1200))
+    def test_matches_reference_transducer(self, text, length):
+        g = specs.parse_graph(text)
+        egr = SP.gr_to_egr(specs.parse_name("gr:" + text))
+        assert egr.stream.prefix(length) == reference_gr_to_egr(
+            lambda c: reference_gr_bit(g, c), length)
+
     def test_input_bit_that_raises_is_read_again(self):
         reads = []
 
@@ -816,7 +879,7 @@ class TestFConvert:
                            and SP.unpair(p)[0] != SP.unpair(p)[1])
 
             for stage in range(horizon):
-                replay.run_stage()
+                replay.run_until(stage + 1)
                 for (s, _, old, _) in replay.trace.injuries:
                     if (old, s) not in degs:
                         # snapshot at the abandonment stage only
@@ -893,6 +956,97 @@ class TestFConvert:
         out.stream.eval(pair(39, 39))
         self._assert_matches_reference(specs.parse_name(host), out, trace,
                                        40)
+
+
+class _RaisesOnce(CertifiedStream):
+    """The stream `inner`, except that the first read covering position
+    `at` raises; pairs(lo, hi) is there when inner has it."""
+
+    def __init__(self, inner, at):
+        self.inner, self.at, self.raised = inner, at, False
+        if hasattr(inner, "pairs"):
+            self.pairs = lambda lo, hi: self._read(inner.pairs, lo, hi)
+
+    def _read(self, read, lo, hi):
+        if lo <= self.at < hi and not self.raised:
+            self.raised = True
+            raise FuelExhausted("not yet")
+        return read(lo, hi)
+
+    def eval(self, n):
+        return self.values(n, n + 1)[0]
+
+    def values(self, lo, hi):
+        return self._read(self.inner.values, lo, hi)
+
+
+def _fconvert_name(kind):
+    if kind.startswith("name_of:"):   # a Gr -> EGr transducer's values
+        return SP.name_of("EGr", G.standard(kind[len("name_of:"):]))
+    return specs.parse_name(kind)
+
+
+class TestRunUntil:
+    """run_until(k) reads the emissions of stages it has not run in one
+    call, and ends with the trace of k one-stage runs."""
+
+    KINDS = ["egr:komega", "egr:omega(c4)", "egr:fbt", "egr:cu(c3,c4)",
+             "egr:du(k2,r3)", "egr(3,0.3):du(k2,r3)", "egr(8,0.5):k4",
+             "name_of:Ray", "name_of:CompleteOmega"]
+
+    @staticmethod
+    def _trace(conv):
+        t = conv.trace
+        return (t.iota, t.first_emission, t.injuries, t.ones, t.stages_run)
+
+    def _one_at_a_time(self, kind, k):
+        conv = SP._FConvert(_fconvert_name(kind).stream)
+        for s in range(k):
+            conv.run_until(s + 1)
+            assert conv.stage == conv.trace.stages_run == s + 1
+        return self._trace(conv)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("k", [0, 1, 7, 40])
+    def test_matches_single_stages(self, kind, k):
+        conv = SP._FConvert(_fconvert_name(kind).stream)
+        conv.run_until(k)
+        assert self._trace(conv) == self._one_at_a_time(kind, k)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_runs_in_several_calls(self, kind):
+        conv = SP._FConvert(_fconvert_name(kind).stream)
+        for k in (3, 3, 10, 2, 25, 40):
+            conv.run_until(k)
+        assert self._trace(conv) == self._one_at_a_time(kind, 40)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("at", [0, 5, 17])
+    def test_retry_after_a_read_that_raised(self, kind, at):
+        """The run that covers `at` runs none of its stages."""
+        conv = SP._FConvert(_RaisesOnce(_fconvert_name(kind).stream, at))
+        conv.run_until(at // 2)
+        with pytest.raises(FuelExhausted):
+            conv.run_until(30)
+        assert conv.stage == conv.trace.stages_run == at // 2
+        conv.run_until(30)
+        assert self._trace(conv) == self._one_at_a_time(kind, 30)
+
+    def test_bit_reads_only_when_behind(self):
+        """Position pair(i, j) needs stage max(i, j): in code order, only
+        the first position of each diagonal is behind."""
+        name = specs.parse_name("egr:omega(c4)")
+        out, trace = SP.f_convert(name)
+        runs = []
+        run_until = SP._FConvert.run_until
+
+        def counting(conv, stages):
+            runs.append(stages)
+            return run_until(conv, stages)
+
+        with mock.patch.object(SP._FConvert, "run_until", counting):
+            out.stream.values(0, pair(9, 9) + 1)   # diagonals 0 to 18
+        assert runs == list(range(1, 20)) and trace.stages_run == 19
 
 
 class TestPC:
