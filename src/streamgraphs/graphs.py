@@ -13,6 +13,7 @@ import json
 import sys
 from collections import deque
 from functools import cached_property, partial
+from math import isqrt
 
 from .errors import (BadParam, DegreeUnknown, NotATree, ParseError,
                      PreconditionUnverifiable, PromiseViolation)
@@ -478,12 +479,14 @@ class TreeAsGraph(CountableGraph):
             yield from sorted(string_code(s) for s in self.tree.nodes)
             return
         if self.tree.finitely_branching or isinstance(self.tree, SinglePath):
-            # breadth-first, stable order
-            level = [()] if self.tree.contains(()) else []
+            # breadth-first, stable order; each node carries its code
+            children = self.tree.children
+            level = [((), 0)] if self.tree.contains(()) else []
             while level:
-                for s in level:
-                    yield string_code(s)
-                level = [s + (d,) for s in level for d in self.tree.children(s)]
+                for _, c in level:
+                    yield c
+                level = [(s + (d,), pair(c, d) + 1) for s, c in level
+                         for d in children(s)]
             return
         # diagonal scan over codes
         yield from CountableGraph.iter_vertices(self)
@@ -672,6 +675,7 @@ class OmegaCopies(CountableGraph):
 
     def __init__(self, base):
         self.base = base
+        self._lower = {}   # base vertex -> its base lower_neighbors
 
     def has_vertex(self, v):
         _, u = unpair(v)
@@ -687,24 +691,32 @@ class OmegaCopies(CountableGraph):
         return self.base.degree(u)
 
     def lower_neighbors(self, v):
-        i, u = unpair(v)
-        lower = self.base.lower_neighbors(u)
-        return None if lower is None else [pair(i, w) for w in lower]
+        d = (isqrt(8 * v + 1) - 1) // 2   # (i, u) = unpair(v), inlined
+        u = v - d * (d + 1) // 2
+        i = d - u
+        try:
+            lower = self._lower[u]
+        except KeyError:
+            lower = self._lower[u] = self.base.lower_neighbors(u)
+        if lower is None:
+            return None
+        return [(i + w) * (i + w + 1) // 2 + w for w in lower]   # pair(i, w)
 
     def vertex_count(self):
         return 0 if self.base.vertex_count() == 0 else OMEGA
 
     def iter_vertices(self):
-        """Increasing code order: diagonal d holds pair(d - u, u) for the
-        base vertices u <= d."""
+        """Increasing code order: diagonal d holds pair(d - u, u), which is
+        d(d + 1)/2 + u, for the base vertices u <= d."""
         if self.vertex_count() == 0:
             return
         base = []
         for d in itertools.count():
             if self.base.has_vertex(d):
                 base.append(d)
+            t = d * (d + 1) // 2
             for u in base:
-                yield pair(d - u, u)
+                yield t + u
 
 
 class DisjointUnion(CountableGraph):

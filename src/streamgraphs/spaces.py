@@ -70,15 +70,17 @@ def validate_prefix(space, prefix):
                     return Violation(n, "edge forces vertices and symmetry")
         return "ok"
     if space == "EGr":
-        emitted = set()
+        vertices = set()
         for n, v in enumerate(prefix):
             if v == 0:
                 continue
-            i, j = unpair(v - 1)
-            if i != j:
-                if pair(i, i) not in emitted or pair(j, j) not in emitted:
-                    return Violation(n, "edge emitted before its vertices")
-            emitted.add(v - 1)
+            d = (isqrt(8 * v - 7) - 1) // 2   # (i, j) = unpair(v - 1), inlined
+            j = v - 1 - d * (d + 1) // 2
+            i = d - j
+            if i == j:
+                vertices.add(i)
+            elif i not in vertices or j not in vertices:
+                return Violation(n, "edge emitted before its vertices")
         return "ok"
     if space in ("Tr", "Tr2"):
         for n, v in enumerate(prefix):

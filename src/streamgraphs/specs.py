@@ -127,10 +127,11 @@ def _dense_egr_name(g):
     A new vertex's edges come from g.lower_neighbors: every neighbour
     emitted before it has a smaller code (CountableGraph.iter_vertices), so
     the listed ones already emitted are all of them, emitted in the order
-    they came. Where g cannot list them, the new vertex is tested against
-    every earlier one. A stage that raises keeps its vertex, so the next
-    read runs that stage again."""
+    they came, each as the edge (w, v). Where g cannot list them, the new
+    vertex is tested against every earlier one. A stage that raises keeps
+    its vertex, so the next read runs that stage again."""
     has_edge = g.has_edge
+    lower_neighbors = g.lower_neighbors
     vertices = g.iter_vertices()
     index = {}     # emitted vertex -> its emission index, in order
     v = None       # the vertex of the stage to run next, once drawn
@@ -139,16 +140,23 @@ def _dense_egr_name(g):
         nonlocal v
         if v is None:
             v = next(vertices)
-        lower = g.lower_neighbors(v)
+        lower = lower_neighbors(v)
         if lower is None:
-            ws = [w for w in index if has_edge(v, w)]
+            out = [(v, v)]
+            out += [(w, v) if w < v else (v, w) for w in index
+                    if has_edge(v, w)]
+        elif not lower:   # no listed neighbour, or one: no filter or sort
+            out = [(v, v)]
+        elif len(lower) == 1:
+            w = lower[0]
+            out = [(v, v), (w, v)] if w in index else [(v, v)]
         else:
             ws = [w for w in lower if w in index]
             if len(ws) > 1:
                 ws.sort(key=index.__getitem__)
+            out = [(v, v)]
+            out += [(w, v) for w in ws]
         index[v] = len(index)
-        out = [(v, v)]
-        out += [(w, v) if w < v else (v, w) for w in ws]
         v = None
         return out
 

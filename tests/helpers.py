@@ -15,7 +15,9 @@ from streamgraphs.decide import embeddings, fin_subgraph
 from streamgraphs.errors import FuelExhausted, PatternNeverSeen
 from streamgraphs.search import _copy_name
 from streamgraphs.spaces import HostView
+from streamgraphs.spaces import Violation
 from streamgraphs.streams import pair, unpair
+from streamgraphs.trees import string_code
 
 
 def reference_truncate(name, fuel):
@@ -169,13 +171,14 @@ def reference_gr_head(ones):
     return [1 if c in ones else 0 for c in range(top)]
 
 
-def reference_dense_egr_name(g, positions):
+def reference_dense_egr_name(g, positions, vertices=None):
     """The first `positions` values of the dense EGr name of the infinite
     countable graph g, built by testing each new vertex against every
-    earlier one."""
+    earlier one; the vertices come from `vertices` where it is given, and
+    from g.iter_vertices() otherwise."""
     out = []
     seen = []
-    for v in g.iter_vertices():
+    for v in g.iter_vertices() if vertices is None else vertices:
         out.append(pair(v, v) + 1)
         for w in seen:
             if g.has_edge(v, w):
@@ -184,6 +187,52 @@ def reference_dense_egr_name(g, positions):
         if len(out) >= positions:
             break
     return out[:positions]
+
+
+def reference_omega_vertices(base):
+    """The enumeration of OmegaCopies(base), by pairing: diagonal d holds
+    pair(d - u, u) for the base vertices u <= d."""
+    if base.vertex_count() == 0:
+        return
+    found = []
+    for d in itertools.count():
+        if base.has_vertex(d):
+            found.append(d)
+        for u in found:
+            yield pair(d - u, u)
+
+
+def reference_omega_lower(base, v):
+    """OmegaCopies(base).lower_neighbors(v), by unpairing v and pairing
+    each of the base's listed lower neighbours with its copy."""
+    i, u = unpair(v)
+    lower = base.lower_neighbors(u)
+    return None if lower is None else [pair(i, w) for w in lower]
+
+
+def reference_tree_vertices(tree):
+    """The breadth-first enumeration of a finitely branching tree's string
+    codes, coding each node from scratch with string_code."""
+    level = [()] if tree.contains(()) else []
+    while level:
+        for s in level:
+            yield string_code(s)
+        level = [s + (d,) for s in level for d in tree.children(s)]
+
+
+def reference_validate_egr(prefix):
+    """validate_prefix("EGr", prefix) through unpair and a set of the
+    emitted codes."""
+    emitted = set()
+    for n, v in enumerate(prefix):
+        if v == 0:
+            continue
+        i, j = unpair(v - 1)
+        if i != j:
+            if pair(i, i) not in emitted or pair(j, j) not in emitted:
+                return Violation(n, "edge emitted before its vertices")
+        emitted.add(v - 1)
+    return "ok"
 
 
 def reference_random_schedule(fin, seed, stutter):

@@ -7,12 +7,14 @@ import tracemalloc
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import (random_fin_graph, reference_dense_egr_name,
                      reference_f_convert, reference_gr_bit,
-                     reference_gr_to_egr, reference_random_schedule,
-                     reference_truncate)
+                     reference_gr_to_egr, reference_omega_lower,
+                     reference_omega_vertices, reference_random_schedule,
+                     reference_tree_vertices, reference_truncate,
+                     reference_validate_egr)
 
 from streamgraphs import cli
 from streamgraphs import graphs as G
@@ -22,6 +24,7 @@ from streamgraphs.errors import BadParam, FuelExhausted
 from streamgraphs.streams import (CertifiedStream, EventuallyConstant,
                                   GeneratorBacked, Indicator, Periodic,
                                   StagedPairs, pair, unpair, zero_from)
+from streamgraphs.trees import string_code, string_decode
 
 
 def k(n):
@@ -34,6 +37,26 @@ def r(n):
 
 def c(n):
     return G.standard("CycleN", n).materialize()
+
+
+@st.composite
+def _egr_prefixes(draw):
+    """EGr prefixes over vertices 0..6 with padding: each edge follows its
+    vertices, except that one drawn vertex emission may be left out."""
+    items = draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6))
+                          | st.none(), max_size=30))
+    skip = draw(st.none() | st.integers(0, 6))
+    out, seen = [], set()
+    for item in items:
+        if item is None:
+            out.append(0)
+            continue
+        for u in item:
+            if u not in seen and u != skip:
+                seen.add(u)
+                out.append(pair(u, u) + 1)
+        out.append(pair(*item) + 1)
+    return out
 
 
 class TestValidatePrefix:
@@ -60,6 +83,17 @@ class TestValidatePrefix:
 
     def test_egr_padding_ok(self):
         assert SP.validate_prefix("EGr", [0, 0, 0]) == "ok"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 40), max_size=30) | _egr_prefixes())
+    @example([1, 5, 3, 0, 2])   # vertices 0 and 1, then both edges: ok
+    @example([1, 0, 2, 3])      # the edge (1, 0) before vertex 1
+    def test_egr_matches_reference(self, prefix):
+        """The first violation (or "ok") is the one that the plain check
+        through unpair and a set of emitted codes finds, on prefixes that
+        emit an edge's vertices first and on prefixes that need not."""
+        assert SP.validate_prefix("EGr", prefix) == \
+            reference_validate_egr(prefix)
 
     def test_tr_orphan_node(self):
         # node code pair(0,0)+1 = 1 present while root (code 0) absent
@@ -247,6 +281,56 @@ class TestDenseEgrName:
         assert name.stream.values(0, 12) == reference_dense_egr_name(
             G.Ray(), 12)
 
+    @pytest.mark.parametrize("base", [G.Ray, G.TwoWayRay,
+                                      G.CompleteOmega])
+    def test_raising_lower_neighbors_commits_nothing(self, base):
+        """A stage whose listed lower_neighbors raises adds no pair, and
+        the next read gives the reference name; the stub raises once, at
+        vertex 3, whose list holds one neighbour or (komega) three."""
+        class Flaky(base):
+            raised = False
+
+            def lower_neighbors(self, v):
+                if v == 3 and not self.raised:
+                    self.raised = True
+                    raise FuelExhausted("not yet")
+                return super().lower_neighbors(v)
+
+        want = [unpair(v - 1) for v in reference_dense_egr_name(base(), 40)]
+        at = want.index((3, 3))   # the first position of vertex 3's stage
+        stream = specs._dense_egr_name(Flaky()).stream
+        assert stream.pairs(0, at) == want[:at]
+        with pytest.raises(FuelExhausted):
+            stream.pairs(0, at + 1)
+        assert stream._pairs == want[:at]
+        assert stream.pairs(0, 40) == want
+
+    @pytest.mark.parametrize("text, coders",
+                             [("omega(c4)", ("pair", "unpair")),
+                              ("fbt", ("string_code",))])
+    def test_read_makes_no_coding_call(self, monkeypatch, text, coders):
+        """1000 positions of egr:omega(c4) call neither pair nor unpair in
+        graphs, and 1000 positions of egr:fbt code no tree string: counted
+        calls, not time."""
+        calls = collections.Counter()
+
+        def counted(coder):
+            fn = getattr(G, coder)
+
+            def wrapper(*args):
+                calls[coder] += 1
+                return fn(*args)
+            return wrapper
+
+        stream = specs.parse_name("egr:" + text).stream
+        for coder in coders:
+            monkeypatch.setattr(G, coder, counted(coder))
+        got = stream.pairs(0, 1000)
+        assert calls == {}
+        monkeypatch.undo()
+        want = reference_dense_egr_name(specs.parse_graph(text), 1000)
+        assert got == [unpair(v - 1) for v in want]
+
     @pytest.mark.parametrize("text", ["cu(c4,cu(ray),c4)",
                                       "cu(c4,cu(ray,c3))",
                                       "cu(c4,cu(c5,ray))",
@@ -255,6 +339,63 @@ class TestDenseEgrName:
         name = specs.parse_name("egr:" + text)
         want = reference_dense_egr_name(specs.parse_graph(text), 40)
         assert name.stream.prefix(40) == want
+
+
+# Bases of OmegaCopies, as graph specs or (path(...), fulltree) tree specs.
+_OMEGA_BASES = (st.sampled_from(["c3", "c4", "c5", "k1", "k2", "k3", "k4",
+                                 "l", "ray", "komega", "fbt"])
+                | st.builds("du({})".format,
+                            _parts(_SMALL | _LINE | st.just("fbt")))
+                | _TREE)
+
+
+def _base_graph(text):
+    if text == "fulltree" or text.startswith("path("):
+        return G.TreeAsGraph(specs.parse_tree(text))
+    return specs.parse_graph(text)
+
+
+class TestPinnedEnumeration:
+    """OmegaCopies and the breadth-first tree pass enumerate the vertices
+    and list the lower neighbours that the pairing and string_code forms
+    in tests/helpers give, and the dense name follows that order. The
+    dense-name reference alone reads g.iter_vertices(), so it would follow
+    a changed order."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_OMEGA_BASES)
+    def test_omega_copies(self, text):
+        base = _base_graph(text)
+        g = G.OmegaCopies(base)
+        got = g.first_vertices(300)
+        assert got == list(itertools.islice(reference_omega_vertices(base),
+                                            300))
+        assert [g.lower_neighbors(v) for v in got] == \
+            [reference_omega_lower(base, v) for v in got]
+        name = specs._dense_egr_name(G.OmegaCopies(_base_graph(text)))
+        assert name.stream.prefix(300) == reference_dense_egr_name(
+            g, 300, reference_omega_vertices(base))
+
+    @settings(max_examples=40, deadline=None)
+    @given(_TREE | st.just("fbt")
+           | st.builds("{}({},{})".format, st.sampled_from(["l1", "l2"]),
+                       _TREE, _LINE))
+    def test_tree_breadth_first(self, text):
+        """A tree's vertices and parent lists; a layered graph's vertices,
+        which are its tree's."""
+        g = _base_graph(text)
+        tree = g.tree
+        # path codes grow doubly exponentially with depth
+        k = 12 if "path(" in text else 300
+        got = g.first_vertices(k)
+        assert got == list(itertools.islice(reference_tree_vertices(tree), k))
+        if isinstance(g, G.TreeAsGraph):
+            assert [g.lower_neighbors(v) for v in got] == \
+                [[string_code(string_decode(v)[:-1])] if v else []
+                 for v in got]
+            name = specs._dense_egr_name(G.TreeAsGraph(tree))
+            assert name.stream.prefix(k) == reference_dense_egr_name(
+                g, k, reference_tree_vertices(tree))
 
 
 class TestGrBits:
