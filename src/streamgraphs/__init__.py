@@ -4,33 +4,28 @@ deciders, reduction gadgets and search solvers."""
 from .streams import (pair, unpair, CertifiedStream, EventuallyConstant,
                       Periodic, Indicator, GeneratorBacked, Staged, exists_one,
                       infinitely_often, eventually_always, limit, zero_from,
-                      parse_stream, format_stream)
+                      parse_stream)
 from .graphs import (OMEGA, FinGraph, standard, disjoint_union,
-                     connected_union, construction, tree_to_graph,
-                     graph_to_tree, degree, distance, is_promptly_connected,
-                     isomorphic, OmegaCopies, Finite, CertTree, CertForest,
-                     ForestGraph)
+                     connected_union, construction, degree, isomorphic,
+                     OmegaCopies, Finite, CertTree, CertForest, ForestGraph)
 from .trees import (FiniteTree, FullBinary, SinglePath, LevelRule,
                     DisjointTreeUnion, string_code, string_decode)
 from .spaces import (SpaceName, validate_prefix, validate_name, name_of,
-                     truncate, gr_to_egr, f_convert, pc, IotaTrace)
+                     truncate, gr_to_egr, f_convert, IotaTrace)
 from .decide import (Embedding, Verdict, embeddings, fin_subgraph,
                      semidecide_s, decide_is_egr_noncomplete,
                      to_cert_forest, predicate_tf, wf2)
 from .gadgets import (GadgetOutput, sigma1_gadget, sigma2_gadget,
-                      forests_lift, p_complete_generator,
-                      acc_gadget, acc_decode, lim2_to_embR, embR_decode,
-                      cycles_box, cycles_box_decode, enuminf_encode,
+                      forests_lift, acc_gadget, acc_decode, lim2_to_embR,
+                      embR_decode, cycles_box, enuminf_encode,
                       enuminf_decode, CertifiedPiSet, sigma11_choice_gadget,
                       choice_decode)
 from .search import (SolutionStream, find_s_finite, find_is_via_cn,
                      cn_by_stabilization, find_s_components, ray_follow,
-                     emb_ray_r, path_from_solution, restrict_to_connected,
-                     find_t3, find_f2k2, cantor_unique_path)
+                     emb_ray_r, restrict_to_connected, find_t3, find_f2k2)
 from .problems import (Problem, ReductionHarness, LimitTower, LPO, LPO_N,
                        LIM, LIM2, CN, CCANTOR, CBAIRE, WF, oracle_call,
-                       problem_by_name, d_components, compose,
-                       subgraph_presence_problem, ray_embedding_problem,
-                       FINDS_RAY, path_choice_roundtrip)
+                       problem_by_name, compose, subgraph_presence_problem,
+                       ray_embedding_problem, FINDS_RAY, path_choice_roundtrip)
 
 __version__ = "0.1.0"

@@ -69,10 +69,6 @@ class FuelExhausted(StreamGraphsError):
         self.spent = spent
 
 
-class PreconditionUnverifiable(StreamGraphsError):
-    pass
-
-
 class PromiseViolation(StreamGraphsError):
     pass
 
@@ -86,10 +82,6 @@ class NoInfiniteDegreeVertex(StreamGraphsError):
 
 
 class HeightExceeded(StreamGraphsError):
-    pass
-
-
-class CensusUnstable(StreamGraphsError):
     pass
 
 

@@ -11,9 +11,9 @@ from .errors import (BadParam, HeightExceeded, MalformedInstance,
 from .graphs import (OMEGA, CertTree, CountableGraph, DisjointUnion,
                      ForestGraph, TreeAsGraph, _mul)
 from .spaces import SpaceName
-from .streams import (CertifiedStream, EventuallyConstant, GeneratorBacked,
-                      Indicator, Periodic, Staged, first_index,
-                      infinitely_often, limit, occurrences, pair, unpair)
+from .streams import (CertifiedStream, GeneratorBacked, Indicator, Periodic,
+                      Staged, first_index, infinitely_often, limit,
+                      occurrences, pair, unpair)
 from .trees import coinfinite_wrap, nonmember_enumeration, string_decode
 
 
@@ -155,36 +155,6 @@ def forests_lift(arg, k=None):
         children = [(sub, _mul(scale, m)) for sub, m in part.trees]
         trees.append((CertTree(children=children), 1))
     return ForestGraph(trees)
-
-
-def p_complete_generator(level, membership, seed=0):
-    """Certified/structured test instances inside or outside the quantifier
-    level sets P_1 (some 1), P_2 (infinitely many 1s), and the pair-coded
-    alternating levels 3 and 4."""
-    if level == 1:
-        if membership:
-            return EventuallyConstant([0] * (seed % 4) + [1], 0)
-        return EventuallyConstant([0] * (seed % 4), 0)
-    if level == 2:
-        if membership:
-            return Periodic([0] * (seed % 3), [1] + [0] * (seed % 2))
-        return EventuallyConstant([1] * (seed % 4), 0)
-    if level == 3:
-        # (exists n0)(exists^inf n1) p(<n0, n1>) = 1
-        row = seed % 3
-        if membership:
-            return GeneratorBacked(
-                lambda c: 1 if unpair(c)[0] == row else 0)
-        return GeneratorBacked(
-            lambda c: 1 if unpair(c)[1] < unpair(c)[0] else 0)
-    if level == 4:
-        # (exists^inf n0)(exists^inf n1) p(<n0, n1>) = 1
-        if membership:
-            return GeneratorBacked(lambda c: 1)
-        row = seed % 3
-        return GeneratorBacked(
-            lambda c: 1 if unpair(c)[0] == row else 0)
-    raise BadParam("level must be 1..4")
 
 
 # ---------------------------------------------------------------------------
@@ -530,46 +500,12 @@ class CyclesBox(CountableGraph):
             yield v
             v += 1
 
-    def component(self, key):
-        return list(self._components[key])
-
     def stage_log(self):
         return list(self._stage_log)
 
 
 def cycles_box(tree):
     return CyclesBox(tree)
-
-
-def cycles_box_canonical_solution(box, path_digits, levels):
-    """Vertex set of the proof's canonical solution down to the given number
-    of levels: for each n, the cycle P_n^{q(n)} and its forced G0 chain."""
-    box.run_until(levels)
-    chosen = set()
-    for n in range(levels):
-        i = path_digits(n)
-        box._ensure_box(n, i, levels)
-        chosen.update(box.component(("P", n, i)))
-        for k in range(levels):
-            chosen.update(box.component(("G0", n, i, k)))
-    return chosen
-
-
-def cycles_box_decode(box, solution_vertices, levels):
-    """Read off the path: q(n) = the i whose P_n^i lies inside the solution."""
-    digits = []
-    for n in range(levels):
-        found = None
-        i = 0
-        while found is None:
-            key = ("P", n, i)
-            if key not in box._components:
-                box._ensure_box(n, i, 0)
-            if set(box.component(key)) <= solution_vertices:
-                found = i
-            i += 1
-        digits.append(found)
-    return digits
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 FinGraph is the truncation currency: a finite vertex set with symmetric,
 irreflexive edges. CountableGraph nodes form a closed algebra (standard
-families, disjoint/connected unions, layered tree constructions, stream-backed
-graphs); every node answers vertex/edge membership decidably, and most answer
+families, disjoint/connected unions, layered tree constructions, certified
+forests); every node answers vertex/edge membership decidably, and most answer
 exact degrees in ℕ ∪ {ω}.
 """
 
@@ -15,10 +15,8 @@ from collections import deque
 from functools import cached_property, partial
 from math import isqrt
 
-from .errors import (BadParam, DegreeUnknown, NotATree, ParseError,
-                     PreconditionUnverifiable, PromiseViolation)
-from .streams import (GeneratorBacked, infinitely_often, occurrences, pair,
-                      unpair)
+from .errors import BadParam, DegreeUnknown, ParseError
+from .streams import infinitely_often, occurrences, pair, unpair
 from .trees import (FiniteTree, FullBinary, SinglePath,
                     string_code, string_decode, comparable)
 
@@ -186,21 +184,6 @@ def check_printable(top):
     if limit and top.bit_length() > 3 * limit and top >= 10 ** limit:
         raise BadParam("too long to print: a vertex code of %d bits has "
                        "more than %d decimal digits" % (top.bit_length(), limit))
-
-
-def distance(g, v, w):
-    return g.distance(v, w)
-
-
-def is_promptly_connected(g):
-    """Every initial-segment induced subgraph {0..n} ∩ V is connected."""
-    if not g.vertices:
-        return True
-    for n in range(max(g.vertices) + 1):
-        sub = g.induced(v for v in g.vertices if v <= n)
-        if sub.vertices and not sub.is_connected():
-            return False
-    return True
 
 
 def isomorphic(g, h):
@@ -1028,22 +1011,6 @@ class Layered(CountableGraph):
         yield from TreeAsGraph(self.tree).iter_vertices()
 
 
-class FromGrName(CountableGraph):
-    """A graph given only by a characteristic-function name."""
-
-    def __init__(self, name):
-        self.name = name
-
-    def has_vertex(self, v):
-        return self.name.stream.eval(pair(v, v)) == 1
-
-    def has_edge(self, a, b):
-        return a != b and self.name.stream.eval(pair(min(a, b), max(a, b))) == 1
-
-    def vertex_count(self):
-        raise DegreeUnknown("FromGrName")
-
-
 class CustomGraph(CountableGraph):
     """Escape hatch for tests/demos: explicit membership, edge and degree rules."""
 
@@ -1106,118 +1073,5 @@ def construction(mode, tree, graph):
     return Layered(mode, tree, graph)
 
 
-def tree_to_graph(tree):
-    return TreeAsGraph(tree)
-
-
-def graph_to_tree(g, root=None):
-    """Recover a finite tree from a rooted connected acyclic FinGraph.
-
-    Child digits are recovered by decoding the child's vertex id as a path
-    code relative to its parent (exact inverse of tree_to_graph); for graphs
-    not produced that way the raw vertex label is used as the digit.
-    """
-    if not isinstance(g, FinGraph):
-        g = g.materialize()
-    if not g.vertices:
-        return FiniteTree([])
-    if root is None:
-        root = min(g.vertices)
-    if root not in g.vertices:
-        raise BadParam("root %r not a vertex" % root)
-    if not g.is_connected():
-        raise NotATree("graph is disconnected")
-    if not g.is_acyclic():
-        raise NotATree("graph has a cycle")
-    nodes = {(): root}
-    paths = {root: ()}
-    q = deque([root])
-    while q:
-        v = q.popleft()
-        for w in sorted(g.neighbors(v)):
-            if w in paths:
-                continue
-            parent_code = string_code(paths[v])
-            digit = w
-            if w >= 1:
-                c, d = unpair(w - 1)
-                if c == parent_code:
-                    digit = d
-            paths[w] = paths[v] + (digit,)
-            nodes[paths[w]] = w
-            q.append(w)
-    return FiniteTree(nodes.keys())
-
-
 def degree(g, v):
     return g.degree(v)
-
-
-def exact_neighbors(g, v, cache=None):
-    """All neighbors of v, found by scanning the vertex enumeration until the
-    exact degree count is reached. Needs finite exact degrees."""
-    if cache is not None and v in cache:
-        return cache[v]
-    direct = getattr(g, "neighbors", None)
-    if direct is not None:
-        found = sorted(direct(v))
-        if cache is not None:
-            cache[v] = found
-        return found
-    d = g.degree(v)
-    if d == OMEGA:
-        raise PreconditionUnverifiable("vertex %r has infinite degree" % v)
-    found = []
-    if d:
-        for w in g.iter_vertices():
-            if w != v and g.has_edge(v, w):
-                found.append(w)
-                if len(found) == d:
-                    break
-    if cache is not None:
-        cache[v] = found
-    return found
-
-
-def increasing_ray_tree(g, slack=10):
-    """Leftmost path through the tree of strictly increasing adjacent paths
-    rooted at the least vertex, found König-style with backtracking.
-
-    Position n is frozen only after a leftmost increasing path of length
-    n+1+slack has been found, and later deepening is constrained to extend
-    the frozen prefix, so outputs never change.
-    """
-    root = next(iter(g.iter_vertices()))
-    try:
-        g.degree(root)
-    except DegreeUnknown as e:
-        raise PreconditionUnverifiable(
-            "increasing_ray_tree needs exact degrees") from e
-
-    nbr_cache = {}
-
-    def extend(path, target):
-        if len(path) >= target:
-            return path
-        u = path[-1]
-        for v in exact_neighbors(g, u, nbr_cache):
-            if v > u:
-                res = extend(path + [v], target)
-                if res is not None:
-                    return res
-        return None
-
-    state = {"path": [root], "frozen": 1}
-
-    def value(n):
-        target = n + 1 + slack
-        if len(state["path"]) < target:
-            res = extend(state["path"][:state["frozen"]], target)
-            if res is None:
-                raise PromiseViolation(
-                    "no increasing ray extends the frozen prefix")
-            state["path"] = res
-        state["frozen"] = max(state["frozen"], n + 1)
-        return state["path"][n]
-
-    return GeneratorBacked(value)

@@ -12,17 +12,13 @@ input trips HarnessContractViolation structurally rather than by convention.
 """
 
 from .decide import wf2
-from .errors import (BadParam, DegreeUnknown, FuelExhausted,
-                     HarnessContractViolation, MalformedInstance,
-                     OracleRefused, PromiseViolation,
+from .errors import (BadParam, FuelExhausted, HarnessContractViolation,
+                     MalformedInstance, OracleRefused, PromiseViolation,
                      UndecidableWithoutCertificate)
-from .graphs import (CompleteOmega, ConnectedUnion, DisjointUnion,
-                     OmegaCopies, Ray, TreeAsGraph, TwoWayRay, construction,
-                     standard)
-from .spaces import SpaceName, name_of, truncate
+from .graphs import construction, standard
+from .spaces import SpaceName, name_of
 from .streams import (CertifiedStream, EventuallyConstant, GeneratorBacked,
-                      Periodic, exists_one, is_binary, limit, pair, unpair,
-                      zero_from)
+                      Periodic, exists_one, is_binary, limit)
 from .trees import (DisjointTreeUnion, FiniteTree, FullBinary, SinglePath,
                     TreeGen, string_code, string_decode)
 
@@ -315,78 +311,6 @@ def problem_by_name(name):
     if key not in _REGISTRY:
         raise BadParam("unknown problem %r" % (name,))
     return _REGISTRY[key]
-
-
-# ---------------------------------------------------------------------------
-# Component labeling (the problem D)
-# ---------------------------------------------------------------------------
-
-def d_components(h):
-    """Component labeling of a certified Gr name: a stream f with
-    f(v1) = f(v2) iff v1 and v2 are connected, labels being least vertices.
-    Positions that are not vertices label themselves."""
-    if not isinstance(h, SpaceName) or h.space != "Gr":
-        raise BadParam("a Gr name is required")
-    top = zero_from(h.stream)
-    if top is not None:
-        fin = truncate(h, top)
-        labels = {}
-        for v in sorted(fin.vertices):
-            if v not in labels:
-                comp = fin.component_of(v)
-                for w in comp:
-                    labels[w] = min(comp)
-        return GeneratorBacked(lambda n: labels.get(n, n))
-    g = h.meta.get("denotes")
-    if g is None:
-        raise UndecidableWithoutCertificate(
-            "connectivity is not decidable from this name")
-    return GeneratorBacked(_component_labeler(g))
-
-
-_CONNECTED_KINDS = (Ray, TwoWayRay, CompleteOmega, TreeAsGraph,
-                    ConnectedUnion)
-
-
-def _is_finite(g):
-    try:
-        return g.is_finite()
-    except DegreeUnknown:
-        return False
-
-
-def _component_labeler(g):
-    if _is_finite(g):
-        fin = g.materialize()
-        return lambda n: (min(fin.component_of(n))
-                          if fin.has_vertex(n) else n)
-    if isinstance(g, _CONNECTED_KINDS):
-        first = g.first_vertices(1)[0]
-        return lambda n: first if g.has_vertex(n) else n
-    if isinstance(g, OmegaCopies) and _is_finite(g.base):
-        base = g.base.materialize()
-
-        def label(n):
-            if not g.has_vertex(n):
-                return n
-            i, u = unpair(n)
-            return min(pair(i, w) for w in base.component_of(u))
-
-        return label
-    if isinstance(g, DisjointUnion) and all(
-            _is_finite(p) for p in g.parts):
-        mats = [p.materialize() for p in g.parts]
-
-        def label(n):
-            if not g.has_vertex(n):
-                return n
-            i, u = unpair(n)
-            return min(pair(i, w) for w in mats[i].component_of(u))
-
-        return label
-    raise UndecidableWithoutCertificate(
-        "no finite-component or connectivity certificate for %s"
-        % type(g).__name__)
 
 
 # ---------------------------------------------------------------------------

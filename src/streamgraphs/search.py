@@ -6,13 +6,12 @@ import functools
 import itertools
 
 from .decide import Plan, embeddings, least_new_embedding, predicate_tf
-from .errors import (BadParam, CensusUnstable, DegreeUnknown, FuelExhausted,
+from .errors import (BadParam, DegreeUnknown, FuelExhausted,
                      NoInfiniteDegreeVertex, OracleRefused, PatternNeverSeen,
-                     PredicateUnsupported, PromiseViolation)
+                     PredicateUnsupported)
 from .graphs import OMEGA, FinGraph
-from .spaces import HostView, SpaceName, gr_window, truncate
+from .spaces import HostView, SpaceName, gr_window
 from .streams import GeneratorBacked, Indicator, Staged, pair, unpair
-from .trees import comparable, is_prefix, string_decode
 
 
 class SolutionStream:
@@ -76,6 +75,11 @@ def find_s_finite(g, host, fuel=None):
 def find_is_via_cn(g, host, cn_oracle, stage_cap=40):
     """Induced copy of a finite non-complete pattern via a closed-choice
     oracle over N.
+
+    This realizes the paper's reduction of finding an induced copy of a
+    finite non-complete pattern G (given a host promised to contain one) to
+    closed choice on N, C_N: the one question a finite search cannot
+    settle, whether a copy stays induced forever, is left to the oracle.
 
     Candidate codes are pair(s, k): the k-th induced embedding of g into the
     host truncation at stage s. A code is rejected (co-enumerated) as soon
@@ -358,72 +362,6 @@ def emb_ray_r(host, lim_oracle, fuel=2000, steps=10):
 
 
 # ---------------------------------------------------------------------------
-# Path extraction from solutions over the layered constructions
-# ---------------------------------------------------------------------------
-
-def path_from_solution(mode, solution, fuel=2000, steps=6):
-    """Extract a tree path from a solution over a layered construction host.
-
-    mode: ("L1", N) — successive comparable vertices of degree > N;
-          ("L2", N) — vertices with >= N+1 extensions and s chained
-          predecessors among the solution's vertices;
-          ("L2O", lam) — same with the threshold lam(s+1)+1.
-    Returns the list of picked tree nodes (as digit tuples), ⊑-increasing.
-    """
-    fin = truncate(solution.name, fuel)
-    nodes = {v: string_decode(v) for v in fin.vertices}
-    kind = mode[0]
-    if kind not in ("L1", "L2", "L2O"):
-        raise BadParam("unknown mode %r" % (kind,))
-
-    def degree(v):
-        return len(fin.neighbors(v))
-
-    out = []
-    if kind == "L1":
-        threshold = mode[1]
-        picks = [v for v in sorted(fin.vertices)
-                 if degree(v) > threshold]
-        for v in picks:
-            if out and not comparable(out[-1], nodes[v]):
-                raise PromiseViolation(
-                    "incomparable high-degree vertices %r, %r"
-                    % (out[-1], nodes[v]))
-            if not out or (is_prefix(out[-1], nodes[v])
-                           and nodes[v] != out[-1]):
-                out.append(nodes[v])
-            if len(out) >= steps:
-                break
-        return out
-    for s in range(steps):
-        if kind == "L2":
-            need = mode[1] + 1
-        else:
-            need = mode[1](s + 1) + 1
-        pick = None
-        for v in sorted(fin.vertices):
-            sigma = nodes[v]
-            exts = [w for w in fin.vertices
-                    if is_prefix(sigma, nodes[w]) and nodes[w] != sigma]
-            preds = [w for w in fin.vertices
-                     if is_prefix(nodes[w], sigma) and nodes[w] != sigma]
-            if len(exts) >= need and len(preds) >= s and \
-                    (not out or (is_prefix(out[-1], sigma)
-                                 and sigma != out[-1])):
-                pick = sigma
-                break
-            if len(exts) >= need and out and not comparable(out[-1], sigma) \
-                    and len(sigma) > len(out[-1]):
-                raise PromiseViolation(
-                    "incomparable extension-rich vertices %r, %r"
-                    % (out[-1], sigma))
-        if pick is None:
-            break
-        out.append(pick)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Connected restriction
 # ---------------------------------------------------------------------------
 
@@ -578,29 +516,3 @@ def find_f2k2(h, k, scan=100000):
     machine = _F2k2Machine(h, k, scan)
     name = SpaceName("EGr", Staged(machine.round), meta={"f2k2": machine})
     return SolutionStream(name, lambda v: v)
-
-
-# ---------------------------------------------------------------------------
-# Unique-path extraction over binary trees
-# ---------------------------------------------------------------------------
-
-def cantor_unique_path(solution, depth):
-    """Path through a binary tree from a connected ray solution given by a
-    characteristic-function name: each level holds at most 2^n nodes, so the
-    level census is computable; levels with census one are on the path."""
-    if solution.space != "Gr":
-        raise BadParam("census needs a characteristic-function name")
-    out = []
-    for n in range(depth):
-        level = []
-        for digits in itertools.product((0, 1), repeat=n):
-            code = 0
-            for d in digits:
-                code = pair(code, d) + 1
-            if solution.stream.eval(pair(code, code)) == 1:
-                level.append(digits)
-        if not level:
-            raise CensusUnstable("empty level %d below the solution" % n)
-        if len(level) == 1:
-            out.append(level[0])
-    return out

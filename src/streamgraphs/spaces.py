@@ -20,7 +20,7 @@ from functools import cached_property
 from itertools import chain, combinations
 from math import isqrt
 
-from .errors import BadParam, FuelExhausted
+from .errors import BadParam
 from .streams import (CertifiedStream, EventuallyConstant, GeneratorBacked,
                       Indicator, Staged, pair, unpair, zero_from)
 from .graphs import OMEGA, FinGraph, Finite
@@ -586,135 +586,3 @@ def f_convert(name):
         return out, conv.trace
     out = SpaceName("Gr", GeneratorBacked(conv.bit), meta={"trace": conv.trace})
     return out, conv.trace
-
-
-# ---------------------------------------------------------------------------
-# Prompt connectivity relabeling (PC)
-# ---------------------------------------------------------------------------
-
-class _PCBuilder:
-    """Stage machine: consume the input graph's vertices in label order and
-    assign consecutive output labels so every output prefix is connected.
-    A vertex not adjacent to the labeled region is spliced in along a
-    connecting path (labels assigned from the labeled end outward)."""
-
-    def __init__(self, name, fuel):
-        self.g = None
-        self.name = name
-        self.fuel = fuel
-        self.labels = {}      # source vertex -> output label
-        self.order = []       # output label -> source vertex
-        self.finite_bound = zero_from(name.stream)  # codes from it on are 0
-        self.next_source = 0
-
-    def _has_vertex(self, v):
-        return self.name.stream.eval(pair(v, v)) == 1
-
-    def _has_edge(self, a, b):
-        return a != b and self.name.stream.eval(pair(a, b)) == 1
-
-    def _next_unlabeled_vertex(self):
-        v = self.next_source
-        steps = 0
-        while True:
-            if self.finite_bound is not None and pair(v, v) >= self.finite_bound:
-                return None
-            if self._has_vertex(v) and v not in self.labels:
-                self.next_source = v + 1
-                return v
-            v += 1
-            steps += 1
-            if steps > self.fuel:
-                raise FuelExhausted("no further vertex found")
-
-    def _assign(self, v):
-        self.labels[v] = len(self.order)
-        self.order.append(v)
-
-    def _finite_top(self):
-        """Exclusive upper bound on vertex labels for certified-finite input."""
-        v = 0
-        while pair(v, v) < self.finite_bound:
-            v += 1
-        return v
-
-    def _connect_path(self, v):
-        """BFS from v to the labeled region within growing vertex windows.
-        Returns the path with the labeled endpoint first and v last."""
-        for top in range(v + 2, v + 2 + self.fuel):
-            last_window = False
-            if self.finite_bound is not None:
-                cap = self._finite_top()
-                if top >= cap:
-                    top, last_window = cap, True
-            prev = {v: None}
-            queue = [v]
-            while queue:
-                x = queue.pop(0)
-                for y in range(top):
-                    if y in prev or not self._has_vertex(y):
-                        continue
-                    if not self._has_edge(x, y):
-                        continue
-                    prev[y] = x
-                    if y in self.labels:
-                        path = []
-                        cur = y
-                        while cur is not None:
-                            path.append(cur)
-                            cur = prev[cur]
-                        return path
-                    queue.append(y)
-            if last_window:
-                break
-        raise FuelExhausted("input not connected within fuel")
-
-    def advance_stage(self):
-        """Label one more source vertex (or a whole splice path). Returns
-        False when the (certified finite) input is exhausted."""
-        v = self._next_unlabeled_vertex()
-        if v is None:
-            return False
-        if not self.order:
-            self._assign(v)
-            return True
-        if any(self._has_edge(v, u) for u in self.labels):
-            self._assign(v)
-            return True
-        path = self._connect_path(v)
-        for x in path[1:]:
-            if x not in self.labels:
-                self._assign(x)
-        return True
-
-    def ensure_labels(self, count):
-        while len(self.order) < count:
-            if not self.advance_stage():
-                return False
-        return True
-
-    def bit(self, n):
-        a, b = unpair(n)
-        self.ensure_labels(max(a, b) + 1)
-        if a >= len(self.order) or b >= len(self.order):
-            return 0
-        if a == b:
-            return 1
-        return 1 if self._has_edge(self.order[a], self.order[b]) else 0
-
-
-def pc(name, fuel=10000):
-    """Promptly-connected relabeling of a connected Gr name."""
-    if name.space != "Gr":
-        raise BadParam("pc expects a Gr name")
-    builder = _PCBuilder(name, fuel)
-    if builder.finite_bound is not None:
-        while builder.advance_stage():
-            pass
-        n = len(builder.order)
-        fin = FinGraph(range(n),
-                       [(a, b) for a in range(n) for b in range(a + 1, n)
-                        if builder._has_edge(builder.order[a], builder.order[b])])
-        return name_of("Gr", fin)
-    return SpaceName("Gr", GeneratorBacked(builder.bit),
-                     meta={"builder": builder})

@@ -327,12 +327,3 @@ def parse_stream(text):
         pfx, period = rest.rsplit(";", 1)
         return Periodic(_parse_nat_list(pfx), _parse_nat_list(period))
     raise ParseError("unknown stream spec %r" % text)
-
-
-def format_stream(s):
-    if isinstance(s, EventuallyConstant):
-        return "ec:[%s];%d" % (",".join(map(str, s.head)), s.tail)
-    if isinstance(s, Periodic):
-        return "per:[%s];[%s]" % (",".join(map(str, s.head)),
-                                  ",".join(map(str, s.period)))
-    raise ParseError("generator-backed streams have no textual form")

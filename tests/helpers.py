@@ -3,7 +3,8 @@ tests.
 
 The brute-force embedding oracle is `streamgraphs.suites._naive_embeddings`
 (and its first hit, `_naive_least_embedding`): the shipped `bruteforce`
-suite needs it, so the tests import it from there."""
+suite needs it, so the tests import it from there.  `random_fin_graph` is
+likewise the suites' `_random_fin_graph`, re-exported here."""
 
 import argparse
 import itertools
@@ -17,6 +18,7 @@ from streamgraphs.search import _copy_name
 from streamgraphs.spaces import HostView
 from streamgraphs.spaces import Violation
 from streamgraphs.streams import pair, unpair
+from streamgraphs.suites import _random_fin_graph as random_fin_graph  # noqa
 from streamgraphs.trees import string_code
 
 
@@ -438,14 +440,6 @@ def reference_ray_follow(kind, host, fuel=2000, steps=10):
 
         walk.append(_reference_wait_for(probe, fuel))
     return walk
-
-
-def random_fin_graph(rng, min_v=1, max_v=6, density=0.4, spread=2):
-    n = rng.randrange(min_v, max_v + 1)
-    vs = sorted(rng.sample(range(spread * max_v), n))
-    es = [(a, b) for i, a in enumerate(vs) for b in vs[i + 1:]
-          if rng.random() < density]
-    return G.FinGraph(vs, es)
 
 
 def random_certified_stream(rng, values=(0, 1), max_prefix=6):

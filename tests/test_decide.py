@@ -363,7 +363,7 @@ class TestPredicateTF:
         assert D.predicate_tf("T", 0, G.FinGraph([])) is False
 
     def test_unsupported_host(self):
-        host = G.FromGrName(SP.name_of("Gr", G.standard("Ray")))
+        host = G.CustomGraph(lambda v: True, lambda a, b: abs(a - b) == 1)
         with pytest.raises(PredicateUnsupported):
             D.predicate_tf("T", 0, host)
 

@@ -15,7 +15,7 @@ from streamgraphs.errors import (BadParam, HeightExceeded, MalformedInstance,
                                  NoIllFoundedCertificate, NotInB)
 from streamgraphs.streams import (EventuallyConstant, GeneratorBacked,
                                   Periodic, exists_one, infinitely_often,
-                                  limit, pair, unpair)
+                                  limit, pair)
 from streamgraphs.suites import _naive_least_embedding
 
 
@@ -214,42 +214,6 @@ class TestForestsLift:
             GD.forests_lift([("omegas", GD.forests_lift(Periodic([], [0])))])
 
 
-class TestPCompleteGenerator:
-    def test_level1(self):
-        for seed in range(4):
-            assert exists_one(GD.p_complete_generator(1, True, seed), 1)
-            assert not exists_one(GD.p_complete_generator(1, False, seed), 1)
-
-    def test_level2(self):
-        for seed in range(4):
-            assert infinitely_often(
-                GD.p_complete_generator(2, True, seed), 1)
-            assert not infinitely_often(
-                GD.p_complete_generator(2, False, seed), 1)
-
-    def test_level3_shape(self):
-        p = GD.p_complete_generator(3, True, 0)
-        # row 0 is all ones: infinitely many hits in one row
-        hits = [j for j in range(30) if p.eval(pair(0, j)) == 1]
-        assert len(hits) == 30
-        q = GD.p_complete_generator(3, False, 0)
-        # every row of the non-member has only finitely many hits
-        for i in range(4):
-            row = [j for j in range(40) if q.eval(pair(i, j)) == 1]
-            assert len(row) <= i
-
-    def test_level4_shape(self):
-        p = GD.p_complete_generator(4, True, 0)
-        assert all(p.eval(n) == 1 for n in range(20))
-        q = GD.p_complete_generator(4, False, 1)
-        rows_hit = {unpair(n)[0] for n in range(300) if q.eval(n) == 1}
-        assert len(rows_hit) == 1
-
-    def test_bad_level(self):
-        with pytest.raises(BadParam):
-            GD.p_complete_generator(5, True)
-
-
 class TestAcc:
     def test_no_removal_is_plain_ray(self):
         out = GD.acc_gadget(EventuallyConstant([], 0))
@@ -363,10 +327,8 @@ class TestCyclesBox:
 
     def test_graph_interface(self):
         assert self.box.has_vertex(0)
-        cyc = self.box.component(("P", 0, 0)) if \
-            ("P", 0, 0) in self.box._components else None
         self.box.run_until(1)
-        cyc = self.box.component(("P", 0, 0))
+        cyc = self.box._components[("P", 0, 0)]
         assert self.box.has_edge(cyc[0], cyc[1])
         assert self.box.has_edge(cyc[-1], cyc[0])
         assert not self.box.has_edge(cyc[0], cyc[0])
@@ -387,14 +349,6 @@ class TestCyclesBox:
         assert len(used) == len(set(used))
         for key in used:
             assert self.box._dock_free[key] is False
-
-    def test_canonical_solution_decodes_to_path(self):
-        sol = GD.cycles_box_canonical_solution(self.box, lambda n: 0, 2)
-        assert GD.cycles_box_decode(self.box, sol, 2) == [0, 0]
-
-    def test_wrong_digits_not_detected(self):
-        sol = GD.cycles_box_canonical_solution(self.box, lambda n: 1, 2)
-        assert GD.cycles_box_decode(self.box, sol, 2) == [1, 1]
 
     def test_deterministic(self):
         other = GD.cycles_box(T.SinglePath(EventuallyConstant([], 0)))

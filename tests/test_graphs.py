@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 from streamgraphs import graphs as G
 from streamgraphs import specs
 from streamgraphs import trees as T
-from streamgraphs.errors import BadParam, DegreeUnknown, NotATree
+from streamgraphs.errors import BadParam, DegreeUnknown
 from streamgraphs.gadgets import forests_lift
 from streamgraphs.streams import EventuallyConstant, Periodic, pair
 
@@ -377,71 +377,7 @@ class TestLayered:
 class TestTreeGraphTranslation:
     def test_small_star(self):
         tree = T.FiniteTree([(), (0,), (1,)])
-        g = G.tree_to_graph(tree)
+        g = G.TreeAsGraph(tree)
         fin = g.materialize()
         assert len(fin.vertices) == 3
         assert sorted(fin.degree(v) for v in fin.vertices) == [1, 1, 2]
-
-    def test_round_trip_exhaustive(self):
-        # all prefix-closed binary trees with <= 4 nodes
-        universe = [(), (0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1)]
-        count = 0
-        for size in range(1, 5):
-            for nodes in itertools.combinations(universe, size):
-                try:
-                    tree = T.FiniteTree(nodes)
-                except NotATree:
-                    continue
-                count += 1
-                back = G.graph_to_tree(G.tree_to_graph(tree).materialize(),
-                                       root=T.string_code(()))
-                assert back == tree
-        assert count > 5
-
-    def test_cycle_rejected(self):
-        with pytest.raises(NotATree):
-            G.graph_to_tree(c(3).materialize(), root=0)
-
-
-class TestPromptConnectivity:
-    def test_path_in_order(self):
-        assert G.is_promptly_connected(r(4).materialize())
-
-    def test_late_attachment(self):
-        g = G.FinGraph([0, 1, 2], [(0, 2), (2, 1)])
-        assert not G.is_promptly_connected(g)
-
-    def test_single_vertex(self):
-        assert G.is_promptly_connected(G.FinGraph([0]))
-
-
-class TestIncreasingRayTree:
-    def test_identity_ray(self):
-        s = G.increasing_ray_tree(G.standard("Ray"))
-        assert s.prefix(10) == list(range(10))
-
-    def test_full_binary_tree(self):
-        host = G.standard("FullBinaryTree")
-        s = G.increasing_ray_tree(host)
-        out = s.prefix(10)
-        assert len(set(out)) == 10
-        assert all(out[i] < out[i + 1] for i in range(9))
-        assert all(host.has_edge(out[i], out[i + 1]) for i in range(9))
-
-    def test_ladder(self):
-        def edge(a, b):
-            a, b = min(a, b), max(a, b)
-            return (b - a == 2) or (b - a == 1 and a % 2 == 0)
-
-        ladder = G.CustomGraph(lambda v: True, edge,
-                               degree_fn=lambda v: 3 if v > 1 else 2)
-        s = G.increasing_ray_tree(ladder)
-        out = s.prefix(10)
-        assert len(set(out)) == 10
-        assert all(out[i] < out[i + 1] for i in range(9))
-        assert all(ladder.has_edge(out[i], out[i + 1]) for i in range(9))
-
-    def test_unknown_degrees_rejected(self):
-        host = G.CustomGraph(lambda v: True, lambda a, b: abs(a - b) == 1)
-        with pytest.raises(G.PreconditionUnverifiable):
-            G.increasing_ray_tree(host)

@@ -6,13 +6,12 @@ import pytest
 from streamgraphs import gadgets as GD
 from streamgraphs import graphs as G
 from streamgraphs import problems as P
-from streamgraphs import spaces as SP
 from streamgraphs import trees as T
 from streamgraphs.errors import (FuelExhausted, HarnessContractViolation,
                                  MalformedInstance, PromiseViolation,
                                  UndecidableWithoutCertificate)
 from streamgraphs.streams import EventuallyConstant as EC
-from streamgraphs.streams import GeneratorBacked, Periodic, pair
+from streamgraphs.streams import GeneratorBacked, Periodic
 
 
 class TestLPO:
@@ -186,44 +185,6 @@ class TestRegistry:
         from streamgraphs.errors import BadParam
         with pytest.raises(BadParam):
             P.problem_by_name("nosuch")
-
-
-class TestDComponents:
-    def test_two_k2(self):
-        h = SP.name_of("Gr", G.FinGraph([0, 1, 2, 3], [(0, 1), (2, 3)]))
-        f = P.d_components(h)
-        assert [f.eval(i) for i in range(4)] == [0, 0, 2, 2]
-
-    def test_connected_constant(self):
-        h = SP.name_of("Gr", G.standard("Ray"))
-        f = P.d_components(h)
-        labels = {f.eval(v) for v in range(10)}
-        assert labels == {0}
-
-    def test_omega_k1_injective(self):
-        h = SP.name_of("Gr", G.OmegaCopies(G.standard("CompleteN", 1)))
-        f = P.d_components(h)
-        vs = [pair(i, 0) for i in range(8)]
-        out = [f.eval(v) for v in vs]
-        assert len(set(out)) == len(out)
-
-    def test_agrees_with_bfs_on_random_graphs(self):
-        rng = random.Random(9)
-        for _ in range(100):
-            n = rng.randint(1, 7)
-            vs = list(range(n))
-            es = [(a, b) for a in vs for b in vs
-                  if a < b and rng.random() < 0.3]
-            fin = G.FinGraph(vs, es)
-            f = P.d_components(SP.name_of("Gr", fin))
-            for v in vs:
-                assert f.eval(v) == min(fin.component_of(v))
-            assert f.eval(n + 3) == n + 3
-
-    def test_no_certificate_refused(self):
-        h = SP.SpaceName("Gr", GeneratorBacked(lambda n: 0))
-        with pytest.raises(UndecidableWithoutCertificate):
-            P.d_components(h)
 
 
 class TestCompose:

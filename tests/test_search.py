@@ -16,10 +16,9 @@ from streamgraphs import spaces as SP
 from streamgraphs import specs
 from streamgraphs import trees as T
 from streamgraphs.decide import semidecide_s
-from streamgraphs.errors import (BadParam, CensusUnstable, FuelExhausted,
+from streamgraphs.errors import (BadParam, FuelExhausted,
                                  NoInfiniteDegreeVertex, OracleRefused,
-                                 PatternNeverSeen, PredicateUnsupported,
-                                 PromiseViolation)
+                                 PatternNeverSeen, PredicateUnsupported)
 from streamgraphs.streams import (EventuallyConstant, GeneratorBacked,
                                   StagedPairs, pair, unpair, zero_from)
 from streamgraphs.suites import _naive_least_embedding
@@ -597,65 +596,6 @@ class TestEmbRayR:
                 assert relabeled.has_edge(a, b)
 
 
-class TestPathFromSolution:
-    def _chain_solution(self, graph, fuel=3000):
-        host = G.construction("L1", T.SinglePath(EventuallyConstant([], 0)),
-                              graph)
-        name = SP.name_of("EGr", host)
-        return S.SolutionStream(name, lambda v: v), fuel
-
-    def test_l1_zero_blocks(self):
-        sol, fuel = self._chain_solution(G.standard("CompleteOmega"))
-        out = S.path_from_solution(("L1", 0), sol, fuel=fuel, steps=4)
-        assert len(out) >= 3
-        for s, sigma in enumerate(out):
-            assert set(sigma) == {0} or sigma == ()
-            if s:
-                assert T.is_prefix(out[s - 1], sigma) and sigma != out[s - 1]
-
-    def test_l2_extension_counts(self):
-        host = G.construction("L2", T.SinglePath(EventuallyConstant([], 0)),
-                              G.standard("TreeT", 1))
-        sol = S.SolutionStream(SP.name_of("EGr", host), lambda v: v)
-        out = S.path_from_solution(("L2", 1), sol, fuel=4000, steps=4)
-        assert len(out) >= 3
-        fin = SP.truncate(sol.name, 4000)
-        nodes = {v: T.string_decode(v) for v in fin.vertices}
-        for s, sigma in enumerate(out):
-            exts = [w for w in fin.vertices
-                    if T.is_prefix(sigma, nodes[w]) and nodes[w] != sigma]
-            assert len(exts) >= 2
-            assert len(sigma) >= s
-
-    def test_l2_oracle_mode(self):
-        host = G.construction("L2", T.SinglePath(EventuallyConstant([], 0)),
-                              G.standard("TreeT", 1))
-        sol = S.SolutionStream(SP.name_of("EGr", host), lambda v: v)
-        out = S.path_from_solution(("L2O", lambda s: 1), sol,
-                                   fuel=4000, steps=4)
-        assert len(out) >= 3
-        for s, sigma in enumerate(out):
-            assert len(sigma) >= s
-
-    def test_promise_violation(self):
-        # two incomparable stars: high-degree picks off any one path
-        nodes = [(), (0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1)]
-        codes = {s: T.string_code(s) for s in nodes}
-        fake = G.FinGraph(codes.values(),
-                          [(codes[(0,)], codes[(0, 0)]),
-                           (codes[(0,)], codes[(0, 1)]),
-                           (codes[(1,)], codes[(1, 0)]),
-                           (codes[(1,)], codes[(1, 1)])])
-        sol = S.SolutionStream(SP.name_of("EGr", fake), lambda v: v)
-        with pytest.raises(PromiseViolation):
-            S.path_from_solution(("L1", 1), sol, fuel=600, steps=4)
-
-    def test_bad_mode(self):
-        sol, fuel = self._chain_solution(G.standard("CompleteOmega"))
-        with pytest.raises(BadParam):
-            S.path_from_solution(("L9", 0), sol, fuel=100)
-
-
 class TestRestrictToConnected:
     def test_picks_component(self):
         host_fin = G.disjoint_union(
@@ -766,40 +706,3 @@ class TestFindF2k2:
         with pytest.raises(PatternNeverSeen):
             stream.eval(3)
         assert stream.eval(3) == 25
-
-
-class TestCantorUniquePath:
-    def _path_name(self, nodes):
-        bits = {}
-        for sigma in nodes:
-            code = T.string_code(sigma)
-            bits[pair(code, code)] = 1
-        top = max(bits) + 1
-        return SP.SpaceName(
-            "Gr", EventuallyConstant([bits.get(i, 0) for i in range(top)], 0))
-
-    def test_zero_path(self):
-        chain = [(0,) * n for n in range(6)]
-        sol = self._path_name(chain)
-        out = S.cantor_unique_path(sol, 6)
-        assert out == chain
-
-    def test_census_two_levels_skipped(self):
-        nodes = [(), (0,), (1,), (0, 0)]
-        out = S.cantor_unique_path(self._path_name(nodes), 3)
-        assert out == [(), (0, 0)]
-
-    def test_prefix_increasing(self):
-        chain = [(0, 1)[n % 2:n % 2 + 1] * 0 or (0,) * n for n in range(5)]
-        out = S.cantor_unique_path(self._path_name(chain), 5)
-        for a, b in zip(out, out[1:]):
-            assert T.is_prefix(a, b)
-
-    def test_empty_level(self):
-        sol = self._path_name([()])
-        with pytest.raises(CensusUnstable):
-            S.cantor_unique_path(sol, 3)
-
-    def test_egr_refused(self):
-        with pytest.raises(BadParam):
-            S.cantor_unique_path(SP.name_of("EGr", k(2)), 2)

@@ -1188,52 +1188,3 @@ class TestRunUntil:
         with mock.patch.object(SP._FConvert, "run_until", counting):
             out.stream.values(0, pair(9, 9) + 1)   # diagonals 0 to 18
         assert runs == list(range(1, 20)) and trace.stages_run == 19
-
-
-class TestPC:
-    def test_already_prompt(self):
-        out = SP.pc(SP.name_of("Gr", r(5)))
-        fin = SP.gr_window(out, 8)
-        assert G.is_promptly_connected(fin)
-        assert G.isomorphic(fin, r(5))
-
-    def test_late_attachment_fixed(self):
-        src = G.FinGraph([0, 1, 2], [(0, 2), (2, 1)])
-        assert not G.is_promptly_connected(src)
-        out = SP.pc(SP.name_of("Gr", src))
-        fin = SP.gr_window(out, 5)
-        assert G.is_promptly_connected(fin)
-        assert G.isomorphic(fin, src)
-
-    def test_reverse_labeled_path(self):
-        # path 9-7-5-3-1: label order disagrees with path order
-        src = G.FinGraph([1, 3, 5, 7, 9], [(9, 7), (7, 5), (5, 3), (3, 1)])
-        out = SP.pc(SP.name_of("Gr", src))
-        fin = SP.gr_window(out, 8)
-        assert G.is_promptly_connected(fin)
-        assert G.isomorphic(fin, r(5))
-
-    def test_disconnected_exhausts_fuel(self):
-        src = G.disjoint_union(
-            [G.standard("CompleteN", 3), G.standard("CompleteN", 3)])
-        with pytest.raises(FuelExhausted):
-            SP.pc(SP.name_of("Gr", src.materialize()), fuel=500)
-
-    def test_infinite_input(self):
-        out = SP.pc(SP.name_of("Gr", G.standard("Ray")))
-        fin = SP.gr_window(out, 10)
-        assert G.is_promptly_connected(fin)
-        assert G.isomorphic(fin, r(10))
-
-    def test_random_connected_graphs(self):
-        rng = random.Random(9)
-        done = 0
-        while done < 15:
-            fin = random_fin_graph(rng)
-            if not fin.is_connected():
-                continue
-            done += 1
-            out = SP.pc(SP.name_of("Gr", fin))
-            got = SP.gr_window(out, len(fin.vertices) + 1)
-            assert G.is_promptly_connected(got)
-            assert G.isomorphic(got, fin)
