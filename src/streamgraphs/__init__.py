@@ -2,9 +2,9 @@
 deciders, reduction gadgets and search solvers."""
 
 from .streams import (pair, unpair, CertifiedStream, EventuallyConstant,
-                      Periodic, Indicator, GeneratorBacked, Staged, exists_one,
-                      infinitely_often, eventually_always, limit, zero_from,
-                      parse_stream)
+                      Periodic, Indicator, GeneratorBacked, StagedPairs,
+                      exists_one, infinitely_often, eventually_always, limit,
+                      zero_from, parse_stream)
 from .graphs import (OMEGA, FinGraph, standard, disjoint_union,
                      connected_union, construction, degree, isomorphic,
                      OmegaCopies, Finite, CertTree, CertForest, ForestGraph)

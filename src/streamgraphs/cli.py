@@ -14,7 +14,6 @@ usage error is one line on stderr and exit 1.
 """
 
 import json
-import os
 import re
 import sys
 import types
@@ -33,13 +32,7 @@ from .streams import parse_stream
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_UNKNOWN = 2
-
-
-def default_fuel():
-    try:
-        return int(os.environ.get("WG_FUEL_DEFAULT", "1000"))
-    except ValueError:
-        return 1000
+DEFAULT_FUEL = 1000
 
 
 def _emit(report):
@@ -246,10 +239,7 @@ def _lam_table(spec):
 
 
 def cmd_oracle(args):
-    problem = _problems.problem_by_name(
-        {"lpo": "lpo", "lim": "lim", "lim2": "lim2", "cn": "cn",
-         "wf": "wf", "ccantor": "ccantor", "cbaire": "cbaire"}.get(
-             args.problem.lower(), args.problem))
+    problem = _problems.problem_by_name(args.problem)
     spec = getattr(args, "in")
     if problem.name in ("wf", "ccantor", "cbaire"):
         instance = _specs.parse_tree(spec)
@@ -326,7 +316,7 @@ _MUST, _MAY, _FUEL = (str, REQUIRED), (str, None), (int, None)
 
 # command -> (handler, help, {--option or POSITIONAL: (kind, default)}); a
 # kind is str, int, bool (a flag) or a tuple of choices. main turns a fuel
-# of None into default_fuel().
+# of None into DEFAULT_FUEL.
 COMMANDS = {
     "validate": (cmd_validate, "check a name against its space",
                  {"--in": _MUST, "--fuel": _FUEL}),
@@ -452,7 +442,7 @@ def main(argv=None):
             return EXIT_OK
         if hasattr(args, "fuel"):
             if args.fuel is None:
-                args.fuel = default_fuel()
+                args.fuel = DEFAULT_FUEL
             if args.fuel < 0:
                 raise _Usage("fuel must be >= 0, got %d" % args.fuel)
         keys, code = args.fn(args)

@@ -12,7 +12,7 @@ from .graphs import (OMEGA, CertTree, CountableGraph, DisjointUnion,
                      ForestGraph, TreeAsGraph, _mul)
 from .spaces import SpaceName
 from .streams import (CertifiedStream, GeneratorBacked, Indicator, Periodic,
-                      Staged, first_index, infinitely_often, limit,
+                      StagedPairs, first_index, infinitely_often, limit,
                       occurrences, pair, unpair)
 from .trees import coinfinite_wrap, nonmember_enumeration, string_decode
 
@@ -80,12 +80,12 @@ class _Sigma2:
         self.stages = 0
 
     def run_stage(self):
-        """The stage's wire-shifted emissions. The driver is read first, so
-        a read that raises leaves the machine as it was."""
+        """The stage's pairs. The driver is read first, so a read that
+        raises leaves the machine as it was."""
         collapse = self.p.eval(self.stages) == 1
         base = self.next_vertex
         self.next_vertex += len(self.labels)
-        out = [pair(v, v) + 1 for v in range(base, self.next_vertex)]
+        out = [(v, v) for v in range(base, self.next_vertex)]
         rank = {v: r for r, v in enumerate(self.labels)}
         edges = [(base + rank[a], base + rank[b]) for a, b in self.g.edges]
         if collapse:
@@ -95,7 +95,7 @@ class _Sigma2:
             a, b = min(a, b), max(a, b)
             if (a, b) not in self.present:
                 self.present.add((a, b))
-                out.append(pair(a, b) + 1)
+                out.append((a, b))
         self.stages += 1
         return out
 
@@ -117,7 +117,7 @@ def sigma2_gadget(p, g):
             probe = _Sigma2(p, g)
             meta["sigma2_stable_fuel"] = max(
                 sum(len(probe.run_stage()) for _ in range(last + 1)), 1)
-    return SpaceName("EGr", Staged(machine.run_stage), meta=meta)
+    return SpaceName("EGr", StagedPairs(machine.run_stage), meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +162,8 @@ def forests_lift(arg, k=None):
 # ---------------------------------------------------------------------------
 
 def _path_step(a, b):
-    """Emissions of a new vertex b, then of its edge to a."""
-    return [pair(b, b) + 1, pair(min(a, b), max(a, b)) + 1]
+    """The pairs of a new vertex b, then of its edge to a."""
+    return [(b, b), (min(a, b), max(a, b))]
 
 
 class _AccMachine:
@@ -178,24 +178,27 @@ class _AccMachine:
         self.removed = None
         self.top = None        # last vertex of the initial segment
         self.tail_prev = None  # last emitted tail vertex, once the tail runs
-        self.emitted = Staged(self.run_stage)
+        self.emitted = StagedPairs(self.run_stage)
         self.value = self.emitted.eval
 
     def run_stage(self):
-        """The stage's wire-shifted emissions."""
+        """The stage's pairs. The input is read and checked first, so a
+        stage that raises leaves the machine as it was."""
         s = self.stages
+        val = 0
+        if s and self.tail_prev is None:
+            val = self.stream.eval(s - 1)
+            if val and self.removed not in (None, val - 1):
+                raise MalformedInstance("two distinct removals")
         self.stages += 1
         if s == 0:
             self.top = 1
-            return [pair(1, 1) + 1]
+            return [(1, 1)]
         if self.tail_prev is not None:
             self.tail_prev += 1
             return _path_step(self.tail_prev - 1, self.tail_prev)
-        val = self.stream.eval(s - 1)
         if val != 0:
             n = val - 1
-            if self.removed not in (None, n):
-                raise MalformedInstance("two distinct removals")
             fresh, self.removed = self.removed is None, n
             # a removed 0 never joins the ray (any triple avoids it), so
             # the ray just goes on

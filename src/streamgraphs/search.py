@@ -11,7 +11,7 @@ from .errors import (BadParam, DegreeUnknown, FuelExhausted,
                      PredicateUnsupported)
 from .graphs import OMEGA, FinGraph
 from .spaces import HostView, SpaceName, gr_window
-from .streams import GeneratorBacked, Indicator, Staged, pair, unpair
+from .streams import GeneratorBacked, Indicator, StagedPairs, pair, unpair
 
 
 class SolutionStream:
@@ -166,13 +166,13 @@ class _ComponentsMachine:
         self.empty_at = {}
 
     def _claim(self, comp, mapping):
-        """Claim the copy; returns its emissions."""
+        """Claim the copy; returns its pairs."""
         self.claimed.append((comp, dict(mapping)))
         self.used.update(mapping.values())
-        out = [pair(v, v) + 1 for v in sorted(mapping.values())]
+        out = [(v, v) for v in sorted(mapping.values())]
         for a, b in sorted(comp.edges):
             x, y = mapping[a], mapping[b]
-            out.append(pair(min(x, y), max(x, y)) + 1)
+            out.append((min(x, y), max(x, y)))
         return out
 
     def _least_copy(self, comp):
@@ -191,10 +191,11 @@ class _ComponentsMachine:
         return emb
 
     def step(self):
-        """Read 10 more positions; returns the emissions of what they let
-        the machine claim (none while waiting)."""
+        """Read 10 more positions; returns the pairs of what they let the
+        machine claim (none while waiting). The host is read first, so a
+        read that raises leaves the machine as it was."""
+        self.view.grow(self.fuel + 10)
         self.fuel += 10
-        self.view.grow(self.fuel)
         if not self.exceptional_done:
             emb = self._least_copy(self.big)
             if emb is None:
@@ -229,7 +230,7 @@ def find_s_components(parts, host):
         else:
             exceptional.extend([comp] * mult)
     machine = _ComponentsMachine(exceptional, recurring, host)
-    name = SpaceName("EGr", Staged(machine.step),
+    name = SpaceName("EGr", StagedPairs(machine.step),
                      meta={"components": machine})
     return SolutionStream(name, lambda v: v)
 
@@ -377,9 +378,10 @@ class _ConnectedRestriction:
         self.comp = set()
 
     def step(self):
-        """Read 5 more positions; returns the emissions they cause."""
-        start, self.fuel = self.fuel, self.fuel + 5
-        _, edges = self.view.added(start, self.fuel)
+        """Read 5 more positions; returns the pairs they cause. The host is
+        read first, so a read that raises leaves the machine as it was."""
+        _, edges = self.view.added(self.fuel, self.fuel + 5)
+        self.fuel += 5
         adj, comp = self.view.adjacency, self.comp
         if self.v not in adj:
             return []
@@ -395,14 +397,13 @@ class _ConnectedRestriction:
         new = {(min(x, y), max(x, y)) for x in joined for y in adj[x]}
         new.update((min(a, b), max(a, b)) for a, b in edges
                    if a in comp and b in comp)
-        return ([pair(u, u) + 1 for u in sorted(joined)]
-                + [pair(a, b) + 1 for a, b in sorted(new)])
+        return [(u, u) for u in sorted(joined)] + sorted(new)
 
 
 def restrict_to_connected(host, v):
     """EGr name enumerating exactly the connected component of v, each new
     vertex emitted together with a witnessing path."""
-    return SpaceName("EGr", Staged(_ConnectedRestriction(host, v).step))
+    return SpaceName("EGr", StagedPairs(_ConnectedRestriction(host, v).step))
 
 
 # ---------------------------------------------------------------------------
@@ -428,13 +429,12 @@ def find_t3(h, scan=1000):
 
     def stages():
         """The center, then one neighbour and its edge per stage."""
-        yield [pair(center, center) + 1]
+        yield [(center, center)]
         for u in h.iter_vertices():
             if u != center and h.has_edge(center, u):
-                yield [pair(u, u) + 1,
-                       pair(min(center, u), max(center, u)) + 1]
+                yield [(u, u), (min(center, u), max(center, u))]
 
-    name = SpaceName("EGr", Staged(stages().__next__))
+    name = SpaceName("EGr", StagedPairs(stages().__next__))
     return SolutionStream(name, {"center": center})
 
 
@@ -448,7 +448,7 @@ class _F2k2Machine:
         self.k = k
         self.scan = scan
         self.used = set()
-        self.pending = []     # emissions of the round under way
+        self.pending = []     # pairs of the round under way
         self.nodes = []       # (vertex, depth) in claim order
         self.vertex_iter = h.iter_vertices()
         self.scanned = []
@@ -472,9 +472,9 @@ class _F2k2Machine:
     def _claim(self, v, depth, parent):
         self.used.add(v)
         self.nodes.append((v, depth))
-        self.pending.append(pair(v, v) + 1)
+        self.pending.append((v, v))
         if parent is not None:
-            self.pending.append(pair(min(parent, v), max(parent, v)) + 1)
+            self.pending.append((min(parent, v), max(parent, v)))
 
     def _fresh_root(self):
         idx = 0
@@ -498,7 +498,7 @@ class _F2k2Machine:
             idx += 1
 
     def round(self):
-        """One round's emissions. A round that raises keeps what it claimed:
+        """One round's pairs. A round that raises keeps what it claimed:
         the next call returns those claims before it starts a new round."""
         if not self.pending:
             self._fresh_root()
@@ -514,5 +514,6 @@ def find_f2k2(h, k, scan=100000):
     if predicate_tf("F", k, h) is not True:
         raise PredicateUnsupported("host certificate refutes the promise")
     machine = _F2k2Machine(h, k, scan)
-    name = SpaceName("EGr", Staged(machine.round), meta={"f2k2": machine})
+    name = SpaceName("EGr", StagedPairs(machine.round),
+                     meta={"f2k2": machine})
     return SolutionStream(name, lambda v: v)

@@ -22,7 +22,7 @@ from math import isqrt
 
 from .errors import BadParam
 from .streams import (CertifiedStream, EventuallyConstant, GeneratorBacked,
-                      Indicator, Staged, pair, unpair, zero_from)
+                      Indicator, StagedPairs, pair, unpair, zero_from)
 from .graphs import OMEGA, FinGraph, Finite
 
 SPACES = ("Gr", "EGr", "Tr", "Tr2")
@@ -410,9 +410,9 @@ def gr_window(name, top):
 
 def _egr_stages(bit_at):
     """Synchronous transducer: stage c reads input code c and emits one
-    queued code, padding when none is queued. A code whose bit raises is
+    queued pair, padding when none is queued. A code whose bit raises is
     read again at the next call."""
-    emitted, queue = set(), deque()
+    emitted, queue = set(), deque()   # the codes queued, and their pairs
     c = 0
 
     def stage():
@@ -422,17 +422,21 @@ def _egr_stages(bit_at):
             d = (isqrt(8 * c + 1) - 1) // 2   # unpair(c), inlined
             j = c - d * (d + 1) // 2
             i = d - j
-            # both ends' codes 2v(v + 1) = pair(v, v), then the edge's
-            # pair(min, max), c + i - j when i > j; all three are c if i == j
-            for code in (2 * i * (i + 1), 2 * j * (j + 1),
-                         c + i - j if i > j else c):
+            edge = c   # the code of pair(min, max): c + i - j when i > j
+            if i > j:
+                i, j, edge = j, i, c + i - j
+            for v in (i, j):   # pair(v, v) = 2v(v + 1); c itself if i == j
+                code = 2 * v * (v + 1)
                 if code not in emitted:
                     emitted.add(code)
-                    queue.append(code)
+                    queue.append((v, v))
+            if edge not in emitted:
+                emitted.add(edge)
+                queue.append((i, j))
         c += 1
-        return [queue.popleft() + 1] if queue else []
+        return [queue.popleft()] if queue else []
 
-    return Staged(stage)
+    return StagedPairs(stage)
 
 
 def gr_to_egr(name):

@@ -13,11 +13,10 @@ head) is where the cycling starts.
 The uncertified kinds:
 
   * GeneratorBacked(step)            -- a total function n -> value, memoized;
-  * Staged(step)                     -- a machine's output, one stage's
-                                        values per call of step(), memoized;
-  * StagedPairs(step)                -- an EGr machine's output, one stage's
-                                        (i, j) pairs per call of step(),
-                                        memoized as pairs, not as codes.
+  * StagedPairs(step)                -- an EGr stage machine's output, one
+                                        stage's (i, j) pairs per call of
+                                        step(), memoized as pairs, not as
+                                        codes.
 
 The quantifier operations (exists_one, infinitely_often, limit, ...) and
 zero_from answer exactly on the certified kinds and refuse the uncertified
@@ -160,42 +159,18 @@ class GeneratorBacked(CertifiedStream):
         return "GeneratorBacked(%r)" % (self.step,)
 
 
-class Staged(CertifiedStream):
-    """Output of a stage machine, memoized: each call step() runs the next
-    stage and returns the values it emits as a list, and a stage that emits
-    none emits one padding 0.
-
-    eval(n) and values(lo, n + 1) run stages until the output covers n, so
-    each stage runs once and none past the one that covers n. A stage that
-    raises adds nothing, and the next read runs step() again."""
-
-    def __init__(self, step):
-        self.step = step
-        self._out = []
-
-    def eval(self, n):
-        return self.values(n, n + 1)[0]
-
-    def values(self, lo, hi):
-        out = self._out
-        while len(out) < hi:
-            out.extend(self.step() or (0,))
-        return out[lo:hi]
-
-    def __repr__(self):
-        return "Staged(%r)" % (self.step,)
-
-
 class StagedPairs(CertifiedStream):
-    """The EGr name a stage machine emits as (i, j) pairs (i == j: the
-    vertex i), memoized as those pairs: each call step() runs the next
+    """The EGr name a stage machine emits as (i, j) pairs, i <= j (i == j:
+    the vertex i), memoized as those pairs: each call step() runs the next
     stage and returns its pairs as a list, and a stage that emits none
     emits one padding None.
 
     pairs(lo, hi) gives the pairs themselves, so a reader needs no decode;
     eval and values give the EGr values pair(i, j) + 1 (0 for padding),
-    computed on each read. Stages run, and a raising one commits nothing,
-    as in Staged."""
+    computed on each read. Every read runs stages until the output covers
+    it, so each stage runs once and none past the one that covers the
+    read. A stage that raises adds nothing, and the next read runs step()
+    again."""
 
     def __init__(self, step):
         self.step = step

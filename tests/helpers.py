@@ -17,9 +17,23 @@ from streamgraphs.errors import FuelExhausted, PatternNeverSeen
 from streamgraphs.search import _copy_name
 from streamgraphs.spaces import HostView
 from streamgraphs.spaces import Violation
-from streamgraphs.streams import pair, unpair
+from streamgraphs.streams import GeneratorBacked, pair, unpair
 from streamgraphs.suites import _random_fin_graph as random_fin_graph  # noqa
 from streamgraphs.trees import string_code
+
+
+def raising_once(stream, at):
+    """The stream's values, read through a GeneratorBacked whose first read
+    of position `at` raises RuntimeError; every later read answers."""
+    failed = []
+
+    def step(n):
+        if n == at and not failed:
+            failed.append(n)
+            raise RuntimeError("flaky input")
+        return stream.eval(n)
+
+    return GeneratorBacked(step)
 
 
 def reference_truncate(name, fuel):

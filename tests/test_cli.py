@@ -249,17 +249,18 @@ class TestFuel:
             assert captured.err.count("\n") == 1 and "-5" in captured.err
 
     def test_negative_default_fuel_rejected(self, capsys, monkeypatch):
+        """The default fuel is the constant 1000: no environment variable
+        makes it negative. Fuel 0 is given by --fuel and reads nothing."""
         monkeypatch.setenv("WG_FUEL_DEFAULT", "-3")
         code, out = run(capsys, "truncate", "--in", "egr:c4")
-        assert code == 1 and out == ""
-        monkeypatch.setenv("WG_FUEL_DEFAULT", "0")
-        code, out = run(capsys, "truncate", "--in", "egr:c4")
+        assert code == 0 and json.loads(out)["fuel_spent"] == 1000
+        code, out = run(capsys, "truncate", "--in", "egr:c4", "--fuel", "0")
         assert code == 0
         assert json.loads(out)["graph"] == {"e": [], "v": []}
 
 
 class TestParserReuse:
-    def test_calls_share_no_state(self, capsys, monkeypatch):
+    def test_calls_share_no_state(self, capsys):
         # r3 sits in C3 as a subgraph but not as an induced subgraph
         code, out = run(capsys, "decide", "--pattern", "r3",
                         "--host", "egr:c3", "--mode", "is", "--fuel", "50")
@@ -268,9 +269,11 @@ class TestParserReuse:
                         "--host", "egr:c3", "--fuel", "50")
         assert code == 0 and json.loads(out)["verdict"] == "found"
         for fuel in (7, 9):
-            monkeypatch.setenv("WG_FUEL_DEFAULT", str(fuel))
-            code, out = run(capsys, "truncate", "--in", "egr:komega")
+            code, out = run(capsys, "truncate", "--in", "egr:komega",
+                            "--fuel", str(fuel))
             assert code == 0 and json.loads(out)["fuel_spent"] == fuel
+        code, out = run(capsys, "truncate", "--in", "egr:komega")
+        assert code == 0 and json.loads(out)["fuel_spent"] == 1000
 
 
 class TestConvert:

@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from helpers import random_certified_stream, random_fin_graph
+from helpers import raising_once, random_certified_stream, random_fin_graph
 
 from streamgraphs import decide as D
 from streamgraphs import gadgets as GD
@@ -109,17 +109,11 @@ class TestSigma2:
         assert blocks >= 3
 
     def test_driver_read_that_raises_changes_nothing(self):
-        failed = []
-
-        def flaky(t):
-            if t == 1 and not failed:
-                failed.append(t)
-                raise RuntimeError("flaky driver")
-            return t % 2
-        name = GD.sigma2_gadget(GeneratorBacked(flaky), r(3))
+        driver = GeneratorBacked(lambda t: t % 2)
+        name = GD.sigma2_gadget(raising_once(driver, 1), r(3))
         with pytest.raises(RuntimeError):
             name.stream.prefix(40)
-        clean = GD.sigma2_gadget(GeneratorBacked(lambda t: t % 2), r(3))
+        clean = GD.sigma2_gadget(driver, r(3))
         assert name.stream.prefix(40) == clean.stream.prefix(40)
 
     def test_decider_round_trip(self):
@@ -232,6 +226,16 @@ class TestAcc:
     def test_two_distinct_removals_rejected(self):
         with pytest.raises(MalformedInstance):
             GD.acc_gadget(EventuallyConstant([2, 3], 0))
+
+    def test_input_read_that_raises_changes_nothing(self):
+        """The stage whose read of the removal raises commits nothing, so
+        the retry still sees the removal."""
+        ce = EventuallyConstant([0, 0, 4], 0)
+        out = GD.acc_gadget(raising_once(ce, 2))
+        with pytest.raises(RuntimeError):
+            out.name.stream.prefix(40)
+        clean = GD.acc_gadget(ce).name.stream.prefix(40)
+        assert out.name.stream.prefix(40) == clean
 
     def test_decode_avoids_removed_number(self):
         rng = random.Random(71)

@@ -1,7 +1,7 @@
 """Byte-identity guard for the "same output for fixed argv" contract.
 
 Each case is either a fixed `sgraph` argv (stdout and exit code are
-recorded; every argv that takes a fuel names it, so WG_FUEL_DEFAULT plays
+recorded; every argv that takes a fuel names it, so the default fuel plays
 no part) or a library-only solver whose output is recorded.
 The expected values live in golden.json next to this file. After an
 intended contract change, regenerate them with

@@ -5,7 +5,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (random_fin_graph, reference_co_enum,
+from helpers import (raising_once, random_fin_graph, reference_co_enum,
                      reference_components, reference_find_s_finite,
                      reference_ray_follow, reference_restrict_to_connected)
 
@@ -413,6 +413,17 @@ class TestFindSComponents:
         assert all(comp == k(1) for comp, _ in claimed[1:])
         assert len(claimed) >= 4
 
+    def test_host_read_that_raises_changes_nothing(self):
+        """The step whose read of the host raises commits nothing, so the
+        retry claims at the same stage as a clean run."""
+        host = specs.parse_name("egr:fbt")
+        flaky = SP.SpaceName("EGr", raising_once(host.stream, 15))
+        sol = S.find_s_components([(k(2), G.OMEGA)], flaky)
+        with pytest.raises(RuntimeError):
+            sol.name.stream.prefix(60)
+        clean = S.find_s_components([(k(2), G.OMEGA)], host)
+        assert sol.name.stream.prefix(60) == clean.name.stream.prefix(60)
+
 
 class TestComponentsMatchFullSearch:
     @settings(max_examples=150, deadline=None)
@@ -635,6 +646,17 @@ class TestRestrictToConnected:
         v, length = rng.randrange(12), rng.randrange(1, 120)
         got = S.restrict_to_connected(host, v).stream.prefix(length)
         assert got == reference_restrict_to_connected(host, v, length)
+
+    def test_host_read_that_raises_changes_nothing(self):
+        """The step whose read of the host raises commits nothing, so the
+        retry still sees the edges of those positions."""
+        host = specs.parse_name("egr:c4")
+        flaky = SP.SpaceName("EGr", raising_once(host.stream, 6))
+        out = S.restrict_to_connected(flaky, 0)
+        with pytest.raises(RuntimeError):
+            out.stream.prefix(40)
+        clean = S.restrict_to_connected(host, 0).stream.prefix(40)
+        assert out.stream.prefix(40) == clean
 
 
 class TestFindT3:

@@ -17,13 +17,16 @@ from helpers import (random_fin_graph, reference_dense_egr_name,
                      reference_validate_egr)
 
 from streamgraphs import cli
+from streamgraphs import gadgets as GD
 from streamgraphs import graphs as G
+from streamgraphs import search as S
 from streamgraphs import spaces as SP
 from streamgraphs import specs
 from streamgraphs.errors import BadParam, FuelExhausted
 from streamgraphs.streams import (CertifiedStream, EventuallyConstant,
                                   GeneratorBacked, Indicator, Periodic,
-                                  StagedPairs, pair, unpair, zero_from)
+                                  StagedPairs, pair, parse_stream, unpair,
+                                  zero_from)
 from streamgraphs.trees import string_code, string_decode
 
 
@@ -964,6 +967,41 @@ class TestGrToEgr:
             egr.stream.prefix(10)
         assert egr.stream.prefix(10) == [1, 0, 0, 0, 5, 0, 0, 0, 0, 0]
         assert reads == [0, 1, 2, 3, 4, 4, 5, 6, 7, 8, 9]
+
+
+# Every EGr name a stage machine writes, built anew at each call.
+_STAGE_MACHINE_NAMES = {
+    "sigma2_gadget": lambda: GD.sigma2_gadget(
+        parse_stream("ec:[0,1,0,0,1];0"), r(3)),
+    "acc_gadget": lambda: GD.acc_gadget(
+        EventuallyConstant([0, 0, 4], 0)).name,
+    "gr_to_egr": lambda: SP.gr_to_egr(specs.parse_name("gr:fbt")),
+    "find_s_components": lambda: S.find_s_components(
+        [(k(2), G.OMEGA)], specs.parse_name("egr:fbt")).name,
+    "restrict_to_connected": lambda: S.restrict_to_connected(
+        specs.parse_name("egr:du(c4,ray)"), 0),
+    "find_t3": lambda: S.find_t3(specs.parse_graph("t1")).name,
+    "find_f2k2": lambda: S.find_f2k2(G.standard("ForestF", 1), 1).name,
+}
+
+
+class TestStageStreamFormat:
+    @pytest.mark.parametrize("machine", sorted(_STAGE_MACHINE_NAMES))
+    def test_values_encode_the_pairs(self, machine):
+        """A stage machine's name is a StagedPairs of (min, max) pairs whose
+        values are their EGr codes, and HostView reads from the pairs the
+        graph that those values decide."""
+        n = 150
+        name = _STAGE_MACHINE_NAMES[machine]()
+        assert isinstance(name.stream, StagedPairs)
+        pairs = name.stream.pairs(0, n)
+        assert all(p is None or p[0] <= p[1] for p in pairs)
+        values = name.stream.values(0, n)
+        assert values == [0 if p is None else pair(*p) + 1 for p in pairs]
+        assert SP.validate_prefix("EGr", values) == "ok"
+        wire = SP.SpaceName("EGr", EventuallyConstant(values, 0))
+        got = SP.HostView(_STAGE_MACHINE_NAMES[machine]()).graph(n)
+        assert got == SP.truncate(wire, n)
 
 
 class TestFConvert:

@@ -90,55 +90,6 @@ class TestEval:
         assert calls[-1] == 7 and len(calls) == 8
 
 
-class TestStaged:
-    def _machine(self, stages):
-        """Staged stream over the given stage outputs, plus its call log."""
-        calls = []
-
-        def step():
-            calls.append(len(calls))
-            return list(stages[len(calls) - 1])
-        return S.Staged(step), calls
-
-    def test_empty_stage_emits_one_padding_zero(self):
-        s, _ = self._machine([[], [5, 6], [], [7]])
-        assert s.prefix(5) == [0, 5, 6, 0, 7]
-
-    def test_out_of_order_evals_run_each_stage_once(self):
-        s, calls = self._machine([[1, 2], [3], [], [4, 5, 6], [7]])
-        assert [s.eval(n) for n in (5, 1, 6, 0, 3, 5)] == [5, 2, 6, 1, 0, 5]
-        assert calls == [0, 1, 2, 3]
-        assert s.eval(7) == 7 and s.eval(2) == 3
-        assert calls == [0, 1, 2, 3, 4]
-
-    def test_eval_runs_no_stage_past_the_covering_one(self):
-        s, calls = self._machine([[1, 2], [3], [4, 5, 6], [7]])
-        assert s.eval(2) == 3
-        assert calls == [0, 1]
-        assert s.eval(3) == 4 and s.eval(5) == 6
-        assert calls == [0, 1, 2]
-
-    def test_raising_stage_adds_nothing_and_is_retried(self):
-        state = {"stage": 0, "failed": False}
-
-        def step():
-            k = state["stage"]
-            if k == 1 and not state["failed"]:
-                state["failed"] = True
-                raise RuntimeError("flaky")
-            state["stage"] += 1
-            return [10 * k, 10 * k + 1]
-        s = S.Staged(step)
-        assert s.eval(1) == 1
-        with pytest.raises(RuntimeError):
-            s.eval(2)
-        assert s.prefix(6) == [0, 1, 10, 11, 20, 21]
-
-    def test_refused_by_quantifiers(self):
-        with pytest.raises(UndecidableWithoutCertificate):
-            S.exists_one(S.Staged(lambda: [1]), 1)
-
-
 class TestStagedPairs:
     def _machine(self, stages):
         """StagedPairs stream over the given stage outputs, plus its call
