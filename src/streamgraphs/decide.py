@@ -224,10 +224,11 @@ def least_new_embedding(plan, h, vertices, edges, exclude=()):
     The answer is the least first hit (`Plan.first`) over the anchors: every
     pattern vertex on every new vertex and every pattern edge on every new
     edge in both orientations, where the images avoid `exclude` and have the
-    degrees of their pins."""
+    degrees of their pins. When every pattern vertex has an edge, the edge
+    anchors alone find the same least hit: an edge at a new vertex is new."""
     hadj, first = h.adjacency, plan.first
     hits = []
-    for u in vertices:
+    for u in vertices if plan.least == 0 else ():
         du = len(hadj[u])
         if du < plan.least or u in exclude:
             continue

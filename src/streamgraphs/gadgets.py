@@ -401,7 +401,6 @@ class CyclesBox(CountableGraph):
         self._components = {}   # key -> list of vertex ids (cycle order)
         self._docks = {}        # (n, i, k) -> vertex id
         self._dock_free = {}    # (n, i, k) -> bool
-        self._stage_log = []
         self._stages = 0
 
     # -- construction ------------------------------------------------------
@@ -448,7 +447,6 @@ class CyclesBox(CountableGraph):
         size = _f_size(s)
         coords = min(len(sigma), size // 2)
         shared = {}
-        log = []
         for n in range(coords):
             i = sigma[n]
             k = 0
@@ -459,9 +457,7 @@ class CyclesBox(CountableGraph):
                 k += 1
             self._dock_free[(n, i, k)] = False
             shared[2 * n] = self._docks[(n, i, k)]
-            log.append((n, i, k))
         self._add_cycle(("F", s), size, shared=shared)
-        self._stage_log.append((s, tuple(sigma), tuple(log)))
 
     def run_stage(self):
         t = self._stages
@@ -502,9 +498,6 @@ class CyclesBox(CountableGraph):
         while True:
             yield v
             v += 1
-
-    def stage_log(self):
-        return list(self._stage_log)
 
 
 def cycles_box(tree):

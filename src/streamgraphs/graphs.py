@@ -122,29 +122,6 @@ class FinGraph:
                     q.append(w)
         return comp
 
-    def is_connected(self):
-        if not self.vertices:
-            return True
-        return len(self._bfs_set(min(self.vertices))) == len(self.vertices)
-
-    def is_acyclic(self):
-        return len(self.edges) == len(self.vertices) - len(self.components())
-
-    def distance(self, v, w):
-        if v not in self.vertices or w not in self.vertices:
-            raise BadParam("distance endpoints must be vertices")
-        dist = {v: 0}
-        q = deque([v])
-        while q:
-            u = q.popleft()
-            if u == w:
-                return dist[u]
-            for x in self.neighbors(u):
-                if x not in dist:
-                    dist[x] = dist[u] + 1
-                    q.append(x)
-        return OMEGA
-
     def _printable(self):
         """The sorted vertices; BadParam when one is too long to print."""
         vs = sorted(self.vertices)

@@ -333,6 +333,8 @@ def emb_ray_r(host, lim_oracle, fuel=2000, steps=10):
         view = HostView(host)
         window, neighbors, arrival = view.graph, view.neighbors, view.arrival
     else:
+        if not isinstance(host.stream, GeneratorBacked):   # windows re-read
+            host = SpaceName("Gr", GeneratorBacked(host.stream.eval))
         window = functools.lru_cache(None)(functools.partial(gr_window, host))
 
         def neighbors(v, s):
@@ -427,14 +429,24 @@ def find_t3(h, scan=1000):
     if center is None:
         raise NoInfiniteDegreeVertex("no vertex of infinite degree found")
 
-    def stages():
-        """The center, then one neighbour and its edge per stage."""
-        yield [(center, center)]
-        for u in h.iter_vertices():
-            if u != center and h.has_edge(center, u):
-                yield [(u, u), (min(center, u), max(center, u))]
+    vertices = h.iter_vertices()
+    u = -1   # the vertex the next stage asks about, once drawn; -1: the center
 
-    name = SpaceName("EGr", StagedPairs(stages().__next__))
+    def stage():
+        """The center, then one neighbour and its edge per stage. A stage
+        that raises keeps its vertex, so the next read asks about it again."""
+        nonlocal u
+        if u == -1:
+            u = None
+            return [(center, center)]
+        while True:
+            u = next(vertices) if u is None else u
+            if u != center and h.has_edge(center, u):
+                w, u = u, None
+                return [(w, w), (min(center, w), max(center, w))]
+            u = None
+
+    name = SpaceName("EGr", StagedPairs(stage))
     return SolutionStream(name, {"center": center})
 
 

@@ -21,8 +21,8 @@ from itertools import chain, combinations
 from math import isqrt
 
 from .errors import BadParam
-from .streams import (CertifiedStream, EventuallyConstant, GeneratorBacked,
-                      Indicator, StagedPairs, pair, unpair, zero_from)
+from .streams import (CertifiedStream, EventuallyConstant, Indicator,
+                      StagedPairs, pair, unpair, zero_from)
 from .graphs import OMEGA, FinGraph, Finite
 
 SPACES = ("Gr", "EGr", "Tr", "Tr2")
@@ -59,14 +59,17 @@ def validate_prefix(space, prefix):
     """First violated domain rule on a forced prefix, or the string "ok"."""
     prefix = list(prefix)
     if space == "Gr":
+        top, d, base = len(prefix), 0, 0   # n = pair(d - j, j) = base + j
         for n, v in enumerate(prefix):
             if v not in (0, 1):
                 return Violation(n, "Gr values must be binary")
             if v != 1:
                 continue
-            i, j = unpair(n)
-            for q in (pair(j, i), pair(i, i), pair(j, j)):
-                if q < len(prefix) and prefix[q] != 1:
+            while n - base > d:   # n lies on a later diagonal
+                d, base = d + 1, base + d + 1
+            i, j = d - n + base, n - base   # q: pair(j, i), (i, i), (j, j)
+            for q in (n + i - j, 2 * i * (i + 1), 2 * j * (j + 1)):
+                if q < top and prefix[q] != 1:
                     return Violation(n, "edge forces vertices and symmetry")
         return "ok"
     if space == "EGr":
@@ -105,28 +108,48 @@ def validate_name(name, horizon=2000):
 # Name synthesis
 # ---------------------------------------------------------------------------
 
-def _gr_name_bits(g):
-    """The bit function of one Gr name of g: position pair(i, j) is 1 iff
-    i and j are vertices and, for i != j, (i, j) is an edge. Each vertex is
+class _Member(dict):
+    """Vertex -> whether it is one of g's, asking g once per vertex."""
+
+    def __init__(self, g):
+        self.g = g
+
+    def __missing__(self, v):
+        a = self[v] = bool(self.g.has_vertex(v))
+        return a
+
+
+class _GrName(CertifiedStream):
+    """The Gr name of an infinite graph g: position pair(i, j) is 1 iff i
+    and j are vertices and, for i != j, (i, j) is an edge. Each vertex is
     decided once, into a dict this name holds; has_edge is asked only when
-    both ends are vertices."""
-    member = {}
+    both ends are vertices. values(lo, hi) steps along the Cantor diagonals
+    from lo; no position is memoized."""
 
-    def bit(n):
-        d = (isqrt(8 * n + 1) - 1) // 2   # unpair(n), inlined
-        j = n - d * (d + 1) // 2
+    def __init__(self, g):
+        self.g = g
+        self.member = _Member(g)
+
+    def eval(self, n):
+        member, d = self.member, (isqrt(8 * n + 1) - 1) // 2
+        j = n - d * (d + 1) // 2   # n = pair(d - j, j)
         i = d - j
-        a = member.get(i)
-        if a is None:
-            a = member[i] = bool(g.has_vertex(i))
-        if not a or i == j:
-            return 1 if a else 0
-        b = member.get(j)
-        if b is None:
-            b = member[j] = bool(g.has_vertex(j))
-        return 1 if b and g.has_edge(i, j) else 0
+        return 1 if member[i] and (i == j or member[j]
+                                   and self.g.has_edge(i, j)) else 0
 
-    return bit
+    def values(self, lo, hi):
+        member, has_edge = self.member, self.g.has_edge
+        d = (isqrt(8 * lo + 1) - 1) // 2
+        j = lo - d * (d + 1) // 2   # lo = pair(d - j, j)
+        out = []
+        for _ in range(lo, hi):
+            i = d - j
+            out.append(1 if member[i] and (i == j or member[j]
+                                           and has_edge(i, j)) else 0)
+            j += 1
+            if j > d:
+                d, j = d + 1, 0
+        return out
 
 
 def _finite_emissions(fin):
@@ -153,8 +176,7 @@ def name_of(space, g, schedule=None):
                 ones.add(pair(a, b))
                 ones.add(pair(b, a))
             return SpaceName("Gr", Indicator(ones), meta={"denotes": g})
-        return SpaceName("Gr", GeneratorBacked(_gr_name_bits(g)),
-                         meta={"denotes": g})
+        return SpaceName("Gr", _GrName(g), meta={"denotes": g})
     if space == "EGr":
         if g.vertex_count() != OMEGA:
             fin = g.materialize()
@@ -170,8 +192,7 @@ def name_of(space, g, schedule=None):
             return SpaceName("EGr",
                              EventuallyConstant([c + 1 for c in order], 0),
                              meta={"denotes": g})
-        return SpaceName("EGr", _egr_stages(_gr_name_bits(g)),
-                         meta={"denotes": g})
+        return SpaceName("EGr", _GrToEgr(_GrName(g)), meta={"denotes": g})
     raise BadParam("name_of supports Gr and EGr")
 
 
@@ -300,13 +321,15 @@ class HostView:
                     pos = [n for n, p in zip(pos, pairs) if p is not None]
                     pairs = [p for p in pairs if p is not None]
             # loops, not comprehensions: most stages read one position
-            elif gr:   # a 1 at n carries the code n: unpair(n), inlined
+            elif gr:   # a 1 at n = pair(d - j, j) carries it: walk diagonals
+                d = (isqrt(8 * lo + 1) - 1) // 2
+                base = d * (d + 1) // 2   # pair(d, 0)
                 for n, v in enumerate(stream.values(lo, hi), lo):
                     if v == 1:
-                        d = (isqrt(8 * n + 1) - 1) // 2
-                        j = n - d * (d + 1) // 2
+                        while n - base > d:   # n lies on a later diagonal
+                            d, base = d + 1, base + d + 1
                         pos.append(n)
-                        pairs.append((d - j, j))
+                        pairs.append((d - n + base, n - base))
             else:   # v > 0 carries the code v - 1: unpair(v - 1), inlined
                 for n, v in enumerate(stream.values(lo, hi), lo):
                     if v:
@@ -408,44 +431,52 @@ def gr_window(name, top):
 # Gr -> EGr (easy direction)
 # ---------------------------------------------------------------------------
 
-def _egr_stages(bit_at):
-    """Synchronous transducer: stage c reads input code c and emits one
-    queued pair, padding when none is queued. A code whose bit raises is
-    read again at the next call."""
-    emitted, queue = set(), deque()   # the codes queued, and their pairs
-    c = 0
+class _GrToEgr(StagedPairs):
+    """Synchronous transducer from a Gr stream: stage c reads input code c
+    and emits one queued pair, padding when none is queued. pairs(lo, hi)
+    runs every stage below hi in one loop over one read of their codes, so
+    it reads no code past hi, and a read that raises runs no stage."""
 
-    def stage():
-        nonlocal c
-        # an emitted code's vertices and edge are all queued already
-        if bit_at(c) == 1 and c not in emitted:
-            d = (isqrt(8 * c + 1) - 1) // 2   # unpair(c), inlined
-            j = c - d * (d + 1) // 2
-            i = d - j
-            edge = c   # the code of pair(min, max): c + i - j when i > j
-            if i > j:
-                i, j, edge = j, i, c + i - j
-            for v in (i, j):   # pair(v, v) = 2v(v + 1); c itself if i == j
-                code = 2 * v * (v + 1)
-                if code not in emitted:
-                    emitted.add(code)
-                    queue.append((v, v))
-            if edge not in emitted:
-                emitted.add(edge)
-                queue.append((i, j))
-        c += 1
-        return [queue.popleft()] if queue else []
+    def __init__(self, src):
+        super().__init__(None)
+        self.src = src
+        self._emitted, self._queue = set(), deque()   # codes queued, pairs
 
-    return StagedPairs(stage)
+    def pairs(self, lo, hi):
+        out = self._pairs
+        c = len(out)
+        if c < hi:
+            emitted, queue = self._emitted, self._queue
+            d = (isqrt(8 * c + 1) - 1) // 2
+            base = d * (d + 1) // 2   # c = pair(d - j, j) = base + j
+            for bit in self.src.values(c, hi):
+                # an emitted code's vertices and edge are all queued already
+                if bit == 1 and c not in emitted:
+                    while c - base > d:   # c lies on a later diagonal
+                        d, base = d + 1, base + d + 1
+                    i, j = d - c + base, c - base
+                    edge = c   # pair(min, max): c + i - j when i > j
+                    if i > j:
+                        i, j, edge = j, i, c + i - j
+                    for v in (i, j):   # pair(v, v) = 2v(v + 1)
+                        code = 2 * v * (v + 1)
+                        if code not in emitted:
+                            emitted.add(code)
+                            queue.append((v, v))
+                    if edge not in emitted:
+                        emitted.add(edge)
+                        queue.append((i, j))
+                out.append(queue.popleft() if queue else None)
+                c += 1
+        return out[lo:hi]
 
 
 def gr_to_egr(name):
     if name.space != "Gr":
         raise BadParam("gr_to_egr expects a Gr name")
-    s = name.stream
     meta = dict(name.meta)
-    stream = _egr_stages(s.eval)
-    top = zero_from(s)
+    stream = _GrToEgr(name.stream)
+    top = zero_from(name.stream)
     if top is not None:
         out = stream.prefix(top)
         while out and out[-1] == 0:
@@ -482,10 +513,10 @@ class IotaTrace:
         return sorted(self.iota.values())
 
 
-class _FConvert:
-    """Stage s reads emission s. Position pair(i, j) is frozen once stage
-    max(i, j) has finished: it stays 0 unless it was set to 1 by then, and
-    a 1 is only ever written at a position that is not yet frozen."""
+class _FConvert(CertifiedStream):
+    """f_convert's Gr stream, as the construction: stage s reads emission s.
+    Position pair(i, j) is frozen once stage max(i, j) has finished: it
+    stays 0 unless set to 1 by then; a 1 is only written where not frozen."""
 
     def __init__(self, stream):
         self.stream = stream
@@ -562,13 +593,16 @@ class _FConvert:
                 self.run_stage(p)
         self.trace.stages_run = self.stage
 
-    def bit(self, n):
-        d = (isqrt(8 * n + 1) - 1) // 2   # unpair(n), inlined
-        j = n - d * (d + 1) // 2
-        top = max(d - j, j) + 1
-        if top > self.stage:
-            self.run_until(top)
-        return 1 if n in self.ones else 0
+    def values(self, lo, hi):
+        """Run the stages the slice needs in one run_until, then read it: the
+        largest max(i, j) is max(i_lo, j_hi) on one diagonal, else d_hi."""
+        if hi <= lo:
+            return []
+        i, j = unpair(lo)
+        a, k = unpair(hi - 1)
+        self.run_until(1 + (max(i, k) if i + j == a + k else a + k))
+        ones = self.ones
+        return [1 if n in ones else 0 for n in range(lo, hi)]
 
 
 def f_convert(name):
@@ -588,5 +622,5 @@ def f_convert(name):
         out = SpaceName("Gr", Indicator(conv.ones),
                         meta={"trace": conv.trace})
         return out, conv.trace
-    out = SpaceName("Gr", GeneratorBacked(conv.bit), meta={"trace": conv.trace})
+    out = SpaceName("Gr", conv, meta={"trace": conv.trace})
     return out, conv.trace

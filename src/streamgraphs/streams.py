@@ -10,7 +10,7 @@ head) is where the cycling starts.
   * Indicator(ones)                  -- the EventuallyConstant that is 1 on
                                         the finite set ``ones``, else 0.
 
-The uncertified kinds:
+The uncertified kinds (spaces adds Gr streams that memoize no position):
 
   * GeneratorBacked(step)            -- a total function n -> value, memoized;
   * StagedPairs(step)                -- an EGr stage machine's output, one
@@ -51,10 +51,10 @@ def unpair(n):
 # ---------------------------------------------------------------------------
 
 class CertifiedStream:
-    """Base class; use one of the concrete kinds."""
+    """Base class; a kind defines eval, values, or both."""
 
     def eval(self, n):
-        raise NotImplementedError
+        return self.values(n, n + 1)[0]
 
     def __getitem__(self, n):
         return self.eval(n)
@@ -183,10 +183,7 @@ class StagedPairs(CertifiedStream):
         return out[lo:hi]
 
     def eval(self, n):
-        out = self._pairs
-        while len(out) <= n:
-            out.extend(self.step() or (None,))
-        p = out[n]
+        p = self.pairs(n, n + 1)[0]
         if p is None:
             return 0
         i, j = p

@@ -163,6 +163,22 @@ def reference_gr_bit(g, n):
                  and g.has_edge(i, j)) else 0
 
 
+def reference_validate_gr(prefix):
+    """validate_prefix("Gr", prefix) through unpair and pair: a 1 at
+    pair(i, j) needs 1s at pair(j, i), pair(i, i) and pair(j, j) where the
+    prefix reaches them."""
+    for n, v in enumerate(prefix):
+        if v not in (0, 1):
+            return Violation(n, "Gr values must be binary")
+        if v != 1:
+            continue
+        i, j = unpair(n)
+        for q in (pair(j, i), pair(i, i), pair(j, j)):
+            if q < len(prefix) and prefix[q] != 1:
+                return Violation(n, "edge forces vertices and symmetry")
+    return "ok"
+
+
 def reference_gr_to_egr(bit_at, length):
     """The first `length` values of the Gr -> EGr transducer on the bits
     bit_at(c): stage c reads bit c, queues the codes of both ends and of
@@ -540,3 +556,76 @@ def reference_parser():
 
     return top
 
+
+
+def reference_least_new_embedding(plan, h, vertices, edges, exclude=()):
+    """decide.least_new_embedding with every anchor: the least first hit
+    over every pattern vertex on every new vertex and every pattern edge on
+    every new edge in both orientations."""
+    hadj, first = h.adjacency, plan.first
+    hits = []
+    for u in vertices:
+        du = len(hadj[u])
+        if du < plan.least or u in exclude:
+            continue
+        for pins, d in plan.pins:
+            if du >= d:
+                hits.append(first(hadj, pins, (u,), exclude))
+    for x, y in edges:
+        dx, dy = len(hadj[x]), len(hadj[y])
+        if min(dx, dy) < plan.least or x in exclude or y in exclude:
+            continue
+        for pins, da, db in plan.edge_pins:
+            if dx >= da and dy >= db:
+                hits.append(first(hadj, pins, (x, y), exclude))
+            if dy >= da and dx >= db:
+                hits.append(first(hadj, pins, (y, x), exclude))
+    gs = plan.vertices
+    keys = [[hit[v] for v in gs] for hit in hits if hit is not None]
+    return dict(zip(gs, min(keys))) if keys else None
+
+
+def is_connected(fin):
+    """Whether the finite graph has at most one component."""
+    return len(fin.components()) <= 1
+
+
+def is_acyclic(fin):
+    """Whether the finite graph is a forest."""
+    return len(fin.edges) == len(fin.vertices) - len(fin.components())
+
+
+def distance(fin, v, w):
+    """Breadth-first distance from v to w in the finite graph, OMEGA when
+    they lie in different components."""
+    dist = {v: 0}
+    queue = [v]
+    for u in queue:
+        if u == w:
+            return dist[u]
+        for x in fin.neighbors(u):
+            if x not in dist:
+                dist[x] = dist[u] + 1
+                queue.append(x)
+    return G.OMEGA
+
+
+def cycles_box_stage_log(box, stages):
+    """Run the CyclesBox to `stages` stages and return, per stage run,
+    (stage, sigma, docks): the non-member sigma it attached F_s for and the
+    dock keys (n, i, k) it took, in order of n."""
+    log, attach = [], box._attach_f
+
+    def recording(s, sigma):
+        free = dict(box._dock_free)
+        attach(s, sigma)
+        log.append((s, tuple(sigma), tuple(sorted(
+            key for key, ok in box._dock_free.items()
+            if not ok and free.get(key, True)))))
+
+    box._attach_f = recording
+    try:
+        box.run_until(stages)
+    finally:
+        del box._attach_f
+    return log

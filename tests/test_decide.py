@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import random_fin_graph
+from helpers import random_fin_graph, reference_least_new_embedding
 
 from streamgraphs import cli
 from streamgraphs import decide as D
@@ -254,6 +254,30 @@ class TestLeastNewEmbedding:
                                      rng.randrange(min(3, len(h.vertices)))))
             got = D.least_new_embedding(plan, h, vs, es, exclude)
             assert got == _naive_least_new(g, h, before, exclude)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2 ** 32))
+    def test_matches_every_anchor(self, seed):
+        """Against the search over every vertex and edge anchor, on the
+        stage steps of a randomly scheduled host with stutter, avoiding a
+        random set of its vertices."""
+        rng = random.Random(seed)
+        g = _delta_pattern(rng)
+        plan = D.Plan(g)
+        fin = random_fin_graph(rng, min_v=1, max_v=12,
+                               density=rng.random(), spread=3)
+        view = SP.HostView(SP.name_of("EGr", fin, (
+            "random", rng.randrange(10 ** 6), rng.choice([0.0, 0.3, 0.6]))))
+        s = 0
+        while s < 80:
+            s1 = s + rng.randrange(1, 8)
+            vs, es = view.added(s, s1)
+            exclude = set(rng.sample(sorted(view.adjacency),
+                                     rng.randrange(len(view.adjacency) // 3
+                                                   + 1)))
+            assert D.least_new_embedding(plan, view, vs, es, exclude) == \
+                reference_least_new_embedding(plan, view, vs, es, exclude)
+            s = s1
 
     def test_cases_reach_exclusions_and_one_sided_edges(self):
         """The generator above excludes vertices of hits and brings new

@@ -4,7 +4,8 @@ import threading
 
 import pytest
 
-from helpers import raising_once, random_certified_stream, random_fin_graph
+from helpers import (cycles_box_stage_log, is_acyclic, is_connected,
+                     raising_once, random_certified_stream, random_fin_graph)
 
 from streamgraphs import decide as D
 from streamgraphs import gadgets as GD
@@ -213,7 +214,7 @@ class TestAcc:
         out = GD.acc_gadget(EventuallyConstant([], 0))
         assert SP.validate_prefix("EGr", out.name.stream.prefix(100)) == "ok"
         fin = SP.truncate(out.name, 40)
-        assert fin.is_acyclic()
+        assert is_acyclic(fin)
         assert fin.has_edge(1, 2) and fin.has_edge(2, 3)
         assert not fin.has_vertex(0)
 
@@ -291,7 +292,7 @@ class TestLim2:
     def test_graph_is_a_ray(self):
         name = GD.lim2_to_embR(EventuallyConstant([1], 0))
         fin = SP.gr_window(name, 14)
-        assert fin.is_acyclic() and fin.is_connected()
+        assert is_acyclic(fin) and is_connected(fin)
         assert all(fin.degree(v) <= 2 for v in fin.vertices)
 
     def test_canonical_solution_is_embedding(self):
@@ -338,8 +339,7 @@ class TestCyclesBox:
         assert not self.box.has_edge(cyc[0], cyc[0])
 
     def test_nonmembers_get_attached(self):
-        self.box.run_until(3)
-        log = self.box.stage_log()
+        log = cycles_box_stage_log(self.box, 3)
         assert len(log) == 3
         for s, sigma, attachments in log:
             assert not self.tree.contains(sigma[1:]) or sigma[0] != 0
@@ -348,17 +348,16 @@ class TestCyclesBox:
             assert len(set(docks)) == len(docks)
 
     def test_docks_are_consumed_once(self):
-        self.box.run_until(3)
-        used = [key for log in self.box.stage_log() for key in log[2]]
+        log = cycles_box_stage_log(self.box, 3)
+        used = [key for entry in log for key in entry[2]]
         assert len(used) == len(set(used))
         for key in used:
             assert self.box._dock_free[key] is False
 
     def test_deterministic(self):
         other = GD.cycles_box(T.SinglePath(EventuallyConstant([], 0)))
-        self.box.run_until(2)
-        other.run_until(2)
-        assert self.box.stage_log() == other.stage_log()
+        assert (cycles_box_stage_log(self.box, 2)
+                == cycles_box_stage_log(other, 2))
         assert self.box._edges == other._edges
 
 

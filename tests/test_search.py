@@ -5,7 +5,8 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (raising_once, random_fin_graph, reference_co_enum,
+from helpers import (is_acyclic, is_connected, raising_once,
+                     random_fin_graph, reference_co_enum,
                      reference_components, reference_find_s_finite,
                      reference_ray_follow, reference_restrict_to_connected)
 
@@ -73,7 +74,8 @@ def _record_reads(name):
     reads, recorded at the method each stream kind reads them through."""
     stream, reads = name.stream, []
     ranged = ("pairs" if isinstance(stream, StagedPairs) else
-              "values" if isinstance(stream, GeneratorBacked) else None)
+              "values" if isinstance(stream, (GeneratorBacked, SP._GrName))
+              else None)
     if ranged is not None:
         real = getattr(stream, ranged)
 
@@ -635,7 +637,7 @@ class TestRestrictToConnected:
         host = SP.name_of("EGr", target)
         ray_v = pair(1, 0)
         fin = SP.truncate(S.restrict_to_connected(host, ray_v), 400)
-        assert fin.is_acyclic() and fin.is_connected()
+        assert is_acyclic(fin) and is_connected(fin)
         assert len(fin.vertices) > 5
 
     @settings(max_examples=150, deadline=None)
@@ -676,6 +678,26 @@ class TestFindT3:
     def test_no_infinite_degree(self):
         with pytest.raises(NoInfiniteDegreeVertex):
             S.find_t3(G.standard("RayN", 5))
+
+    def test_has_edge_that_raises_changes_nothing(self):
+        """A stage whose has_edge raises runs again at the next read, from
+        the vertex it was asking about."""
+        g = specs.parse_graph("komega")
+        calls, has_edge = [], g.has_edge
+
+        def flaky(a, b):
+            calls.append((a, b))
+            if len(calls) == 5:
+                raise RuntimeError("flaky input")
+            return has_edge(a, b)
+
+        g.has_edge = flaky
+        sol = S.find_t3(g)
+        with pytest.raises(RuntimeError):
+            sol.name.stream.prefix(20)
+        clean = S.find_t3(specs.parse_graph("komega")).name.stream.prefix(20)
+        assert clean[:6] == [1, 5, 3, 13, 6, 25]
+        assert sol.name.stream.prefix(20) == clean
 
 
 class TestFindF2k2:

@@ -9,12 +9,13 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import (random_fin_graph, reference_dense_egr_name,
-                     reference_f_convert, reference_gr_bit,
-                     reference_gr_to_egr, reference_omega_lower,
-                     reference_omega_vertices, reference_random_schedule,
-                     reference_tree_vertices, reference_truncate,
-                     reference_validate_egr)
+from helpers import (is_acyclic, random_fin_graph,
+                     reference_dense_egr_name, reference_f_convert,
+                     reference_gr_bit, reference_gr_to_egr,
+                     reference_omega_lower, reference_omega_vertices,
+                     reference_random_schedule, reference_tree_vertices,
+                     reference_truncate, reference_validate_egr,
+                     reference_validate_gr)
 
 from streamgraphs import cli
 from streamgraphs import gadgets as GD
@@ -413,6 +414,7 @@ class TestGrBits:
     def test_matches_reference_in_any_order(self, text, positions, slices):
         g = specs.parse_graph(text)
         stream = specs.parse_name("gr:" + text).stream
+        assert isinstance(stream, SP._GrName)
         want = {}
 
         def ref(n):
@@ -537,7 +539,7 @@ class TestTruncate:
     def test_egr_ray_truncations_are_paths(self):
         name = SP.name_of("EGr", G.standard("Ray"))
         fin = SP.truncate(name, 50)
-        assert fin.is_acyclic()
+        assert is_acyclic(fin)
         assert all(fin.degree(v) <= 2 for v in fin.vertices)
 
     def test_egr_monotone_in_fuel(self):
@@ -720,6 +722,14 @@ class TestSlicedReads:
 
         if isinstance(stream, GeneratorBacked):   # values() calls step only
             stream.step = guarded(stream.step)
+        elif isinstance(stream, SP._GrName):   # eval and values read apart
+            values = stream.values
+
+            def checked_values(lo, hi):
+                assert hi <= bound[0] and (top is None or hi <= top)
+                return values(lo, hi)
+
+            stream.values, stream.eval = checked_values, guarded(stream.eval)
         elif isinstance(stream, StagedPairs):   # a dense or a padded name
             step, pairs = stream.step, stream.pairs
 
@@ -933,7 +943,7 @@ class TestGrToEgr:
     def test_ray_contains_r5(self):
         egr = SP.gr_to_egr(SP.name_of("Gr", G.standard("Ray")))
         fin = SP.truncate(egr, 200)
-        assert fin.is_acyclic()
+        assert is_acyclic(fin)
         for i in range(4):
             assert fin.has_edge(i, i + 1)
 
@@ -1211,9 +1221,10 @@ class TestRunUntil:
         conv.run_until(30)
         assert self._trace(conv) == self._one_at_a_time(kind, 30)
 
-    def test_bit_reads_only_when_behind(self):
-        """Position pair(i, j) needs stage max(i, j): in code order, only
-        the first position of each diagonal is behind."""
+    def test_slice_runs_its_stages_in_one_call(self):
+        """Position pair(i, j) needs stage max(i, j): a slice from 0 up to
+        pair(9, 9) spans diagonals 0 to 18, so it runs stages below 19 in
+        one run_until."""
         name = specs.parse_name("egr:omega(c4)")
         out, trace = SP.f_convert(name)
         runs = []
@@ -1225,4 +1236,88 @@ class TestRunUntil:
 
         with mock.patch.object(SP._FConvert, "run_until", counting):
             out.stream.values(0, pair(9, 9) + 1)   # diagonals 0 to 18
-        assert runs == list(range(1, 20)) and trace.stages_run == 19
+        assert runs == [19] and trace.stages_run == 19
+
+
+_SLICES = st.lists(st.tuples(st.integers(0, 400), st.integers(0, 60)),
+                   min_size=1, max_size=8)
+
+
+class TestDiagonalSlices:
+    """Each reader that steps along the Cantor diagonals, over slices in
+    random order, against a reference that decodes each position (the Gr
+    names themselves: TestGrBits)."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2 ** 32), _SLICES)
+    def test_transducer(self, seed, slices):
+        """Slices of the output against one stage per code; each input code
+        is read once, in order, and none past the slice being served. The
+        input is the Gr name of a spec graph or of a sparse random graph,
+        whose 1s skip whole diagonals."""
+        rng = random.Random(seed)
+        if rng.random() < 0.5:
+            text = rng.choice(["komega", "l", "fbt", "omega(c4)",
+                               "cu(k4,ray)", "du(k1,r3,l)"])
+            g = specs.parse_graph(text)
+            src = SP.name_of("Gr", specs.parse_graph(text)).stream
+
+            def bit(c):
+                return reference_gr_bit(g, c)
+        else:
+            labels = rng.sample(range(30), rng.randrange(1, 6))
+            src = SP.name_of("Gr", G.FinGraph(labels, [
+                (a, b) for a, b in itertools.combinations(labels, 2)
+                if rng.random() < 0.4])).stream
+
+            def bit(c):
+                return 1 if c in src.ones else 0
+        reads, real = [], src.values
+
+        def recorded(lo, hi):
+            reads.extend(range(lo, hi))
+            return real(lo, hi)
+
+        src.values = recorded
+        stream = SP._GrToEgr(src)
+        want, top = reference_gr_to_egr(bit, 461), 0
+        for lo, size in slices:
+            top = max(top, lo + size)
+            assert stream.values(lo, lo + size) == want[lo:lo + size]
+            assert reads == list(range(top))
+        assert stream.eval(lo) == want[lo]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(TestRunUntil.KINDS), _SLICES)
+    def test_f_convert(self, kind, slices):
+        """A slice runs exactly the stages its largest max(i, j) needs,
+        and reads what per-position eval reads."""
+        conv = SP._FConvert(_fconvert_name(kind).stream)
+        each = SP._FConvert(_fconvert_name(kind).stream)
+        for lo, size in slices:
+            hi = lo + size
+            need = max([max(unpair(n)) + 1 for n in range(lo, hi)],
+                       default=0)
+            before = conv.stage
+            assert conv.values(lo, hi) == [each.eval(n)
+                                           for n in range(lo, hi)]
+            assert conv.stage == max(before, need)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2 ** 32))
+    @example(0)
+    def test_validate_gr(self, seed):
+        """The first violation (or "ok") on a Gr name's prefix, as it is
+        and with some positions overwritten by 0, 1 or 2."""
+        rng = random.Random(seed)
+        if rng.random() < 0.5:
+            name = SP.name_of("Gr", random_fin_graph(rng, max_v=8))
+        else:
+            name = specs.parse_name("gr:" + rng.choice(
+                ["komega", "l", "fbt", "omega(c4)", "c5"]))
+        prefix = name.stream.prefix(rng.randrange(120))
+        for _ in range(rng.choice([0, 0, 1, 3])):
+            if prefix:
+                prefix[rng.randrange(len(prefix))] = rng.choice([0, 1, 1, 2])
+        assert SP.validate_prefix("Gr", prefix) == \
+            reference_validate_gr(prefix)
