@@ -10,7 +10,7 @@ from .errors import (BadParam, HeightExceeded, MalformedInstance,
                      NoIllFoundedCertificate, NotConvergent, NotInB)
 from .graphs import (OMEGA, CertTree, CountableGraph, DisjointUnion,
                      ForestGraph, TreeAsGraph, _mul)
-from .spaces import SpaceName
+from .spaces import SpaceName, read_pairs
 from .streams import (CertifiedStream, GeneratorBacked, Indicator, Periodic,
                       StagedPairs, first_index, infinitely_often, limit,
                       occurrences, pair, unpair)
@@ -233,21 +233,18 @@ def acc_decode(solution, hint=None, fuel=4000):
     consecutive-integer triple j, j+1, j+2 along the solution and answer the
     middle vertex j+1 (never the removed number, by construction)."""
     edges = set()
-    for t in range(fuel):
-        v = solution.stream.eval(t)
-        if v == 0:
-            continue
-        i, j = unpair(v - 1)
-        if i == j:
-            continue
-        a, b = min(i, j), max(i, j)
-        edges.add((a, b))
-        # no triple held before this edge, so one that holds now runs
-        # through it, with middle a or a + 1 (the lesser first); middles
-        # >= 2 keep the detour edge (0, 1) from faking one
-        for m in (a, a + 1):
-            if m >= 2 and (m - 1, m) in edges and (m, m + 1) in edges:
-                return m
+    for t in range(fuel):   # a position at a time: stop at the first triple
+        for i, j in read_pairs("EGr", solution.stream, t, t + 1)[1]:
+            if i == j:
+                continue
+            a, b = min(i, j), max(i, j)
+            edges.add((a, b))
+            # no triple held before this edge, so one that holds now runs
+            # through it, with middle a or a + 1 (the lesser first);
+            # middles >= 2 keep the detour edge (0, 1) from faking one
+            for m in (a, a + 1):
+                if m >= 2 and (m - 1, m) in edges and (m, m + 1) in edges:
+                    return m
     raise MalformedInstance("no consecutive triple in solution")
 
 

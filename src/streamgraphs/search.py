@@ -10,8 +10,8 @@ from .errors import (BadParam, DegreeUnknown, FuelExhausted,
                      NoInfiniteDegreeVertex, OracleRefused, PatternNeverSeen,
                      PredicateUnsupported)
 from .graphs import OMEGA, FinGraph
-from .spaces import HostView, SpaceName, gr_window
-from .streams import GeneratorBacked, Indicator, StagedPairs, pair, unpair
+from .spaces import HostView, SpaceName, gr_window, name_of
+from .streams import GeneratorBacked, StagedPairs, pair, unpair
 
 
 class SolutionStream:
@@ -27,16 +27,6 @@ class SolutionStream:
         if callable(self.inclusion):
             raise BadParam("infinite inclusion map; query it directly")
         return sorted(self.inclusion.items())
-
-
-def _copy_name(g, mapping):
-    """Gr name of the image of g under the mapping (subgraph copy)."""
-    ones = {pair(v, v) for v in mapping.values()}
-    for a, b in g.edges:
-        x, y = mapping[a], mapping[b]
-        ones.add(pair(x, y))
-        ones.add(pair(y, x))
-    return SpaceName("Gr", Indicator(ones))
 
 
 def find_s_finite(g, host, fuel=None):
@@ -65,7 +55,7 @@ def find_s_finite(g, host, fuel=None):
                        if least_new_embedding(p, view, vs, es) is None]
         if not waiting:
             hit = least_new_embedding(plan, view, vs, es) if parts else {}
-    return SolutionStream(_copy_name(g, hit), hit)
+    return SolutionStream(name_of("Gr", g.relabel(hit)), hit)
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +110,7 @@ def find_is_via_cn(g, host, cn_oracle, stage_cap=40):
     m = decode(code)
     if m is None or rejected(code, stage_cap):
         raise OracleRefused("oracle picked a rejected code %r" % code)
-    return SolutionStream(_copy_name(g, m), dict(m))
+    return SolutionStream(name_of("Gr", g.relabel(m)), dict(m))
 
 
 def cn_by_stabilization(co_enum, stage_cap):

@@ -11,6 +11,9 @@ Spaces:
 
 The EGr wire shift (+1) keeps vertex 0 expressible while still giving padding
 a dedicated symbol; an all-padding stream denotes the empty graph.
+
+read_pairs decodes every slice of a Gr or EGr name that HostView, f_convert
+and acc_decode read; the readers that decode apart each say why.
 """
 
 import random
@@ -57,6 +60,7 @@ class SpaceName:
 
 def validate_prefix(space, prefix):
     """First violated domain rule on a forced prefix, or the string "ok"."""
+    # decodes apart from read_pairs: it must see the values that one skips
     prefix = list(prefix)
     if space == "Gr":
         top, d, base = len(prefix), 0, 0   # n = pair(d - j, j) = base + j
@@ -234,6 +238,38 @@ def _random_schedule(fin, seed, stutter):
 # Reading a name: prefixes (HostView, truncate) and vertex windows
 # ---------------------------------------------------------------------------
 
+def read_pairs(space, stream, lo, hi):
+    """The positions lo <= n < hi of a Gr or EGr stream that carry a vertex
+    or an edge, and what each carries as (i, j) (i == j: the vertex i), in
+    one read of the stream's own pairs where it has them, else its values."""
+    pairs_of = getattr(stream, "pairs", None)
+    if pairs_of is not None:   # padding (None) carries nothing
+        pairs = pairs_of(lo, hi)
+        if all(pairs):   # a pair is a nonempty tuple, padding None
+            return range(lo, hi), pairs
+        return ([n for n, p in enumerate(pairs, lo) if p is not None],
+                [p for p in pairs if p is not None])
+    pos, pairs = [], []
+    # loops, not comprehensions: most stages read one position
+    if space == "Gr":   # a 1 at n = pair(d - j, j): walk the diagonals
+        d = (isqrt(8 * lo + 1) - 1) // 2
+        base = d * (d + 1) // 2   # pair(d, 0)
+        for n, v in enumerate(stream.values(lo, hi), lo):
+            if v == 1:
+                while n - base > d:   # n lies on a later diagonal
+                    d, base = d + 1, base + d + 1
+                pos.append(n)
+                pairs.append((d - n + base, n - base))
+    else:   # v > 0 carries the code v - 1: unpair(v - 1), inlined
+        for n, v in enumerate(stream.values(lo, hi), lo):
+            if v:
+                d = (isqrt(8 * v - 7) - 1) // 2
+                j = v - 1 - d * (d + 1) // 2
+                pos.append(n)
+                pairs.append((d - j, j))
+    return pos, pairs
+
+
 class _Window(FinGraph):
     """The FinGraph of the (i, j) pairs (i == j: a vertex), unchecked, that
     builds each of its views from them when, and only when, it is read."""
@@ -266,8 +302,8 @@ _window = _Window   # HostView.graph's window, looked up at each call
 
 
 class HostView:
-    """Reader of a Gr or EGr name that evaluates and decodes each position
-    only once.
+    """Reader of a Gr or EGr name that reads each position only once, a
+    slice at a time through read_pairs.
 
     graph(s) is the finite graph that the first s positions decide, for any
     s >= 0 and in any order; it never reads position s or beyond. While only
@@ -289,7 +325,6 @@ class HostView:
             raise BadParam("truncate expects a graph name")
         self.name = name
         self._top = zero_from(name.stream)   # None, or only padding from it
-        self._pairs_of = getattr(name.stream, "pairs", None)
         self._read = 0     # positions evaluated so far
         self._pos = []     # positions that carry a vertex or an edge
         self._pairs = []   # what each of them carries, as (i, j)
@@ -303,40 +338,15 @@ class HostView:
         self._log = []         # first arrivals (position, i, j); i == j: vertex
 
     def _read_to(self, s):
-        """Read up to s by bounded slices, taking a stream's pairs where it
-        has them and decoding its values otherwise; a raising slice commits
-        nothing."""
+        """Read up to s by bounded slices of read_pairs; a raising slice
+        commits nothing."""
         if self._top is not None and s > self._top:   # not min(): per stage
             s = self._top
-        stream, pairs_of = self.name.stream, self._pairs_of
-        gr = self.name.space == "Gr"
+        space, stream = self.name.space, self.name.stream
         while self._read < s:
             lo = self._read
             hi = lo + self._SLICE if s - lo > self._SLICE else s
-            pos, pairs = [], []
-            if pairs_of is not None:   # padding (None) carries nothing
-                pairs = pairs_of(lo, hi)
-                pos = range(lo, hi)
-                if None in pairs:
-                    pos = [n for n, p in zip(pos, pairs) if p is not None]
-                    pairs = [p for p in pairs if p is not None]
-            # loops, not comprehensions: most stages read one position
-            elif gr:   # a 1 at n = pair(d - j, j) carries it: walk diagonals
-                d = (isqrt(8 * lo + 1) - 1) // 2
-                base = d * (d + 1) // 2   # pair(d, 0)
-                for n, v in enumerate(stream.values(lo, hi), lo):
-                    if v == 1:
-                        while n - base > d:   # n lies on a later diagonal
-                            d, base = d + 1, base + d + 1
-                        pos.append(n)
-                        pairs.append((d - n + base, n - base))
-            else:   # v > 0 carries the code v - 1: unpair(v - 1), inlined
-                for n, v in enumerate(stream.values(lo, hi), lo):
-                    if v:
-                        d = (isqrt(8 * v - 7) - 1) // 2
-                        j = v - 1 - d * (d + 1) // 2
-                        pos.append(n)
-                        pairs.append((d - j, j))
+            pos, pairs = read_pairs(space, stream, lo, hi)
             self._pos += pos
             self._pairs += pairs
             self._read = hi
@@ -421,6 +431,7 @@ def gr_window(name, top):
     bits pair(v, v) for v < top, then the edge bits among those vertices."""
     if name.space != "Gr":
         raise BadParam("gr_window expects a Gr name")
+    # reads apart from read_pairs: sparse vertex-window bits, not a slice
     bit = name.stream.eval
     vs = [v for v in range(top) if bit(pair(v, v)) == 1]
     return FinGraph(vs, [(a, b) for a, b in combinations(vs, 2)
@@ -443,6 +454,7 @@ class _GrToEgr(StagedPairs):
         self._emitted, self._queue = set(), deque()   # codes queued, pairs
 
     def pairs(self, lo, hi):
+        # decodes apart from read_pairs: one output per input code, fused
         out = self._pairs
         c = len(out)
         if c < hi:
@@ -520,7 +532,6 @@ class _FConvert(CertifiedStream):
 
     def __init__(self, stream):
         self.stream = stream
-        self._pairs_of = getattr(stream, "pairs", None)
         self.trace = IotaTrace()
         self.ones = self.trace.ones
         self.used = set()      # the codes in iota's image
@@ -546,25 +557,22 @@ class _FConvert(CertifiedStream):
         self._assign(u, self._fresh())
         self.trace.first_emission.setdefault(u, self.stage)
 
-    def run_stage(self, p):
-        """Stage self.stage on its emission p: an (i, j) pair, or None for
-        padding."""
+    def run_stage(self, u, w):
+        """Stage self.stage on its emission (u, w) (u == w: the vertex u);
+        a padding stage changes nothing, so run_until skips it."""
         s = self.stage
-        if p is not None:
-            u, w = p
-            self._add_vertex(u)
-            if u != w:
-                self._add_vertex(w)
-                self.partners.setdefault(u, []).append(w)
-                self.partners.setdefault(w, []).append(u)
-                a, b = self.trace.iota[u], self.trace.iota[w]
-                p1 = pair(a, b)
-                if max(a, b) < s and p1 not in self.ones:
-                    self._injure(u, w)
-                else:
-                    self.ones.add(p1)
-                    self.ones.add(pair(b, a))
-        self.stage += 1
+        self._add_vertex(u)
+        if u != w:
+            self._add_vertex(w)
+            self.partners.setdefault(u, []).append(w)
+            self.partners.setdefault(w, []).append(u)
+            a, b = self.trace.iota[u], self.trace.iota[w]
+            p1 = pair(a, b)
+            if max(a, b) < s and p1 not in self.ones:
+                self._injure(u, w)
+            else:
+                self.ones.add(p1)
+                self.ones.add(pair(b, a))
 
     def _injure(self, u, w):
         ku = self.trace.first_emission[u]
@@ -582,15 +590,12 @@ class _FConvert(CertifiedStream):
     def run_until(self, stages):
         """Run the stages below `stages` on their emissions, read in one
         call; a read that raises runs none of them."""
-        lo = self.stage
-        if lo < stages:
-            if self._pairs_of is not None:   # a dense name: no code to invert
-                run = self._pairs_of(lo, stages)
-            else:   # v > 0 carries the code v - 1
-                run = [unpair(v - 1) if v else None
-                       for v in self.stream.values(lo, stages)]
-            for p in run:
-                self.run_stage(p)
+        if self.stage < stages:
+            pos, pairs = read_pairs("EGr", self.stream, self.stage, stages)
+            for n, (u, w) in zip(pos, pairs):
+                self.stage = n
+                self.run_stage(u, w)
+            self.stage = stages
         self.trace.stages_run = self.stage
 
     def values(self, lo, hi):

@@ -14,8 +14,7 @@ from streamgraphs import cli
 from streamgraphs import graphs as G
 from streamgraphs.decide import embeddings, fin_subgraph
 from streamgraphs.errors import FuelExhausted, PatternNeverSeen
-from streamgraphs.search import _copy_name
-from streamgraphs.spaces import HostView
+from streamgraphs.spaces import HostView, name_of
 from streamgraphs.spaces import Violation
 from streamgraphs.streams import GeneratorBacked, pair, unpair
 from streamgraphs.suites import _random_fin_graph as random_fin_graph  # noqa
@@ -179,16 +178,33 @@ def reference_validate_gr(prefix):
     return "ok"
 
 
+def reference_read_pairs(space, stream, lo, hi):
+    """`spaces.read_pairs` one position at a time: eval(n) for each n in
+    [lo, hi), decoded as unpair(n) where a Gr value is 1 and as
+    unpair(v - 1) where an EGr value v is > 0."""
+    pos, pairs = [], []
+    for n in range(lo, hi):
+        v = stream.eval(n)
+        if space == "Gr" and v == 1:
+            pos.append(n)
+            pairs.append(unpair(n))
+        elif space == "EGr" and v > 0:
+            pos.append(n)
+            pairs.append(unpair(v - 1))
+    return pos, pairs
+
+
 def reference_gr_to_egr(bit_at, length):
     """The first `length` values of the Gr -> EGr transducer on the bits
-    bit_at(c): stage c reads bit c, queues the codes of both ends and of
-    the edge (min, max) that are new on a 1, and emits the oldest queued
-    code + 1, or padding 0."""
+    bit_at(c): stage c reads bit c and, on a 1 at unpair(c) = (i, j), queues
+    the codes that are new among (a, a), (b, b) and the edge (a, b), in
+    that order, where a = min(i, j) and b = max(i, j); it then emits the
+    oldest queued code + 1, or padding 0."""
     emitted, queue, out = set(), [], []
     for c in range(length):
         if bit_at(c) == 1:
-            i, j = unpair(c)
-            for code in (pair(i, i), pair(j, j), pair(min(i, j), max(i, j))):
+            a, b = sorted(unpair(c))
+            for code in (pair(a, a), pair(b, b), pair(a, b)):
                 if code not in emitted:
                     emitted.add(code)
                     queue.append(code)
@@ -313,7 +329,8 @@ def reference_find_s_finite(g, host, fuel=None):
         if fin is not prev:
             emb = fin_subgraph(g, fin)
             if emb is not None:
-                return _copy_name(g, emb.mapping), dict(emb.mapping)
+                return (name_of("Gr", g.relabel(emb.mapping)),
+                        dict(emb.mapping))
         s += 1
 
 

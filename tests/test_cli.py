@@ -231,6 +231,19 @@ class TestCompose:
         assert code == 0
         assert json.loads(out)["answer"] == 1
 
+    @pytest.mark.parametrize("spec", ["per:[];[0,1]", "per:[];[1,0]",
+                                      "per:[1];[0,1,1]", "ec:[];2"])
+    def test_lim2_embray_refuses_what_lim2_refuses(self, capsys, spec):
+        """An oscillating or non-binary driver exits 1 with the one stderr
+        line that `oracle --problem lim2` prints on the same input."""
+        code = cli.main(["compose", "--gadget", "lim2", "--oracle", "embray",
+                         "--in", spec])
+        composed = capsys.readouterr()
+        assert code == 1 and composed.out == ""
+        assert composed.err.count("\n") == 1
+        assert cli.main(["oracle", "--problem", "lim2", "--in", spec]) == 1
+        assert capsys.readouterr().err == composed.err
+
     def test_bad_pair(self, capsys):
         code, _ = run(capsys, "compose", "--gadget", "acc",
                       "--oracle", "embray", "--in", "ec:[0];0")

@@ -13,9 +13,9 @@ from helpers import (is_acyclic, random_fin_graph,
                      reference_dense_egr_name, reference_f_convert,
                      reference_gr_bit, reference_gr_to_egr,
                      reference_omega_lower, reference_omega_vertices,
-                     reference_random_schedule, reference_tree_vertices,
-                     reference_truncate, reference_validate_egr,
-                     reference_validate_gr)
+                     reference_random_schedule, reference_read_pairs,
+                     reference_tree_vertices, reference_truncate,
+                     reference_validate_egr, reference_validate_gr)
 
 from streamgraphs import cli
 from streamgraphs import gadgets as GD
@@ -1254,9 +1254,11 @@ class TestDiagonalSlices:
         """Slices of the output against one stage per code; each input code
         is read once, in order, and none past the slice being served. The
         input is the Gr name of a spec graph or of a sparse random graph,
-        whose 1s skip whole diagonals."""
+        whose 1s skip whole diagonals, or any 300 bits, where an edge's bit
+        may come before its ends' bits or without its mirror."""
         rng = random.Random(seed)
-        if rng.random() < 0.5:
+        kind = rng.random()
+        if kind < 0.4:
             text = rng.choice(["komega", "l", "fbt", "omega(c4)",
                                "cu(k4,ray)", "du(k1,r3,l)"])
             g = specs.parse_graph(text)
@@ -1265,10 +1267,15 @@ class TestDiagonalSlices:
             def bit(c):
                 return reference_gr_bit(g, c)
         else:
-            labels = rng.sample(range(30), rng.randrange(1, 6))
-            src = SP.name_of("Gr", G.FinGraph(labels, [
-                (a, b) for a, b in itertools.combinations(labels, 2)
-                if rng.random() < 0.4])).stream
+            if kind < 0.7:
+                labels = rng.sample(range(30), rng.randrange(1, 6))
+                src = SP.name_of("Gr", G.FinGraph(labels, [
+                    (a, b) for a, b in itertools.combinations(labels, 2)
+                    if rng.random() < 0.4])).stream
+            else:
+                density = rng.choice([0.02, 0.1, 0.5])
+                src = Indicator({c for c in range(300)
+                                 if rng.random() < density})
 
             def bit(c):
                 return 1 if c in src.ones else 0
@@ -1321,3 +1328,127 @@ class TestDiagonalSlices:
                 prefix[rng.randrange(len(prefix))] = rng.choice([0, 1, 1, 2])
         assert SP.validate_prefix("Gr", prefix) == \
             reference_validate_gr(prefix)
+
+
+class TestReadPairs:
+    """read_pairs, the one decoder of Gr and EGr names, over slices in
+    random order, against one eval and one unpair per position of a
+    second copy of the name."""
+
+    KINDS = ["gr:komega", "gr:l", "gr:fbt", "gr:c5", "gr:omega(c4)",
+             "egr:komega", "egr:l", "egr:omega(c3)", "egr:k4",
+             "egr(3,0.5):du(c4,k3)", "indicator", "ec-gr", "ec-egr",
+             "padded", "name_of:CompleteOmega", "f_convert"]
+
+    @staticmethod
+    def _name(rng, kind):
+        """A fresh name of the given kind; the same rng state gives the
+        same name."""
+        if kind in ("indicator", "padded"):
+            return _sliced_name(rng, kind)
+        if kind == "ec-gr":   # any values, 2s included: only a 1 carries
+            return SP.SpaceName("Gr", EventuallyConstant(
+                [rng.choice([0, 1, 1, 2]) for _ in range(rng.randrange(60))],
+                rng.choice([0, 1])))
+        if kind == "ec-egr":   # any codes with padding, unchecked
+            return SP.SpaceName("EGr", EventuallyConstant(
+                [rng.choice([0, rng.randrange(1, 200)])
+                 for _ in range(rng.randrange(60))], rng.choice([0, 5])))
+        if kind == "f_convert":
+            return SP.f_convert(specs.parse_name("egr:omega(c4)"))[0]
+        return _fconvert_name(kind)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.sampled_from(KINDS), _SLICES)
+    def test_matches_one_position_at_a_time(self, seed, kind, slices):
+        name = self._name(random.Random(seed), kind)
+        ref = self._name(random.Random(seed), kind)
+        for lo, size in slices:
+            pos, pairs = SP.read_pairs(name.space, name.stream, lo, lo + size)
+            assert (list(pos), pairs) == reference_read_pairs(
+                ref.space, ref.stream, lo, lo + size)
+
+
+class TestOneDecoder:
+    """truncate, f_convert and acc --decode read their input stream only
+    inside read_pairs; truncate calls it once per HostView slice."""
+
+    @pytest.fixture
+    def calls(self):
+        """read_pairs, in spaces and in gadgets, recording its calls."""
+        calls, real = _Calls(), SP.read_pairs
+
+        def counting(space, stream, lo, hi):
+            calls.append((lo, hi))
+            calls.inside = True
+            try:
+                return real(space, stream, lo, hi)
+            finally:
+                calls.inside = False
+
+        with mock.patch.object(SP, "read_pairs", counting), \
+                mock.patch.object(GD, "read_pairs", counting):
+            yield calls
+
+    @staticmethod
+    def _guard(stream, calls):
+        for method in ("eval", "values", "pairs"):
+            real = getattr(stream, method, None)
+            if real is not None:
+                setattr(stream, method, _only_inside(real, calls))
+
+    @pytest.mark.parametrize("text", ["egr:komega", "gr:komega", "gr:l",
+                                      "egr:omega(c3)", "egr(8,0.2):k5"])
+    def test_truncate(self, calls, text):
+        name = specs.parse_name(text)
+        self._guard(name.stream, calls)
+        with mock.patch.object(SP.HostView, "_SLICE", 100):
+            got = SP.truncate(name, 1000)
+        top = zero_from(name.stream)
+        s = 1000 if top is None else min(1000, top)
+        assert calls == [(lo, min(lo + 100, s)) for lo in range(0, s, 100)]
+        assert got == reference_truncate(specs.parse_name(text), 1000)
+
+    @pytest.mark.parametrize("text", ["egr:omega(c4)", "egr:komega",
+                                      "egr(3,0.3):du(k2,r3)"])
+    def test_f_convert(self, calls, text):
+        name = specs.parse_name(text)
+        self._guard(name.stream, calls)
+        out, _ = SP.f_convert(name)
+        got = out.stream.prefix(pair(9, 9) + 1)   # stages below 19
+        top = zero_from(name.stream)
+        assert calls == [(0, 19 if top is None else top)]
+        want, _ = SP.f_convert(specs.parse_name(text))
+        assert got == want.stream.prefix(pair(9, 9) + 1)
+
+    @pytest.mark.parametrize("spec", ["ec:[0,0,0,3];0", "ec:[2];0",
+                                      "per:[0];[0,0,4]"])
+    def test_acc_decode(self, calls, spec, capsys):
+        argv = ["gadget", "--name", "acc", "--in", spec, "--decode",
+                "--fuel", "20"]
+        real = GD.acc_canonical_solution
+
+        def guarded(p):
+            sol = real(p)
+            self._guard(sol.stream, calls)
+            return sol
+
+        with mock.patch.object(GD, "acc_canonical_solution", guarded):
+            assert cli.main(argv) == 0
+        got = capsys.readouterr().out
+        assert calls and calls == [(t, t + 1) for t in range(len(calls))]
+        calls.clear()
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == got
+
+
+class _Calls(list):
+    """The (lo, hi) of each read_pairs call; inside while one runs."""
+    inside = False
+
+
+def _only_inside(read, calls):
+    def checked(*args):
+        assert calls.inside, "a read outside read_pairs"
+        return read(*args)
+    return checked

@@ -10,7 +10,6 @@ from streamgraphs import streams as S
 from streamgraphs.errors import (NotConvergent, ParseError,
                                  UndecidableWithoutCertificate)
 from streamgraphs.gadgets import sigma1_gadget
-from streamgraphs.search import _copy_name
 from streamgraphs.spaces import f_convert, name_of
 
 
@@ -268,7 +267,7 @@ class TestIndicator:
         labels = sorted(g.vertices)
         mapping = dict(zip(labels, rng.sample(range(30), len(labels))))
         self._assert_matches_dense(
-            _copy_name(g, mapping).stream,
+            name_of("Gr", g.relabel(mapping)).stream,
             _gr_ones(mapping.values(),
                      [(mapping[a], mapping[b]) for a, b in g.edges]))
 
