@@ -45,7 +45,7 @@ def lim2_demo():
 def enuminf_demo():
     banner("enuminf: recovering a characteristic function from an enumeration")
     for lam, label in ((lambda n: n % 2, "evens"), (lambda n: 0, "all of N")):
-        a = CertifiedPiSet(lam, level=2)
+        a = CertifiedPiSet(lam)
         chi = enuminf_decode(enuminf_encode(a))
         got = [chi.eval(i) for i in range(8)]
         want = [a.chi(i) for i in range(8)]

@@ -228,7 +228,7 @@ def acc_gadget(complement_enum):
     return GadgetOutput(name, decoder_hint=machine)
 
 
-def acc_decode(solution, hint=None, fuel=4000):
+def acc_decode(solution, fuel=4000):
     """Extract a member of the input set from a ray solution: scan for a
     consecutive-integer triple j, j+1, j+2 along the solution and answer the
     middle vertex j+1 (never the removed number, by construction)."""
@@ -333,17 +333,18 @@ def embR_canonical_solution(q):
 
 
 def ray_solution(path_vertex):
-    """EGr name of the ray v0 - v1 - v2 - ... given by the vertex function."""
-    def emission(n):
-        if n == 0:
-            v = path_vertex(0)
-            return pair(v, v) + 1
-        step, phase = divmod(n - 1, 2)
-        a, b = path_vertex(step), path_vertex(step + 1)
-        if phase == 0:
-            return pair(b, b) + 1
-        return pair(min(a, b), max(a, b)) + 1
-    return SpaceName("EGr", GeneratorBacked(emission))
+    """EGr name of the ray v0 - v1 - v2 - ... given by the vertex function:
+    stage 0 emits v0, and stage t emits v_t and its edge to v_(t-1)."""
+    t = 0
+
+    def stage():
+        nonlocal t
+        b = path_vertex(t)
+        out = _path_step(path_vertex(t - 1), b) if t else [(b, b)]
+        t += 1
+        return out
+
+    return SpaceName("EGr", StagedPairs(stage))
 
 
 def acc_canonical_solution(complement_enum):
@@ -465,10 +466,6 @@ class CyclesBox(CountableGraph):
         sigma = string_decode(next(self._nonmembers))
         self._attach_f(t, sigma)
 
-    def run_until(self, stages):
-        while self._stages < stages:
-            self.run_stage()
-
     # -- graph interface ---------------------------------------------------
 
     def _advance_past(self, v):
@@ -476,8 +473,7 @@ class CyclesBox(CountableGraph):
             self.run_stage()
 
     def has_vertex(self, v):
-        self._advance_past(v)
-        return True
+        return True   # the stages take every natural as a vertex in turn
 
     def has_edge(self, a, b):
         if a == b:
@@ -489,12 +485,6 @@ class CyclesBox(CountableGraph):
 
     def vertex_count(self):
         return OMEGA
-
-    def iter_vertices(self):
-        v = 0
-        while True:
-            yield v
-            v += 1
 
 
 def cycles_box(tree):
@@ -525,11 +515,8 @@ class CertifiedPiSet:
     """A set A with a computable witness level: lam(n) = 0 iff n in A, and
     otherwise 1 + the index of the co-class containing n."""
 
-    def __init__(self, lam, level=1):
-        if level not in (1, 2):
-            raise BadParam("level must be 1 or 2")
+    def __init__(self, lam):
         self.lam = lam
-        self.level = level
 
     def chi(self, n):
         return 1 if self.lam(n) == 0 else 0

@@ -156,48 +156,83 @@ class _GrName(CertifiedStream):
         return out
 
 
-def _finite_emissions(fin):
-    """Default emission order for a finite graph: all vertices in label
-    order, then all edges in code order (vertex-before-edge by construction)."""
-    out = [pair(v, v) for v in sorted(fin.vertices)]
-    out += sorted(pair(a, b) for a, b in fin.edges)
-    return out
+def _dense_egr_name(g):
+    """EGr name of an infinite graph emitting each vertex at its enumeration
+    index, with edges to earlier vertices interleaved right after (no idle
+    padding): one stage per vertex, emitted as (min, max) pairs.
+
+    A new vertex's edges come from g.lower_neighbors: every neighbour
+    emitted before it has a smaller code (CountableGraph.iter_vertices), so
+    the listed ones already emitted are all of them, emitted in the order
+    they came, each as the edge (w, v). Where g cannot list them, the new
+    vertex is tested against every earlier one. A stage that raises keeps
+    its vertex, so the next read runs that stage again."""
+    has_edge = g.has_edge
+    lower_neighbors = g.lower_neighbors
+    vertices = g.iter_vertices()
+    index = {}     # emitted vertex -> its emission index, in order
+    v = None       # the vertex of the stage to run next, once drawn
+
+    def stage():
+        nonlocal v
+        if v is None:
+            v = next(vertices)
+        lower = lower_neighbors(v)
+        if lower is None:
+            out = [(v, v)]
+            out += [(w, v) if w < v else (v, w) for w in index
+                    if has_edge(v, w)]
+        elif not lower:   # no listed neighbour, or one: no filter or sort
+            out = [(v, v)]
+        elif len(lower) == 1:
+            w = lower[0]
+            out = [(v, v), (w, v)] if w in index else [(v, v)]
+        else:
+            ws = [w for w in lower if w in index]
+            if len(ws) > 1:
+                ws.sort(key=index.__getitem__)
+            out = [(v, v)]
+            out += [(w, v) for w in ws]
+        index[v] = len(index)
+        v = None
+        return out
+
+    return SpaceName("EGr", StagedPairs(stage), meta={"denotes": g})
 
 
 def name_of(space, g, schedule=None):
-    """Synthesize a valid name for an algebra graph.
+    """The one name in Gr or EGr of an algebra graph.
 
-    schedule (EGr only): None/'diagonal', or ('random', seed, stutter) for
-    finite graphs -- a seeded shuffled emission order with stutter padding.
+    Gr: its characteristic bits. EGr: a finite graph emits its vertices in
+    label order, then its edges in code order, or under schedule ('random',
+    seed, stutter) a seeded shuffled order with stutter padding; an
+    infinite graph gets the dense name, and a schedule for it is refused.
     """
     if isinstance(g, FinGraph):
         g = Finite(g)
+    if space not in ("Gr", "EGr"):
+        raise BadParam("name_of supports Gr and EGr")
+    if g.vertex_count() == OMEGA:
+        if space == "Gr":
+            return SpaceName("Gr", _GrName(g), meta={"denotes": g})
+        if schedule is not None:
+            raise BadParam("a schedule applies to finite graphs only")
+        return _dense_egr_name(g)
+    fin = g.materialize()
     if space == "Gr":
-        if g.vertex_count() != OMEGA:
-            fin = g.materialize()
-            ones = {pair(v, v) for v in fin.vertices}
-            for a, b in fin.edges:
-                ones.add(pair(a, b))
-                ones.add(pair(b, a))
-            return SpaceName("Gr", Indicator(ones), meta={"denotes": g})
-        return SpaceName("Gr", _GrName(g), meta={"denotes": g})
-    if space == "EGr":
-        if g.vertex_count() != OMEGA:
-            fin = g.materialize()
-            if schedule is None or schedule == "diagonal":
-                order = _finite_emissions(fin)
-            else:
-                tag, seed, stutter = schedule
-                if tag != "random":
-                    raise BadParam("unknown schedule %r" % (schedule,))
-                order = _random_schedule(fin, seed, stutter)
-                return SpaceName("EGr", EventuallyConstant(order, 0),
-                                 meta={"denotes": g})
-            return SpaceName("EGr",
-                             EventuallyConstant([c + 1 for c in order], 0),
-                             meta={"denotes": g})
-        return SpaceName("EGr", _GrToEgr(_GrName(g)), meta={"denotes": g})
-    raise BadParam("name_of supports Gr and EGr")
+        ones = {pair(v, v) for v in fin.vertices}
+        for a, b in fin.edges:
+            ones.add(pair(a, b))
+            ones.add(pair(b, a))
+        return SpaceName("Gr", Indicator(ones), meta={"denotes": g})
+    if schedule is None:   # already wire-shifted, as _random_schedule's
+        order = [pair(v, v) + 1 for v in sorted(fin.vertices)]
+        order += sorted(pair(a, b) + 1 for a, b in fin.edges)
+    elif schedule[0] == "random":
+        order = _random_schedule(fin, *schedule[1:])
+    else:
+        raise BadParam("unknown schedule %r" % (schedule,))
+    return SpaceName("EGr", EventuallyConstant(order, 0), meta={"denotes": g})
 
 
 def _random_schedule(fin, seed, stutter):
@@ -298,9 +333,6 @@ class _Window(FinGraph):
         return dict(adj)
 
 
-_window = _Window   # HostView.graph's window, looked up at each call
-
-
 class HostView:
     """Reader of a Gr or EGr name that reads each position only once, a
     slice at a time through read_pairs.
@@ -359,7 +391,7 @@ class HostView:
         count = bisect_left(self._pos, s)
         if count != self._count:
             self._count = count
-            self._graph = _window(self._pairs[:count])
+            self._graph = _Window(self._pairs[:count])
         return self._graph
 
     def grow(self, s):

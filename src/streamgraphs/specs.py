@@ -20,6 +20,9 @@ Tree expressions:
 
 Name specs prefix a graph expression with its space:
     gr:<graph>  |  egr:<graph>  |  egr(SEED,STUTTER):<graph>
+and spaces.name_of builds the name. The seeded, stuttering emission order
+egr(SEED,STUTTER) applies to finite graphs only; name_of refuses it for an
+infinite one.
 """
 
 import json
@@ -29,8 +32,8 @@ import re
 from .errors import ParseError
 from .graphs import (FinGraph, OmegaCopies, connected_union,
                      construction, disjoint_union, standard)
-from .spaces import SpaceName, name_of
-from .streams import StagedPairs, parse_stream
+from .spaces import name_of
+from .streams import parse_stream
 from .trees import FiniteTree, FullBinary, SinglePath
 
 
@@ -119,52 +122,8 @@ def parse_graph(text):
     raise ParseError("cannot parse graph spec %r" % text)
 
 
-def _dense_egr_name(g):
-    """EGr name emitting each vertex at its enumeration index, with edges
-    to earlier vertices interleaved right after (no idle padding): one
-    stage per vertex, emitted as (min, max) pairs.
-
-    A new vertex's edges come from g.lower_neighbors: every neighbour
-    emitted before it has a smaller code (CountableGraph.iter_vertices), so
-    the listed ones already emitted are all of them, emitted in the order
-    they came, each as the edge (w, v). Where g cannot list them, the new
-    vertex is tested against every earlier one. A stage that raises keeps
-    its vertex, so the next read runs that stage again."""
-    has_edge = g.has_edge
-    lower_neighbors = g.lower_neighbors
-    vertices = g.iter_vertices()
-    index = {}     # emitted vertex -> its emission index, in order
-    v = None       # the vertex of the stage to run next, once drawn
-
-    def stage():
-        nonlocal v
-        if v is None:
-            v = next(vertices)
-        lower = lower_neighbors(v)
-        if lower is None:
-            out = [(v, v)]
-            out += [(w, v) if w < v else (v, w) for w in index
-                    if has_edge(v, w)]
-        elif not lower:   # no listed neighbour, or one: no filter or sort
-            out = [(v, v)]
-        elif len(lower) == 1:
-            w = lower[0]
-            out = [(v, v), (w, v)] if w in index else [(v, v)]
-        else:
-            ws = [w for w in lower if w in index]
-            if len(ws) > 1:
-                ws.sort(key=index.__getitem__)
-            out = [(v, v)]
-            out += [(w, v) for w in ws]
-        index[v] = len(index)
-        v = None
-        return out
-
-    return SpaceName("EGr", StagedPairs(stage), meta={"denotes": g})
-
-
 def parse_name(text):
-    """Parse `gr:...` / `egr:...` into a SpaceName."""
+    """Parse `gr:...` / `egr:...` into the SpaceName name_of builds."""
     text = text.strip()
     m = re.match(r"^(gr|egr)(\((\d+),([0-9.]+)\))?:(.*)$", text,
                  re.IGNORECASE)
@@ -185,14 +144,6 @@ def parse_name(text):
             raise ParseError("stutter must lie in [0, 1), got %r"
                              % m.group(4))
         schedule = ("random", int(m.group(3)), stutter)
-    if space == "egr" and schedule is None and not isinstance(
-            graph, FinGraph):
-        try:
-            infinite = not graph.is_finite()
-        except Exception:
-            infinite = False
-        if infinite:
-            return _dense_egr_name(graph)
     return name_of("Gr" if space == "gr" else "EGr", graph, schedule)
 
 

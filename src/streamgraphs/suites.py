@@ -415,9 +415,7 @@ def suite_enuminf(seed=0):
     while len(tables) < 30:
         tables.append([rng.randrange(3) for _ in range(16)])
     for case, table in enumerate(tables):
-        level = 1 if case % 2 else 2
-        a = _gadgets.CertifiedPiSet(lambda n, t=table: t[n % 16],
-                                    level=level)
+        a = _gadgets.CertifiedPiSet(lambda n, t=table: t[n % 16])
         chi = _gadgets.enuminf_decode(_gadgets.enuminf_encode(a))
         for n in range(13):
             if chi.eval(n) != a.chi(n):

@@ -14,7 +14,7 @@ from streamgraphs import cli
 from streamgraphs import graphs as G
 from streamgraphs.decide import embeddings, fin_subgraph
 from streamgraphs.errors import FuelExhausted, PatternNeverSeen
-from streamgraphs.spaces import HostView, name_of
+from streamgraphs.spaces import HostView, SpaceName, name_of
 from streamgraphs.spaces import Violation
 from streamgraphs.streams import GeneratorBacked, pair, unpair
 from streamgraphs.suites import _random_fin_graph as random_fin_graph  # noqa
@@ -235,6 +235,22 @@ def reference_dense_egr_name(g, positions, vertices=None):
         if len(out) >= positions:
             break
     return out[:positions]
+
+
+def reference_ray_solution(path_vertex):
+    """EGr name of the ray v0 - v1 - v2 - ... given by the vertex function,
+    one value per position: v0 at 0, then v_t at 2t - 1 and its edge to
+    v_(t-1) at 2t."""
+    def emission(n):
+        if n == 0:
+            v = path_vertex(0)
+            return pair(v, v) + 1
+        step, phase = divmod(n - 1, 2)
+        a, b = path_vertex(step), path_vertex(step + 1)
+        if phase == 0:
+            return pair(b, b) + 1
+        return pair(min(a, b), max(a, b)) + 1
+    return SpaceName("EGr", GeneratorBacked(emission))
 
 
 def reference_omega_vertices(base):
@@ -642,7 +658,8 @@ def cycles_box_stage_log(box, stages):
 
     box._attach_f = recording
     try:
-        box.run_until(stages)
+        while box._stages < stages:
+            box.run_stage()
     finally:
         del box._attach_f
     return log

@@ -64,6 +64,16 @@ class TestSpecLanguage:
         assert SP.validate_name(name, horizon=300) == "ok"
 
 
+class TestScheduleOnInfiniteHost:
+    @pytest.mark.parametrize("host", ["egr(5,0.3):ray", "egr(9,0.9):l"])
+    def test_refused_with_one_line(self, capsys, host):
+        code = cli.main(["truncate", "--in", host])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("BadParam: ")
+
+
 class TestDecide:
     def test_k2_in_c3_found(self, capsys, tmp_path):
         code, out = run(capsys, "decide", "--pattern", k2_file(tmp_path),
@@ -90,12 +100,12 @@ class TestDecide:
                                            mode, fuel):
         """k200 has more vertices than the host can show: the answer is the
         engine's, and no FinGraph of 200 vertices gets built, neither by the
-        constructor nor as a host window by spaces._window."""
+        constructor nor as a host window by spaces._Window."""
         want = semidecide_s(specs.parse_pattern("k200"),
                             specs.parse_name(host), induced=mode == "is",
                             fuel=fuel)
         sizes, windows = [], []
-        init, window = FinGraph.__init__, cli._spaces._window
+        init, window = FinGraph.__init__, cli._spaces._Window
 
         def counting(self, vertices, edges=()):
             init(self, vertices, edges)
@@ -107,7 +117,7 @@ class TestDecide:
             return g
 
         monkeypatch.setattr(FinGraph, "__init__", counting)
-        monkeypatch.setattr(cli._spaces, "_window", counting_window)
+        monkeypatch.setattr(cli._spaces, "_Window", counting_window)
         code, out = run(capsys, "decide", "--pattern", "k200", "--host", host,
                         "--mode", mode, "--fuel", str(fuel))
         report = json.loads(out)

@@ -5,7 +5,8 @@ import threading
 import pytest
 
 from helpers import (cycles_box_stage_log, is_acyclic, is_connected,
-                     raising_once, random_certified_stream, random_fin_graph)
+                     raising_once, random_certified_stream, random_fin_graph,
+                     reference_ray_solution)
 
 from streamgraphs import decide as D
 from streamgraphs import gadgets as GD
@@ -15,8 +16,9 @@ from streamgraphs import trees as T
 from streamgraphs.errors import (BadParam, HeightExceeded, MalformedInstance,
                                  NoIllFoundedCertificate, NotInB)
 from streamgraphs.streams import (EventuallyConstant, GeneratorBacked,
-                                  Periodic, exists_one, infinitely_often,
-                                  limit, pair)
+                                  Periodic, StagedPairs, exists_one,
+                                  infinitely_often, limit, pair,
+                                  parse_stream)
 from streamgraphs.suites import _naive_least_embedding
 
 
@@ -284,6 +286,36 @@ class TestAcc:
                           fuel=40)
 
 
+class TestRaySolution:
+    """ray_solution is a stage machine with the values of the one-value-
+    per-position encoder: v0, then v_t and its edge to v_(t-1)."""
+
+    @pytest.mark.parametrize("vertex", [
+        lambda t: t + 1, lambda t: 3 * t, lambda t: (7, 2, 0)[t] if t < 3
+        else t + 5, lambda t: 40 - t if t < 20 else t + 21])
+    def test_values_match_reference(self, vertex):
+        name = GD.ray_solution(vertex)
+        assert isinstance(name.stream, StagedPairs)
+        assert name.stream.values(0, 60) == \
+            reference_ray_solution(vertex).stream.values(0, 60)
+
+    @pytest.mark.parametrize("spec", ["ec:[];0", "ec:[0,0,4];0",
+                                      "ec:[0,1];0", "per:[3];[0,3]",
+                                      "ec:[0,0,0,0,0,0,2];0"])
+    def test_acc_canonical_values_match_reference(self, monkeypatch, spec):
+        vertices, real = [], GD.ray_solution
+
+        def recording(vertex):
+            vertices.append(vertex)
+            return real(vertex)
+
+        monkeypatch.setattr(GD, "ray_solution", recording)
+        name = GD.acc_canonical_solution(parse_stream(spec))
+        assert isinstance(name.stream, StagedPairs)
+        assert name.stream.values(0, 60) == \
+            reference_ray_solution(vertices[0]).stream.values(0, 60)
+
+
 class TestLim2:
     def test_validates_as_gr(self):
         name = GD.lim2_to_embR(EventuallyConstant([1, 0], 0))
@@ -332,7 +364,7 @@ class TestCyclesBox:
 
     def test_graph_interface(self):
         assert self.box.has_vertex(0)
-        self.box.run_until(1)
+        self.box.run_stage()
         cyc = self.box._components[("P", 0, 0)]
         assert self.box.has_edge(cyc[0], cyc[1])
         assert self.box.has_edge(cyc[-1], cyc[0])
@@ -397,10 +429,6 @@ class TestEnumInf:
             chi = GD.enuminf_decode(GD.enuminf_encode(a))
             for n in range(7):
                 assert chi.eval(n) == a.chi(n)
-
-    def test_bad_level(self):
-        with pytest.raises(BadParam):
-            GD.CertifiedPiSet(lambda n: 0, level=3)
 
     def test_prime_table_grows_under_concurrent_readers(self, monkeypatch):
         want = [n for n in range(2, 400) if all(n % d for d in range(2, n))]

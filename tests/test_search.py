@@ -560,9 +560,10 @@ class TestEmbRayR:
 
     def test_egr_walk_probes_start_past_the_tip(self):
         """On an EGr host a step's probes start past the tip's arrival, as
-        in ray_follow: a 25-step walk asks 38 times (218 from stage 1 at
-        every step). The first two vertices come from graph(s), which
-        grows nothing, so only the first step's first probe answers None."""
+        in ray_follow: on the transducer name, a 25-step walk asks 38 times
+        (218 from stage 1 at every step). The first two vertices come from
+        graph(s), which grows nothing, so only the first step's first probe
+        answers None."""
         answers = []
         neighbors = SP.HostView.neighbors
 
@@ -571,8 +572,9 @@ class TestEmbRayR:
             return answers[-1]
 
         with mock.patch.object(SP.HostView, "neighbors", recording):
-            walk = S.emb_ray_r(SP.name_of("EGr", G.standard("Ray")),
-                               lambda q: q.eval(60), steps=25)
+            walk = S.emb_ray_r(
+                SP.gr_to_egr(SP.name_of("Gr", G.standard("Ray"))),
+                lambda q: q.eval(60), steps=25)
         assert walk == list(range(25))
         assert len(answers) == 38 and answers.count(None) == 1
 
@@ -634,7 +636,9 @@ class TestRestrictToConnected:
     def test_infinite_component(self):
         target = G.disjoint_union(
             [G.standard("CompleteN", 2), G.standard("Ray")])
-        host = SP.name_of("EGr", target)
+        # the transducer's padding: a 400-position window of the dense name
+        # can end between a stage's vertex and its edge, and is disconnected
+        host = SP.gr_to_egr(SP.name_of("Gr", target))
         ray_v = pair(1, 0)
         fin = SP.truncate(S.restrict_to_connected(host, ray_v), 400)
         assert is_acyclic(fin) and is_connected(fin)

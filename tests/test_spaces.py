@@ -276,7 +276,7 @@ class TestDenseEgrName:
                     raise FuelExhausted("not yet")
                 return super().has_edge(a, b)
 
-        name = specs._dense_egr_name(FlakyRay())
+        name = SP._dense_egr_name(FlakyRay())
         assert name.stream.pairs(0, 3) == [(0, 0), (1, 1), (0, 1)]
         with pytest.raises(FuelExhausted):
             SP.truncate(name, 7)
@@ -302,7 +302,7 @@ class TestDenseEgrName:
 
         want = [unpair(v - 1) for v in reference_dense_egr_name(base(), 40)]
         at = want.index((3, 3))   # the first position of vertex 3's stage
-        stream = specs._dense_egr_name(Flaky()).stream
+        stream = SP._dense_egr_name(Flaky()).stream
         assert stream.pairs(0, at) == want[:at]
         with pytest.raises(FuelExhausted):
             stream.pairs(0, at + 1)
@@ -376,7 +376,7 @@ class TestPinnedEnumeration:
                                             300))
         assert [g.lower_neighbors(v) for v in got] == \
             [reference_omega_lower(base, v) for v in got]
-        name = specs._dense_egr_name(G.OmegaCopies(_base_graph(text)))
+        name = SP._dense_egr_name(G.OmegaCopies(_base_graph(text)))
         assert name.stream.prefix(300) == reference_dense_egr_name(
             g, 300, reference_omega_vertices(base))
 
@@ -397,9 +397,31 @@ class TestPinnedEnumeration:
             assert [g.lower_neighbors(v) for v in got] == \
                 [[string_code(string_decode(v)[:-1])] if v else []
                  for v in got]
-            name = specs._dense_egr_name(G.TreeAsGraph(tree))
+            name = SP._dense_egr_name(G.TreeAsGraph(tree))
             assert name.stream.prefix(k) == reference_dense_egr_name(
                 g, k, reference_tree_vertices(tree))
+
+
+class TestOneBuilder:
+    """name_of builds the one name of a graph in each space: for an
+    infinite graph in EGr, the dense name that egr:<spec> reads, and a
+    schedule, which orders a finite graph's emissions, it refuses."""
+
+    @pytest.mark.parametrize("text", ["ray", "l", "komega", "fbt",
+                                      "omega(c4)", "cu(c4,ray)",
+                                      "l1(fulltree,l)", "du(k2,ray)"])
+    def test_egr_name_is_the_dense_name(self, text):
+        g = specs.parse_graph(text)
+        got = SP.name_of("EGr", g).stream.prefix(300)
+        assert got == specs.parse_name("egr:" + text).stream.prefix(300)
+        assert got == reference_dense_egr_name(g, 300)
+
+    @pytest.mark.parametrize("text", ["ray", "komega", "du(k2,ray)"])
+    def test_schedule_on_infinite_graph_refused(self, text):
+        with pytest.raises(BadParam):
+            SP.name_of("EGr", specs.parse_graph(text), ("random", 5, 0.3))
+        with pytest.raises(BadParam):
+            specs.parse_name("egr(5,0.3):" + text)
 
 
 class TestGrBits:
@@ -1171,7 +1193,8 @@ class _RaisesOnce(CertifiedStream):
 
 def _fconvert_name(kind):
     if kind.startswith("name_of:"):   # a Gr -> EGr transducer's values
-        return SP.name_of("EGr", G.standard(kind[len("name_of:"):]))
+        graph = G.standard(kind[len("name_of:"):])
+        return SP.gr_to_egr(SP.name_of("Gr", graph))
     return specs.parse_name(kind)
 
 
