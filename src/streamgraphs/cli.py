@@ -214,6 +214,8 @@ def cmd_gadget(args):
             lambda n, t=lam_table: t[n % len(t)])
         enum = _gadgets.enuminf_encode(a)
         keys["elements"] = enum.prefix(min(fuel, 8))
+        # refuse before decoding: factoring a huge element takes minutes
+        check_printable(max(keys["elements"], default=0))
         if args.decode:
             chi = _gadgets.enuminf_decode(enum)
             keys["decoded"] = chi.prefix(13)

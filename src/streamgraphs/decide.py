@@ -117,14 +117,15 @@ def _tables(g, gs, induced):
              for i, v in enumerate(gs)])
 
 
-def _extend(tables, hadj, start, exclude=(), near=None):
+def _extend(tables, hadj, start, exclude=(), near=None, hosts=None):
     """Every extension, as a dict, of the map of the first len(start)
     vertices of the order of `tables` onto the host vertices `start` (trusted
     as given), placing the rest in turn with the candidate rules of
     `embeddings`; the images come in lexicographic order. A vertex without
     mapped neighbours draws its candidates from near(v), a sorted list of
-    host vertices, where that is not None, else from every host vertex (the
-    first one placed reads them once, so lazily)."""
+    host vertices, where that is not None, else from `hosts`, the sorted
+    host vertices a caller keeps (every host vertex when None; the first
+    vertex placed reads them once, so lazily)."""
     gs, need, mapped_nbrs, mapped_non = tables
     n = len(gs)
     k = len(start)
@@ -147,7 +148,9 @@ def _extend(tables, hadj, start, exclude=(), near=None):
             if pool is None:
                 pool = near(gs[i]) if near else None
                 d = need[i]
-                pool = (u for u in (sorted(hadj) if pool is None else pool)
+                if pool is None:
+                    pool = sorted(hadj) if hosts is None else hosts
+                pool = (u for u in pool
                         if len(hadj[u]) >= d and u not in exclude)
                 if i == k:
                     return (u for u in pool if u not in blocked)
@@ -191,11 +194,12 @@ class Plan:
                           for a, b in sorted(g.edges)]
         self._pinned = {}   # pins -> (tables, distances from the pins)
 
-    def first(self, hadj, pins=(), images=(), exclude=()):
+    def first(self, hadj, pins=(), images=(), exclude=(), hosts=None):
         """The first embedding in the order of `embeddings` that maps the
         pattern vertices `pins` onto the host vertices `images` and avoids
         `exclude`, or None. A vertex at pattern distance d from the pins
-        lies within host distance d of their images."""
+        lies within host distance d of their images; the others are drawn
+        from `hosts` as `_extend` says."""
         got = self._pinned.get(pins)
         if got is None:
             order = list(pins) + [v for v in self.vertices if v not in pins]
@@ -211,7 +215,7 @@ class Plan:
                 ball.update(_distances(hadj, images, max(dist.values())))
             return sorted(u for u, d in ball.items() if d <= dist[v])
 
-        return next(_extend(tables, hadj, images, exclude, near), None)
+        return next(_extend(tables, hadj, images, exclude, near, hosts), None)
 
 
 def least_new_embedding(plan, h, vertices, edges, exclude=()):

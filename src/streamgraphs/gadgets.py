@@ -538,11 +538,18 @@ def enuminf_encode(a):
 
 def enuminf_decode(enum, fuel=64):
     """Characteristic function of A from any enumeration of an infinite
-    subset of B."""
+    subset of B. chi(n) scans the positions t < fuel upward for the first
+    element with more than n exponents; each position is read and factored
+    once, and its exponents are kept for every later chi."""
+    primes = _first_primes(64)
+    seen = {}   # position -> exponents of its element
+
     def exponents(value):
+        if value < 1:
+            raise NotInB("%d is not a positive product of primes" % value)
         out = []
         rest = value
-        for p in _first_primes(64):
+        for p in primes:
             if rest == 1:
                 break
             e = 0
@@ -554,16 +561,15 @@ def enuminf_decode(enum, fuel=64):
             out.append(e)
         if rest != 1:
             raise NotInB("%d has a prime factor outside the window" % value)
-        if any(e < 1 for e in out):
-            raise NotInB("exponent below 1")
         return out
 
     def chi(n):
         for t in range(fuel):
-            value = enum.eval(t)
-            exps = exponents(value)
+            exps = seen.get(t)
+            if exps is None:
+                exps = seen[t] = exponents(enum.eval(t))
             if len(exps) > n:
-                return 1 if exps[n] - 1 == 0 else 0
+                return 1 if exps[n] == 1 else 0
         raise NotInB("enumeration never reached index %d" % n)
 
     return GeneratorBacked(chi)

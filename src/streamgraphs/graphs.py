@@ -399,11 +399,11 @@ class TreeAsGraph(CountableGraph):
         return self.tree.contains(string_decode(v))
 
     def has_edge(self, a, b):
-        sa, sb = string_decode(a), string_decode(b)
-        if abs(len(sa) - len(sb)) != 1:
-            return False
-        parent, child = (sa, sb) if len(sa) < len(sb) else (sb, sa)
-        return child[:-1] == parent and self.tree.contains(child)
+        # a child's code exceeds its parent's, which it carries as
+        # unpair(child - 1)[0]; only a child in the tree needs its string
+        parent, child = (a, b) if a < b else (b, a)
+        return (child > 0 and unpair(child - 1)[0] == parent
+                and self.tree.contains(string_decode(child)))
 
     def degree(self, v):
         sigma = string_decode(v)

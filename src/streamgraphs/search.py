@@ -4,6 +4,7 @@ constructive strategy appropriate to each pattern shape."""
 
 import functools
 import itertools
+from bisect import bisect_left, insort
 
 from .decide import Plan, embeddings, least_new_embedding, predicate_tf
 from .errors import (BadParam, DegreeUnknown, FuelExhausted,
@@ -140,6 +141,7 @@ class _ComponentsMachine:
         self.recurring = list(recurring)
         self.view = HostView(host)
         self.used = set()
+        self.unclaimed = []   # the view's vertices outside `used`, sorted
         self.fuel = 0
         self.exceptional_done = not self.exceptional
         self.next_recurring = 0
@@ -159,6 +161,9 @@ class _ComponentsMachine:
         """Claim the copy; returns its pairs."""
         self.claimed.append((comp, dict(mapping)))
         self.used.update(mapping.values())
+        unclaimed = self.unclaimed
+        for v in mapping.values():
+            del unclaimed[bisect_left(unclaimed, v)]
         out = [(v, v) for v in sorted(mapping.values())]
         for a, b in sorted(comp.edges):
             x, y = mapping[a], mapping[b]
@@ -172,7 +177,8 @@ class _ComponentsMachine:
         that use what arrived since are searched."""
         since, plan = self.empty_at.pop(comp, None), self.plans[comp]
         if since is None:
-            emb = plan.first(self.view.adjacency, exclude=self.used)
+            emb = plan.first(self.view.adjacency, exclude=self.used,
+                             hosts=self.unclaimed)
         else:
             vs, es = self.view.added(since, self.fuel)
             emb = least_new_embedding(plan, self.view, vs, es, self.used)
@@ -184,7 +190,8 @@ class _ComponentsMachine:
         """Read 10 more positions; returns the pairs of what they let the
         machine claim (none while waiting). The host is read first, so a
         read that raises leaves the machine as it was."""
-        self.view.grow(self.fuel + 10)
+        for v in self.view.added(self.fuel, self.fuel + 10)[0]:
+            insort(self.unclaimed, v)
         self.fuel += 10
         if not self.exceptional_done:
             emb = self._least_copy(self.big)

@@ -13,12 +13,13 @@ import random
 from streamgraphs import cli
 from streamgraphs import graphs as G
 from streamgraphs.decide import embeddings, fin_subgraph
-from streamgraphs.errors import FuelExhausted, PatternNeverSeen
+from streamgraphs.errors import FuelExhausted, NotInB, PatternNeverSeen
+from streamgraphs.gadgets import _first_primes
 from streamgraphs.spaces import HostView, SpaceName, name_of
 from streamgraphs.spaces import Violation
 from streamgraphs.streams import GeneratorBacked, pair, unpair
 from streamgraphs.suites import _random_fin_graph as random_fin_graph  # noqa
-from streamgraphs.trees import string_code
+from streamgraphs.trees import string_code, string_decode
 
 
 def raising_once(stream, at):
@@ -616,6 +617,51 @@ def reference_least_new_embedding(plan, h, vertices, edges, exclude=()):
     gs = plan.vertices
     keys = [[hit[v] for v in gs] for hit in hits if hit is not None]
     return dict(zip(gs, min(keys))) if keys else None
+
+
+def reference_enuminf_decode(enum, fuel=64):
+    """gadgets.enuminf_decode as it was: chi(n) reads and factors the
+    positions 0, 1, ... again for every index n, with the prime table taken
+    per value."""
+    def exponents(value):
+        out = []
+        rest = value
+        for p in _first_primes(64):
+            if rest == 1:
+                break
+            e = 0
+            while rest % p == 0:
+                rest //= p
+                e += 1
+            if e == 0:
+                raise NotInB("gap in the prime support of %d" % value)
+            out.append(e)
+        if rest != 1:
+            raise NotInB("%d has a prime factor outside the window" % value)
+        if any(e < 1 for e in out):
+            raise NotInB("exponent below 1")
+        return out
+
+    def chi(n):
+        for t in range(fuel):
+            value = enum.eval(t)
+            exps = exponents(value)
+            if len(exps) > n:
+                return 1 if exps[n] - 1 == 0 else 0
+        raise NotInB("enumeration never reached index %d" % n)
+
+    return GeneratorBacked(chi)
+
+
+def reference_tree_has_edge(tree, a, b):
+    """graphs.TreeAsGraph.has_edge as it was: decode both strings, and an
+    edge joins two whose lengths differ by one when the shorter is the
+    longer one's parent and the tree holds the longer one."""
+    sa, sb = string_decode(a), string_decode(b)
+    if abs(len(sa) - len(sb)) != 1:
+        return False
+    parent, child = (sa, sb) if len(sa) < len(sb) else (sb, sa)
+    return child[:-1] == parent and tree.contains(child)
 
 
 def is_connected(fin):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from streamgraphs import cli, decide, spaces
+from streamgraphs import gadgets as GD
 from streamgraphs import specs
 from streamgraphs.decide import Embedding, semidecide_s
 from streamgraphs.errors import ParseError
@@ -173,6 +174,27 @@ class TestGadgetThenDecide:
                         "--in", "[0,1,0]", "--decode")
         assert code == 0
         assert json.loads(out)["decoded"][:3] == [1, 0, 1]
+
+    def test_enuminf_refuses_huge_elements_before_decoding(self, capsys,
+                                                           monkeypatch):
+        """Elements past the int-to-text limit are refused at once, with
+        --decode as without it: the check comes before the factoring,
+        which would take minutes on such elements."""
+        def never(*args):
+            raise AssertionError("decoded before the printability check")
+
+        monkeypatch.setattr(GD, "enuminf_decode", never)
+        errs = []
+        for spec, extra in (("[2000]", []), ("[2000]", ["--decode"]),
+                            ("[20000]", ["--decode"])):
+            code = cli.main(["gadget", "--name", "enuminf", "--in", spec]
+                            + extra)
+            captured = capsys.readouterr()
+            assert code == 1 and captured.out == ""
+            assert captured.err.count("\n") == 1
+            assert captured.err.startswith("BadParam: too long to print")
+            errs.append(captured.err)
+        assert errs[0] == errs[1] != errs[2]
 
     def test_enuminf_rejects_bad_tables(self, capsys):
         for spec in ("[", "[]", "{}", '["a"]', "[-1]", "[true]", "[1.5]",

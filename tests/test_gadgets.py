@@ -1,12 +1,15 @@
 import random
 import sys
 import threading
+from collections import Counter
+from math import prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (cycles_box_stage_log, is_acyclic, is_connected,
                      raising_once, random_certified_stream, random_fin_graph,
-                     reference_ray_solution)
+                     reference_enuminf_decode, reference_ray_solution)
 
 from streamgraphs import decide as D
 from streamgraphs import gadgets as GD
@@ -393,6 +396,17 @@ class TestCyclesBox:
         assert self.box._edges == other._edges
 
 
+def _decoded(chi, n):
+    """chi's bit at each index below n, or the NotInB message it raises."""
+    out = []
+    for i in range(n):
+        try:
+            out.append(chi.eval(i))
+        except NotInB as e:
+            out.append(str(e))
+    return out
+
+
 class TestEnumInf:
     def test_round_trip_evens(self):
         a = GD.CertifiedPiSet(lambda n: 0 if n % 2 == 0 else 1)
@@ -429,6 +443,62 @@ class TestEnumInf:
             chi = GD.enuminf_decode(GD.enuminf_encode(a))
             for n in range(7):
                 assert chi.eval(n) == a.chi(n)
+
+    def test_zero_element_is_not_in_b(self):
+        with pytest.raises(NotInB):
+            GD.enuminf_decode(GeneratorBacked(lambda t: 0)).eval(0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 3), min_size=1, max_size=8),
+           st.integers(1, 3), st.integers(0, 3))
+    def test_same_bits_as_reference(self, levels, stride, offset):
+        """On any level table, read in full or as a sparse subsequence,
+        the decoder gives the bits of the decoder that re-read every
+        position for every index."""
+        a = GD.CertifiedPiSet(lambda n: levels[n % len(levels)])
+        enum = GD.enuminf_encode(a)
+        sparse = GeneratorBacked(lambda t: enum.eval(stride * t + offset))
+        assert (_decoded(GD.enuminf_decode(sparse), 12)
+                == _decoded(reference_enuminf_decode(sparse), 12)
+                == [a.chi(n) for n in range(12)])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(
+               st.lists(st.integers(0, 3), max_size=8).map(
+                   lambda es: prod(p ** e for p, e in
+                                   zip(GD._first_primes(8), es))),
+               st.integers(1, 10 ** 6),
+               # all 64 primes of the table, then one past it or not
+               st.sampled_from([prod(GD._first_primes(64)) * q
+                                for q in (1, 2, 313)])),
+               min_size=1, max_size=6),
+           st.integers(1, 12))
+    def test_same_not_in_b_as_reference(self, values, fuel):
+        """On enumerations that are sparse or malformed (a gap in the
+        prime support, a prime past the table, too few elements within
+        fuel), every index gives the reference's bit or its NotInB."""
+        enum = GeneratorBacked(lambda t: values[t % len(values)])
+        assert (_decoded(GD.enuminf_decode(enum, fuel), 10)
+                == _decoded(reference_enuminf_decode(enum, fuel), 10))
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_each_position_read_once(self, stride):
+        """Decoding indices 0..12 reads each position of a non-memoizing
+        enumeration at most once (the reference read position t once for
+        every index it scanned past)."""
+        a = GD.CertifiedPiSet(lambda n: [0, 2, 1][n % 3])
+        element = GD.enuminf_encode(a).step
+        reads = Counter()
+
+        class Counting:
+            def eval(self, t):
+                reads[t] += 1
+                return element(stride * t)
+
+        chi = GD.enuminf_decode(Counting())
+        assert chi.prefix(13) == [a.chi(n) for n in range(13)]
+        assert set(reads) == set(range(12 // stride + 1))
+        assert max(reads.values()) == 1
 
     def test_prime_table_grows_under_concurrent_readers(self, monkeypatch):
         want = [n for n in range(2, 400) if all(n % d for d in range(2, n))]

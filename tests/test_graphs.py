@@ -3,7 +3,8 @@ import itertools
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from helpers import distance, is_acyclic, is_connected
+from helpers import (distance, is_acyclic, is_connected,
+                     reference_tree_has_edge)
 
 from streamgraphs import graphs as G
 from streamgraphs import specs
@@ -348,6 +349,25 @@ class TestExactDegrees:
                                       if part < len(g.parts) - 1 else [])
             assert len(set(ends)) == len(ends)
             assert all(map(g.parts[part].has_vertex, ends))
+
+
+class TestTreeAsGraph:
+    @pytest.mark.parametrize("tree", [
+        T.FullBinary(),
+        T.FiniteTree([(), (0,), (1,), (0, 0), (0, 2), (1, 5), (0, 2, 1)]),
+        T.SinglePath(EventuallyConstant([1, 0], 2))],
+        ids=["full-binary", "finite", "single-path"])
+    def test_tree_edges_match_two_decodes(self, tree):
+        """has_edge reads the larger code's parent code; the old test
+        decoded both strings. Every pair of codes below 300 agrees, in
+        both orders."""
+        g = G.TreeAsGraph(tree)
+        edges = 0
+        for a, b in itertools.combinations_with_replacement(range(300), 2):
+            want = reference_tree_has_edge(tree, a, b)
+            assert g.has_edge(a, b) == g.has_edge(b, a) == want, (a, b)
+            edges += want
+        assert edges >= 3
 
 
 class TestLayered:

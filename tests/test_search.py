@@ -427,6 +427,37 @@ class TestFindSComponents:
         assert sol.name.stream.prefix(60) == clean.name.stream.prefix(60)
 
 
+    @pytest.mark.parametrize("host, comp", [
+        ("egr:omega(k3)", "k3"), ("egr:omega(c4)", "c4"), ("egr:l", "k2")])
+    def test_first_vertex_candidates_do_not_grow(self, monkeypatch, host,
+                                                  comp):
+        """A step's full search draws the first pattern vertex from the
+        machine's sorted unclaimed vertices, so it reads no claimed vertex
+        and reads no more in later steps than in the first ones. (Drawn
+        from every host vertex, a step read each claimed one: 475 at the
+        160th step on egr:omega(k3).)"""
+        drawn, extend = [], D._extend
+
+        def counted(vs):
+            for u in vs:
+                drawn[-1] += 1
+                yield u
+
+        def counting(tables, hadj, start, exclude=(), near=None, hosts=None):
+            if not start:
+                drawn.append(0)
+                hosts = counted(sorted(hadj) if hosts is None else hosts)
+            return extend(tables, hadj, start, exclude, near, hosts)
+
+        monkeypatch.setattr(D, "_extend", counting)
+        sol = S.find_s_components([(specs.parse_pattern(comp), G.OMEGA)],
+                                  specs.parse_name(host))
+        machine = sol.name.meta["components"]
+        for _ in range(160):
+            machine.step()
+        assert len(machine.claimed) >= 150 and len(drawn) >= 150
+        assert max(drawn[20:]) <= max(drawn[:20]) <= 10
+
 class TestComponentsMatchFullSearch:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2 ** 32))
