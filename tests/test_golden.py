@@ -23,6 +23,7 @@ from streamgraphs import search as S
 from streamgraphs import specs
 from streamgraphs.errors import StreamGraphsError
 from streamgraphs.graphs import OMEGA, standard
+from streamgraphs.spaces import name_of, truncate
 from streamgraphs.streams import parse_stream
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -104,6 +105,15 @@ CLI_CASES = [
     ["truncate", "--in", "egr:fbt", "--fuel", "100"],
     ["truncate", "--in", "egr:l1(fulltree,l)", "--fuel", "100"],
     ["convert", "--in", "gr:du(c4,k3)", "--fuel", "80"],
+    ["oracle", "--problem", "ccantor", "--in", "fulltree", "--fuel", "20"],
+    ["oracle", "--problem", "cbaire", "--in", "fulltree", "--fuel", "20"],
+    ["oracle", "--problem", "ccantor", "--in", "fintree:[[],[0]]",
+     "--fuel", "10"],
+    ["oracle", "--problem", "wf", "--in", "path(ec:[];0)", "--fuel", "10"],
+    ["oracle", "--problem", "lpo^(n)", "--in", "ec:[0,0,1];0",
+     "--fuel", "100"],
+    ["search", "--solver", "t3", "--host", "egr:fbt", "--fuel", "50"],
+    ["gadget", "--name", "s11choice", "--in", "fintree:[[]]", "--fuel", "10"],
 ]
 
 
@@ -150,6 +160,11 @@ def _sigma2(p, pattern):
     return run
 
 
+def _cycles_box_window():
+    tree = specs.parse_tree("path(ec:[1,0];1)")
+    return truncate(name_of("EGr", GD.cycles_box(tree)), 300).to_dict()
+
+
 LIBRARY_CASES = {
     "find_s_components k2 in egr:omega(k3)": _components,
     "find_s_components k3+omega(k1) in egr:du(k3,omega(k1))":
@@ -168,6 +183,8 @@ LIBRARY_CASES = {
     "sigma2_gadget r3, ones at 1 and 3": _sigma2("ec:[0,1,0,1];0", "r3"),
     "sigma2_gadget c4, ones every other stage": _sigma2("per:[];[0,1]", "c4"),
     "sigma2_gadget r3, no ones": _sigma2("ec:[];0", "r3"),
+    "truncate(name_of EGr, cycles_box path(ec:[1,0];1)), 300":
+        _cycles_box_window,
 }
 
 
