@@ -8,8 +8,8 @@ from .streams import (pair, unpair, CertifiedStream, EventuallyConstant,
 from .graphs import (OMEGA, FinGraph, standard, disjoint_union,
                      connected_union, construction, degree, isomorphic,
                      OmegaCopies, Finite, CertTree, CertForest, ForestGraph)
-from .trees import (FiniteTree, FullBinary, SinglePath, LevelRule,
-                    DisjointTreeUnion, string_code, string_decode)
+from .trees import (FiniteTree, FullBinary, SinglePath, DisjointTreeUnion,
+                    string_code, string_decode)
 from .spaces import (SpaceName, validate_prefix, validate_name, name_of,
                      truncate, gr_to_egr, f_convert, IotaTrace)
 from .decide import (Embedding, Verdict, embeddings, fin_subgraph,

@@ -8,14 +8,12 @@ alone yields Unknown.
 """
 
 from .errors import (BadParam, DegreeUnknown, PredicateUnsupported,
-                     PromiseViolation, StreamGraphsError,
-                     UndecidableWithoutCertificate)
+                     StreamGraphsError, UndecidableWithoutCertificate)
 from .graphs import (OMEGA, CertForest, CertTree, CompleteN, CountableGraph,
                      DisjointUnion, Finite, FinGraph, OmegaCopies, TreeAsGraph)
 from .spaces import HostView, SpaceName, truncate
 from .streams import Periodic, infinitely_often, pair, zero_from
-from .trees import (DisjointTreeUnion, FiniteTree, FullBinary, LevelRule,
-                    SinglePath)
+from .trees import DisjointTreeUnion, FiniteTree, FullBinary, SinglePath
 
 
 # ---------------------------------------------------------------------------
@@ -552,9 +550,10 @@ def predicate_tf(kind, k, h):
 # ---------------------------------------------------------------------------
 
 def wf2(tree):
-    """Well-foundedness of a certified binary tree: true iff it has no
-    infinite path, via the König level test (finitely branching: ill-founded
-    iff every level is nonempty)."""
+    """Well-foundedness of a certified tree: true iff it has no infinite
+    path, read off the tree kind (finite trees are well-founded, single
+    paths and the full binary tree are not, a disjoint union is iff every
+    part is); any other kind raises PredicateUnsupported."""
     if isinstance(tree, FiniteTree):
         return True
     if isinstance(tree, SinglePath):
@@ -563,14 +562,4 @@ def wf2(tree):
         return False
     if isinstance(tree, DisjointTreeUnion):
         return all(wf2(part) for part in tree.parts)
-    if isinstance(tree, LevelRule):
-        bound = tree.depth_bound
-        if bound is None:
-            raise PredicateUnsupported("LevelRule tree without a depth bound")
-        for depth in range(bound + 2):
-            if not tree.nodes_at_depth(depth):
-                return True
-        raise PromiseViolation(
-            "level %d nonempty despite certified depth bound %d"
-            % (bound + 1, bound))
     raise PredicateUnsupported("tree kind carries no certificate")

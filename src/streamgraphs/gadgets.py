@@ -6,6 +6,7 @@ paired with the decoder that extracts information back from a solution.
 import itertools
 import threading
 
+from .decide import wf2
 from .errors import (BadParam, HeightExceeded, MalformedInstance,
                      NoIllFoundedCertificate, NotConvergent, NotInB)
 from .graphs import (OMEGA, CertTree, CountableGraph, DisjointUnion,
@@ -395,7 +396,7 @@ class CyclesBox(CountableGraph):
         self.tree = coinfinite_wrap(tree)
         self._nonmembers = nonmember_enumeration(self.tree)
         self._next = 0
-        self._edges = set()
+        self._lower = []        # vertex id -> its neighbours of smaller id
         self._components = {}   # key -> list of vertex ids (cycle order)
         self._docks = {}        # (n, i, k) -> vertex id
         self._dock_free = {}    # (n, i, k) -> bool
@@ -406,6 +407,7 @@ class CyclesBox(CountableGraph):
     def _fresh(self):
         v = self._next
         self._next += 1
+        self._lower.append([])
         return v
 
     def _add_cycle(self, key, size, shared=None):
@@ -414,7 +416,7 @@ class CyclesBox(CountableGraph):
         ids = [v if v is not None else self._fresh() for v in ids]
         for pos in range(size):
             a, b = ids[pos], ids[(pos + 1) % size]
-            self._edges.add((min(a, b), max(a, b)))
+            self._lower[max(a, b)].append(min(a, b))
         self._components[key] = ids
         return ids
 
@@ -476,12 +478,14 @@ class CyclesBox(CountableGraph):
         return True   # the stages take every natural as a vertex in turn
 
     def has_edge(self, a, b):
-        if a == b:
-            return False
-        # later stages only add edges touching a fresh vertex, so once both
-        # endpoints exist the answer is settled
-        self._advance_past(max(a, b))
-        return (min(a, b), max(a, b)) in self._edges
+        lo, hi = min(a, b), max(a, b)
+        return lo < hi and lo in self.lower_neighbors(hi)
+
+    def lower_neighbors(self, v):
+        # every edge a stage adds touches a fresh vertex, larger than all
+        # before it, so once v exists its list is settled
+        self._advance_past(v)
+        return list(self._lower[v])
 
     def vertex_count(self):
         return OMEGA
@@ -579,21 +583,12 @@ def enuminf_decode(enum, fuel=64):
 # Sigma-1-1 choice: pick an ill-founded tree
 # ---------------------------------------------------------------------------
 
-def _has_path_certificate(tree):
-    from .trees import DisjointTreeUnion, FullBinary, SinglePath
-    if isinstance(tree, (SinglePath, FullBinary)):
-        return True
-    if isinstance(tree, DisjointTreeUnion):
-        return any(_has_path_certificate(part) for part in tree.parts)
-    return False
-
-
 def sigma11_choice_gadget(trees):
     """Disjoint union of the trees viewed as graphs; any infinite-ray
     solution lives inside one ill-founded tree and its index is the answer."""
     if not trees:
         raise BadParam("need at least one tree")
-    if not any(_has_path_certificate(t) for t in trees):
+    if all(wf2(t) for t in trees):
         raise NoIllFoundedCertificate("no certified ill-founded tree")
     return DisjointUnion([TreeAsGraph(t) for t in trees])
 

@@ -17,8 +17,8 @@ from math import isqrt
 
 from .errors import BadParam, DegreeUnknown, ParseError
 from .streams import infinitely_often, occurrences, pair, unpair
-from .trees import (FiniteTree, FullBinary, SinglePath,
-                    string_code, string_decode, comparable)
+from .trees import (FiniteTree, FullBinary, string_code, string_decode,
+                    comparable)
 
 OMEGA = float("inf")
 
@@ -409,25 +409,10 @@ class TreeAsGraph(CountableGraph):
         sigma = string_decode(v)
         if not self.tree.contains(sigma):
             raise BadParam("vertex %r not in tree" % v)
-        try:
-            kids = len(self.tree.children(sigma))
-        except BadParam:
-            kids = OMEGA
-        return kids + (1 if sigma else 0)
+        return len(self.tree.children(sigma)) + (1 if sigma else 0)
 
     def lower_neighbors(self, v):
         return [unpair(v - 1)[0]] if v else []
-
-    def neighbors(self, v):
-        """Parent plus children, directly from the tree rule (finite lists)."""
-        sigma = string_decode(v)
-        if not self.tree.contains(sigma):
-            raise BadParam("vertex %r not in tree" % v)
-        out = []
-        if sigma:
-            out.append(string_code(sigma[:-1]))
-        out.extend(string_code(sigma + (d,)) for d in self.tree.children(sigma))
-        return sorted(out)
 
     def vertex_count(self):
         if isinstance(self.tree, FiniteTree):
@@ -438,18 +423,14 @@ class TreeAsGraph(CountableGraph):
         if isinstance(self.tree, FiniteTree):
             yield from sorted(string_code(s) for s in self.tree.nodes)
             return
-        if self.tree.finitely_branching or isinstance(self.tree, SinglePath):
-            # breadth-first, stable order; each node carries its code
-            children = self.tree.children
-            level = [((), 0)] if self.tree.contains(()) else []
-            while level:
-                for _, c in level:
-                    yield c
-                level = [(s + (d,), pair(c, d) + 1) for s, c in level
-                         for d in children(s)]
-            return
-        # diagonal scan over codes
-        yield from CountableGraph.iter_vertices(self)
+        # breadth-first, stable order; each node carries its code
+        children = self.tree.children
+        level = [((), 0)] if self.tree.contains(()) else []
+        while level:
+            for _, c in level:
+                yield c
+            level = [(s + (d,), pair(c, d) + 1) for s, c in level
+                     for d in children(s)]
 
 
 # ---------------------------------------------------------------------------
@@ -902,16 +883,15 @@ class ConnectedUnion(CountableGraph):
 
 def _code_order(p):
     """The vertices of p in increasing code order, taken from p itself: by
-    a heap popped from the root of a finitely branching tree (a child's
-    code exceeds its parent's), by merging a disjoint union's parts, by a
-    code scan for a ForestGraph, and else in p's own order."""
+    a heap popped from the root of a tree (a child's code exceeds its
+    parent's), by merging a disjoint union's parts, by a code scan for a
+    ForestGraph, and else in p's own order."""
     if isinstance(p, DisjointUnion):
         yield from heapq.merge(*(map(partial(pair, i), _code_order(q))
                                  for i, q in enumerate(p.parts)))
     elif isinstance(p, ForestGraph):
         yield from CountableGraph.iter_vertices(p)
-    elif not (isinstance(p, (TreeAsGraph, Layered))
-              and p.tree.finitely_branching):
+    elif not isinstance(p, (TreeAsGraph, Layered)):
         yield from p.iter_vertices()
     else:
         heap = [(0, ())] if p.tree.contains(()) else []

@@ -12,8 +12,8 @@ input trips HarnessContractViolation structurally rather than by convention.
 """
 
 from .decide import wf2
-from .errors import (BadParam, FuelExhausted, HarnessContractViolation,
-                     MalformedInstance, OracleRefused, PromiseViolation,
+from .errors import (BadParam, HarnessContractViolation, MalformedInstance,
+                     OracleRefused, PromiseViolation,
                      UndecidableWithoutCertificate)
 from .graphs import construction, standard
 from .spaces import SpaceName, name_of
@@ -199,70 +199,11 @@ def _prepend(digit, rest):
     return GeneratorBacked(lambda n: digit if n == 0 else rest.eval(n - 1))
 
 
-def _child_nodes(tree, sigma):
-    return [sigma + (d,) for d in tree.children(sigma)]
-
-
-class _Leftmost:
-    """Leftmost path through a finitely-branching ill-founded tree, each
-    digit chosen by a depth-lookahead viability probe (Koenig's lemma).
-    With a fuel budget, every node a probe visits costs one unit of fuel;
-    running dry raises FuelExhausted (the engine's Unknown) instead of
-    guessing."""
-
-    def __init__(self, tree, lookahead, fuel=None):
-        self.tree = tree
-        self.lookahead = lookahead
-        self.fuel = fuel
-        self.budget = fuel
-        self.path = ()
-
-    def _viable(self, sigma, depth):
-        """Does some node of length `depth` extend sigma?  BFS over
-        children."""
-        frontier = [sigma]
-        while frontier and len(frontier[0]) < depth:
-            nxt = []
-            for node in frontier:
-                for child in _child_nodes(self.tree, node):
-                    if self.fuel is not None:
-                        self.fuel -= 1
-                        if self.fuel < 0:
-                            raise FuelExhausted("leftmost path search",
-                                                spent=self.budget)
-                    nxt.append(child)
-            frontier = nxt
-        return bool(frontier)
-
-    def digit(self, n):
-        while len(self.path) <= n:
-            target = len(self.path) + self.lookahead
-            pick = None
-            for child in _child_nodes(self.tree, self.path):
-                if self._viable(child, target):
-                    pick = child
-                    break
-            if pick is None:
-                raise PromiseViolation(
-                    "no viable child at %r: instance not ill-founded"
-                    % (self.path,))
-            self.path = pick
-        return self.path[n]
-
-
-def _validate_ccantor(tree):
-    _certified_tree(tree)
-    # trees without the flag (single paths, full binary, finite) are
-    # finitely branching by construction
-    if not getattr(tree, "finitely_branching", True):
-        raise UndecidableWithoutCertificate(
-            "C_Cantor needs a finitely-branching certificate")
-
-
-def _path_solve(tree, fuel, budgeted):
-    """A path through an ill-founded tree. C_Cantor (budgeted False) looks
-    `fuel` levels ahead for free; C_Baire looks 8 levels ahead and pays one
-    unit of `fuel` for every node it probes."""
+def _path_solve(tree):
+    """A path through an ill-founded tree, read off the tree's own
+    certificate: a single path is its branch, the full binary tree has the
+    all-zeros path, and a disjoint union descends into a part that wf2
+    shows ill-founded. Any other tree kind is refused, not guessed."""
     if isinstance(tree, FiniteTree):
         raise MalformedInstance("well-founded instance has no path")
     if isinstance(tree, SinglePath):
@@ -272,10 +213,9 @@ def _path_solve(tree, fuel, budgeted):
     if isinstance(tree, DisjointTreeUnion):
         for i, part in enumerate(tree.parts):
             if not wf2(part):
-                return _prepend(i, _path_solve(part, fuel, budgeted))
+                return _prepend(i, _path_solve(part))
         raise MalformedInstance("every part is well-founded")
-    leftmost = _Leftmost(tree, 8, fuel) if budgeted else _Leftmost(tree, fuel)
-    return GeneratorBacked(leftmost.digit)
+    raise UndecidableWithoutCertificate("tree kind carries no certificate")
 
 
 def _path_in_tree(tree, path, depth):
@@ -283,14 +223,12 @@ def _path_in_tree(tree, path, depth):
     return all(tree.contains(sigma[:k]) for k in range(depth + 1))
 
 
-CCANTOR = Problem("ccantor", _validate_ccantor,
-                  lambda t, fuel: _path_solve(t, fuel, False),
-                  checker=lambda t, out: _path_in_tree(t, out, 50),
-                  fuel_policy=16)
+CCANTOR = Problem("ccantor", _certified_tree,
+                  lambda t, fuel: _path_solve(t),
+                  checker=lambda t, out: _path_in_tree(t, out, 50))
 
 
-CBAIRE = Problem("cbaire", _certified_tree,
-                 lambda t, fuel: _path_solve(t, fuel, True), fuel_policy=1000)
+CBAIRE = Problem("cbaire", _certified_tree, lambda t, fuel: _path_solve(t))
 
 
 # ---------------------------------------------------------------------------

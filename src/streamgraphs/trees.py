@@ -34,25 +34,15 @@ def comparable(sigma, tau):
 
 
 class TreeGen:
-    """Base class for finitely presented trees (always prefix-closed)."""
-
-    finitely_branching = True
+    """Base class for finitely presented, finitely branching trees (always
+    prefix-closed)."""
 
     def contains(self, sigma):
         raise NotImplementedError
 
     def children(self, sigma):
-        """Digits d with sigma+(d,) in the tree; only for finitely branching."""
+        """Digits d with sigma+(d,) in the tree, as a finite list."""
         raise NotImplementedError
-
-    def nodes_at_depth(self, d):
-        if d == 0:
-            return [()] if self.contains(()) else []
-        out = []
-        for sigma in self.nodes_at_depth(d - 1):
-            for dig in self.children(sigma):
-                out.append(sigma + (dig,))
-        return out
 
 
 class FiniteTree(TreeGen):
@@ -107,43 +97,6 @@ class SinglePath(TreeGen):
         return []
 
 
-class LevelRule(TreeGen):
-    """Tree given by a total children rule.
-
-    rule(sigma) returns the finite list of child digits, or the marker
-    "omega" for an infinitely branching node (all digits present).
-    depth_bound, if set, certifies that no node is deeper.
-    """
-
-    def __init__(self, rule, depth_bound=None):
-        self.rule = rule
-        self.depth_bound = depth_bound
-
-    @property
-    def finitely_branching(self):
-        # conservative: unknown nodes may be omega-branching
-        return False
-
-    def _kids(self, sigma):
-        if self.depth_bound is not None and len(sigma) >= self.depth_bound:
-            return []
-        return self.rule(tuple(sigma))
-
-    def contains(self, sigma):
-        sigma = tuple(sigma)
-        for i, d in enumerate(sigma):
-            kids = self._kids(sigma[:i])
-            if kids != "omega" and d not in kids:
-                return False
-        return True
-
-    def children(self, sigma):
-        kids = self._kids(tuple(sigma))
-        if kids == "omega":
-            raise BadParam("omega-branching node has no finite child list")
-        return sorted(kids)
-
-
 class DisjointTreeUnion(TreeGen):
     """Fresh root with tree i hung under digit i."""
 
@@ -165,10 +118,6 @@ class DisjointTreeUnion(TreeGen):
         if i >= len(self.parts):
             return []
         return self.parts[i].children(sigma[1:])
-
-    @property
-    def finitely_branching(self):
-        return all(t.finitely_branching for t in self.parts)
 
 
 def coinfinite_wrap(tree):

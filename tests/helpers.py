@@ -19,7 +19,7 @@ from streamgraphs.spaces import HostView, SpaceName, name_of
 from streamgraphs.spaces import Violation
 from streamgraphs.streams import GeneratorBacked, pair, unpair
 from streamgraphs.suites import _random_fin_graph as random_fin_graph  # noqa
-from streamgraphs.trees import string_code, string_decode
+from streamgraphs.trees import TreeGen, string_code, string_decode
 
 
 def raising_once(stream, at):
@@ -687,6 +687,17 @@ def distance(fin, v, w):
                 dist[x] = dist[u] + 1
                 queue.append(x)
     return G.OMEGA
+
+
+class BareTree(TreeGen):
+    """The full binary tree known only through contains and children: a
+    tree kind that carries no certificate."""
+
+    def contains(self, sigma):
+        return all(d in (0, 1) for d in sigma)
+
+    def children(self, sigma):
+        return [0, 1]
 
 
 def cycles_box_stage_log(box, stages):

@@ -4,7 +4,8 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import random_fin_graph, reference_least_new_embedding
+from helpers import (BareTree, random_fin_graph,
+                     reference_least_new_embedding)
 
 from streamgraphs import cli
 from streamgraphs import decide as D
@@ -422,15 +423,9 @@ class TestWF2:
     def test_full_binary(self):
         assert D.wf2(T.FullBinary()) is False
 
-    def test_cut_binary(self):
-        cut = T.LevelRule(lambda s: [0, 1] if len(s) < 3 else [],
-                          depth_bound=3)
-        assert D.wf2(cut) is True
-
-    def test_unbounded_rule_rejected(self):
-        unbounded = T.LevelRule(lambda s: [0, 1])
+    def test_uncertified_tree_kind_rejected(self):
         with pytest.raises(PredicateUnsupported):
-            D.wf2(unbounded)
+            D.wf2(BareTree())
 
     def test_union(self):
         good = T.DisjointTreeUnion([T.FiniteTree([()]), T.FiniteTree([(), (0,)])])
@@ -449,11 +444,6 @@ class TestWF2:
                     nodes.add(base + (rng.randrange(2),))
             tree = T.FiniteTree(nodes)
             depth = max(len(s) for s in nodes)
-            as_rule = T.LevelRule(
-                lambda s, ns=frozenset(nodes): [d for d in (0, 1)
-                                                if s + (d,) in ns],
-                depth_bound=depth)
             # oracle: a finite tree has an empty level right past its depth
             assert not any(len(s) == depth + 1 for s in nodes)
             assert D.wf2(tree) is True
-            assert D.wf2(as_rule) is True

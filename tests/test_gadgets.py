@@ -3,11 +3,12 @@ import sys
 import threading
 from collections import Counter
 from math import prod
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (cycles_box_stage_log, is_acyclic, is_connected,
+from helpers import (BareTree, cycles_box_stage_log, is_acyclic, is_connected,
                      raising_once, random_certified_stream, random_fin_graph,
                      reference_enuminf_decode, reference_ray_solution)
 
@@ -17,7 +18,8 @@ from streamgraphs import graphs as G
 from streamgraphs import spaces as SP
 from streamgraphs import trees as T
 from streamgraphs.errors import (BadParam, HeightExceeded, MalformedInstance,
-                                 NoIllFoundedCertificate, NotInB)
+                                 NoIllFoundedCertificate, NotInB,
+                                 PredicateUnsupported)
 from streamgraphs.streams import (EventuallyConstant, GeneratorBacked,
                                   Periodic, StagedPairs, exists_one,
                                   infinitely_often, limit, pair,
@@ -393,7 +395,30 @@ class TestCyclesBox:
         other = GD.cycles_box(T.SinglePath(EventuallyConstant([], 0)))
         assert (cycles_box_stage_log(self.box, 2)
                 == cycles_box_stage_log(other, 2))
-        assert self.box._edges == other._edges
+        assert ([self.box.lower_neighbors(v) for v in range(300)]
+                == [other.lower_neighbors(v) for v in range(300)])
+        assert self.box.window(40) == other.window(40)
+
+    def test_lower_neighbors_settle_once_the_vertex_exists(self):
+        early = [self.box.lower_neighbors(v) for v in range(300)]
+        self.box.lower_neighbors(3000)   # runs many more stages
+        assert [self.box.lower_neighbors(v) for v in range(300)] == early
+        for v in range(300):
+            assert all(w < v and self.box.has_edge(w, v)
+                       and self.box.has_edge(v, w) for w in early[v])
+            assert not self.box.has_edge(v, v)
+
+    @pytest.mark.parametrize("positions", [1000, 2000])
+    def test_dense_name_lists_edges_without_edge_tests(self, positions):
+        calls = []
+        has_edge = GD.CyclesBox.has_edge
+
+        def counting(box, a, b):
+            calls.append((a, b))
+            return has_edge(box, a, b)
+        with mock.patch.object(GD.CyclesBox, "has_edge", counting):
+            SP.name_of("EGr", self.box).stream.prefix(positions)
+        assert calls == []
 
 
 def _decoded(chi, n):
@@ -541,6 +566,10 @@ class TestSigma11Choice:
     def test_requires_certificate(self):
         with pytest.raises(NoIllFoundedCertificate):
             GD.sigma11_choice_gadget([T.FiniteTree([()])])
+
+    def test_uncertified_tree_kind_rejected(self):
+        with pytest.raises(PredicateUnsupported):
+            GD.sigma11_choice_gadget([T.FiniteTree([()]), BareTree()])
 
     def test_empty_rejected(self):
         with pytest.raises(BadParam):

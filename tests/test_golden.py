@@ -114,6 +114,8 @@ CLI_CASES = [
      "--fuel", "100"],
     ["search", "--solver", "t3", "--host", "egr:fbt", "--fuel", "50"],
     ["gadget", "--name", "s11choice", "--in", "fintree:[[]]", "--fuel", "10"],
+    ["truncate", "--in", "egr:cu(l1(fintree:[[],[0],[0,0]],ray),"
+     "l1(path(ec:[];0),ray))", "--fuel", "20"],
 ]
 
 

@@ -3,12 +3,13 @@ import random
 
 import pytest
 
+from helpers import BareTree
+
 from streamgraphs import gadgets as GD
 from streamgraphs import graphs as G
 from streamgraphs import problems as P
 from streamgraphs import trees as T
-from streamgraphs.errors import (FuelExhausted, HarnessContractViolation,
-                                 MalformedInstance, PromiseViolation,
+from streamgraphs.errors import (HarnessContractViolation, MalformedInstance,
                                  UndecidableWithoutCertificate)
 from streamgraphs.streams import EventuallyConstant as EC
 from streamgraphs.streams import GeneratorBacked, Periodic
@@ -115,10 +116,9 @@ class TestCCantor:
         path = P.oracle_call(P.CCANTOR, tree)
         assert path.prefix(4) == [1, 1, 1, 1]
 
-    def test_level_rule_refused(self):
-        lr = T.LevelRule(lambda sigma: [0])
+    def test_uncertified_tree_kind_refused(self):
         with pytest.raises(UndecidableWithoutCertificate):
-            P.oracle_call(P.CCANTOR, lr)
+            P.oracle_call(P.CCANTOR, BareTree())
 
     def test_wellfounded_rejected(self):
         with pytest.raises(MalformedInstance):
@@ -138,34 +138,10 @@ class TestCBaire:
         path = P.oracle_call(P.CBAIRE, tree)
         assert path.prefix(4) == [4, 2, 9, 9]
 
-    def test_level_rule_leftmost_avoids_dead_ends(self):
-        # digit 0 under the root dies at depth 3; digit 1 lives forever
-        def rule(sigma):
-            if sigma and sigma[0] == 0:
-                return [0] if len(sigma) < 3 else []
-            return [0, 1] if not sigma else [1]
-        path = P.oracle_call(P.CBAIRE, T.LevelRule(rule))
-        assert path.prefix(4) == [1, 1, 1, 1]
-
-    def test_fuel_exhaustion_is_unknown(self):
-        def rule(sigma):
-            return [0, 1]
-        path = P.oracle_call(P.CBAIRE, T.LevelRule(rule), fuel=3)
-        with pytest.raises(FuelExhausted):
-            path.eval(0)
-
-    def test_fuel_exhaustion_reports_the_budget_spent(self):
-        path = P.oracle_call(P.CBAIRE, T.LevelRule(lambda s: [0, 1, 2]), 20)
-        with pytest.raises(FuelExhausted) as info:
-            path.eval(0)
-        assert info.value.spent == 20
-
-    def test_wellfounded_promise_violation(self):
-        def rule(sigma):
-            return [0] if len(sigma) < 2 else []
-        path = P.oracle_call(P.CBAIRE, T.LevelRule(rule))
-        with pytest.raises(PromiseViolation):
-            path.eval(2)
+    def test_uncertified_tree_kind_refused(self):
+        # no digit is guessed from contains and children
+        with pytest.raises(UndecidableWithoutCertificate):
+            P.oracle_call(P.CBAIRE, BareTree())
 
 
 class TestWF:
