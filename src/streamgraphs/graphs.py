@@ -704,6 +704,18 @@ class DisjointUnion(CountableGraph):
             total += n
         return total
 
+    def materialize(self):
+        """Each part's own FinGraph, its vertex v relabeled pair(i, v) for
+        part i: the window on every vertex, found without a scan."""
+        if self.vertex_count() == OMEGA:
+            raise BadParam("cannot materialize an infinite graph")
+        vs, es = [], []
+        for i, p in enumerate(self.parts):
+            fin = p.materialize()
+            vs += [pair(i, v) for v in fin.vertices]
+            es += [(pair(i, a), pair(i, b)) for a, b in fin.edges]
+        return FinGraph(vs, es)
+
     def iter_vertices(self):
         # the least of the parts' next codes each time: increasing code
         # order wherever every part's own order is

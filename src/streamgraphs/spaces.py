@@ -128,7 +128,9 @@ class _GrName(CertifiedStream):
     and j are vertices and, for i != j, (i, j) is an edge. Each vertex is
     decided once, into a dict this name holds; has_edge is asked only when
     both ends are vertices. values(lo, hi) steps along the Cantor diagonals
-    from lo; no position is memoized."""
+    from lo and asks has_edge once per vertex pair: the bit at pair(i, j),
+    j > i, is the one at its mirror pair(j, i), earlier on the same
+    diagonal, wherever the slice holds it. No position is memoized."""
 
     def __init__(self, g):
         self.g = g
@@ -146,10 +148,13 @@ class _GrName(CertifiedStream):
         d = (isqrt(8 * lo + 1) - 1) // 2
         j = lo - d * (d + 1) // 2   # lo = pair(d - j, j)
         out = []
-        for _ in range(lo, hi):
+        for k in range(hi - lo):   # k = n - lo
             i = d - j
-            out.append(1 if member[i] and (i == j or member[j]
-                                           and has_edge(i, j)) else 0)
+            if j > i and k >= j - i:   # pair(j, i) = n + i - j
+                out.append(out[k + i - j])
+            else:
+                out.append(1 if member[i] and (i == j or member[j]
+                                               and has_edge(i, j)) else 0)
             j += 1
             if j > d:
                 d, j = d + 1, 0
@@ -570,63 +575,51 @@ class _FConvert(CertifiedStream):
         self.partners = {}     # source vertex -> its emitted neighbours
         self.stage = 0
 
-    def _fresh(self):
-        m = self.stage + 1
-        while m in self.used:
-            m += 1
-        return m
-
-    def _assign(self, u, m):
-        """Move source vertex u to the new vertex code m."""
-        self.used.discard(self.trace.iota.get(u))
-        self.used.add(m)
-        self.trace.iota[u] = m
-        self.ones.add(pair(m, m))
-
-    def _add_vertex(self, u):
-        if u in self.trace.iota:
-            return
-        self._assign(u, self._fresh())
-        self.trace.first_emission.setdefault(u, self.stage)
-
-    def run_stage(self, u, w):
-        """Stage self.stage on its emission (u, w) (u == w: the vertex u);
-        a padding stage changes nothing, so run_until skips it."""
-        s = self.stage
-        self._add_vertex(u)
-        if u != w:
-            self._add_vertex(w)
-            self.partners.setdefault(u, []).append(w)
-            self.partners.setdefault(w, []).append(u)
-            a, b = self.trace.iota[u], self.trace.iota[w]
-            p1 = pair(a, b)
-            if max(a, b) < s and p1 not in self.ones:
-                self._injure(u, w)
-            else:
-                self.ones.add(p1)
-                self.ones.add(pair(b, a))
-
-    def _injure(self, u, w):
-        ku = self.trace.first_emission[u]
-        kw = self.trace.first_emission[w]
-        victim = w if ku < kw else u
-        old = self.trace.iota[victim]
-        m = self._fresh()
-        self._assign(victim, m)
-        self.trace.injuries.append((self.stage, victim, old, m))
-        for other in self.partners[victim]:
-            c = self.trace.iota[other]
-            self.ones.add(pair(m, c))
-            self.ones.add(pair(c, m))
-
     def run_until(self, stages):
         """Run the stages below `stages` on their emissions, read in one
-        call; a read that raises runs none of them."""
+        call; a read that raises runs none of them. Stage s on (u, w) gives
+        each new vertex the least free code above s; an edge whose bit is
+        frozen at 0 injures its later-emitted end, which moves to a fresh
+        code with all its edges. Padding changes nothing."""
         if self.stage < stages:
             pos, pairs = read_pairs("EGr", self.stream, self.stage, stages)
-            for n, (u, w) in zip(pos, pairs):
-                self.stage = n
-                self.run_stage(u, w)
+            trace, ones, used = self.trace, self.ones, self.used
+            iota, first, partners = (trace.iota, trace.first_emission,
+                                     self.partners)
+            for s, (u, w) in zip(pos, pairs):
+                for v in (u, w):   # u == w: the vertex u, once
+                    if v not in iota:
+                        m = s + 1
+                        while m in used:
+                            m += 1
+                        used.add(m)
+                        iota[v], first[v] = m, s
+                        ones.add(2 * m * (m + 1))   # pair(m, m)
+                if u == w:
+                    continue
+                partners.setdefault(u, []).append(w)
+                partners.setdefault(w, []).append(u)
+                a, b = iota[u], iota[w]
+                t = (a + b) * (a + b + 1) // 2   # pair(a, b) = t + b
+                if a < s and b < s and t + b not in ones:
+                    victim = w if first[u] < first[w] else u
+                    old = iota[victim]
+                    m = s + 1
+                    while m in used:
+                        m += 1
+                    used.discard(old)
+                    used.add(m)
+                    iota[victim] = m
+                    ones.add(2 * m * (m + 1))
+                    trace.injuries.append((s, victim, old, m))
+                    for other in partners[victim]:
+                        c = iota[other]
+                        t = (m + c) * (m + c + 1) // 2
+                        ones.add(t + c)
+                        ones.add(t + m)
+                else:
+                    ones.add(t + b)
+                    ones.add(t + a)
             self.stage = stages
         self.trace.stages_run = self.stage
 

@@ -30,7 +30,7 @@ import os
 import re
 
 from .errors import ParseError
-from .graphs import (FinGraph, OmegaCopies, connected_union,
+from .graphs import (FinGraph, Finite, OmegaCopies, connected_union,
                      construction, disjoint_union, standard)
 from .spaces import name_of
 from .streams import parse_stream
@@ -89,6 +89,13 @@ _ATOMS = {"ray": "Ray", "l": "TwoWayRay", "komega": "CompleteOmega",
           "fbt": "FullBinaryTree"}
 
 
+def _part(text):
+    """A graph expression as an operand of omega, du, cu, l1 or l2: a JSON
+    file's FinGraph becomes the Finite graph it denotes."""
+    g = parse_graph(text)
+    return Finite(g) if isinstance(g, FinGraph) else g
+
+
 def parse_graph(text):
     text = text.strip()
     low = text.lower()
@@ -106,9 +113,9 @@ def parse_graph(text):
     if call:
         head, args = call
         if head == "omega":
-            return OmegaCopies(parse_graph(args))
+            return OmegaCopies(_part(args))
         if head in ("du", "cu"):
-            parts = [parse_graph(a) for a in _split_args(args)]
+            parts = [_part(a) for a in _split_args(args)]
             if not parts:
                 raise ParseError("%s needs at least one part" % head)
             return (disjoint_union if head == "du"
@@ -118,7 +125,7 @@ def parse_graph(text):
             if len(parts) != 2:
                 raise ParseError("%s takes (tree, graph)" % head)
             return construction(head.upper(), parse_tree(parts[0]),
-                                parse_graph(parts[1]))
+                                _part(parts[1]))
     raise ParseError("cannot parse graph spec %r" % text)
 
 

@@ -15,8 +15,8 @@ from streamgraphs import graphs as G
 from streamgraphs.decide import embeddings, fin_subgraph
 from streamgraphs.errors import FuelExhausted, NotInB, PatternNeverSeen
 from streamgraphs.gadgets import _first_primes
-from streamgraphs.spaces import HostView, SpaceName, name_of
-from streamgraphs.spaces import Violation
+from streamgraphs.spaces import (HostView, IotaTrace, SpaceName, Violation,
+                                 name_of, read_pairs)
 from streamgraphs.streams import GeneratorBacked, pair, unpair
 from streamgraphs.suites import _random_fin_graph as random_fin_graph  # noqa
 from streamgraphs.trees import TreeGen, string_code, string_decode
@@ -150,6 +150,76 @@ def reference_f_convert(stream, stages):
         machine.run_stage()
     machine.stages_run = machine.stage
     return machine
+
+
+class StageByStageFConvert:
+    """The injury construction of `spaces.f_convert` as it ran before its
+    stages were fused into one loop: one method call per step of a stage.
+    run_until(k) reads the emissions of the stages below k in one
+    read_pairs call, so a read that raises runs none of them."""
+
+    def __init__(self, stream):
+        self.stream = stream
+        self.trace = IotaTrace()
+        self.ones = self.trace.ones
+        self.used = set()
+        self.partners = {}
+        self.stage = 0
+
+    def _fresh(self):
+        m = self.stage + 1
+        while m in self.used:
+            m += 1
+        return m
+
+    def _assign(self, u, m):
+        self.used.discard(self.trace.iota.get(u))
+        self.used.add(m)
+        self.trace.iota[u] = m
+        self.ones.add(pair(m, m))
+
+    def _add_vertex(self, u):
+        if u in self.trace.iota:
+            return
+        self._assign(u, self._fresh())
+        self.trace.first_emission.setdefault(u, self.stage)
+
+    def run_stage(self, u, w):
+        s = self.stage
+        self._add_vertex(u)
+        if u != w:
+            self._add_vertex(w)
+            self.partners.setdefault(u, []).append(w)
+            self.partners.setdefault(w, []).append(u)
+            a, b = self.trace.iota[u], self.trace.iota[w]
+            p1 = pair(a, b)
+            if max(a, b) < s and p1 not in self.ones:
+                self._injure(u, w)
+            else:
+                self.ones.add(p1)
+                self.ones.add(pair(b, a))
+
+    def _injure(self, u, w):
+        ku = self.trace.first_emission[u]
+        kw = self.trace.first_emission[w]
+        victim = w if ku < kw else u
+        old = self.trace.iota[victim]
+        m = self._fresh()
+        self._assign(victim, m)
+        self.trace.injuries.append((self.stage, victim, old, m))
+        for other in self.partners[victim]:
+            c = self.trace.iota[other]
+            self.ones.add(pair(m, c))
+            self.ones.add(pair(c, m))
+
+    def run_until(self, stages):
+        if self.stage < stages:
+            pos, pairs = read_pairs("EGr", self.stream, self.stage, stages)
+            for n, (u, w) in zip(pos, pairs):
+                self.stage = n
+                self.run_stage(u, w)
+            self.stage = stages
+        self.trace.stages_run = self.stage
 
 
 def reference_gr_bit(g, n):

@@ -304,6 +304,39 @@ class TestFuel:
         assert json.loads(out)["graph"] == {"e": [], "v": []}
 
 
+class TestJsonPartInComposites:
+    """A JSON file names a finite graph inside omega, du and cu as well as
+    alone: each name reads as the one with the equal spec graph r3 in its
+    place."""
+
+    @staticmethod
+    def r3_file(tmp_path):
+        path = tmp_path / "r3.json"
+        path.write_text('{"v":[0,1,2],"e":[[0,1],[1,2]]}')
+        return str(path)
+
+    @pytest.mark.parametrize("form", ["egr:du({},c3)", "egr:omega({})",
+                                      "egr:cu({},ray)", "gr:du({},c3)"])
+    def test_truncate(self, capsys, tmp_path, form):
+        path = self.r3_file(tmp_path)
+        code, out = run(capsys, "truncate", "--in", form.format(path),
+                        "--fuel", "300")
+        assert code == 0 and out.count("\n") == 1
+        _, want = run(capsys, "truncate", "--in", form.format("r3"),
+                      "--fuel", "300")
+        assert json.loads(out) == json.loads(want)
+
+    def test_decide_pattern(self, capsys, tmp_path):
+        pattern = "du({},k1)".format(self.r3_file(tmp_path))
+        code, out = run(capsys, "decide", "--pattern", pattern,
+                        "--host", "egr:ray", "--fuel", "50")
+        assert code == 0
+        _, want = run(capsys, "decide", "--pattern", "du(r3,k1)",
+                      "--host", "egr:ray", "--fuel", "50")
+        assert json.loads(out) == json.loads(want)
+        assert json.loads(out)["verdict"] == "found"
+
+
 class TestParserReuse:
     def test_calls_share_no_state(self, capsys):
         # r3 sits in C3 as a subgraph but not as an induced subgraph

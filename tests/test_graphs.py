@@ -143,6 +143,36 @@ class TestUnions:
             G.connected_union([k(2), c(3)])
 
 
+class TestFiniteDisjointUnion:
+    """A finite disjoint union materializes by relabeling its parts' own
+    graphs, into the window on all of its vertices."""
+
+    TEXTS = ["du(c3,k4,r2)", "du(k1)", "du(k1,k1,c5)", "du(du(c3,k2),r4)",
+             "du(k3,du(r2,du(c4,k1)))", "du(cu(c3,c4),t0,k2)",
+             "du({json},c3)", "du(k2,du({json},{json}))"]
+
+    @pytest.mark.parametrize("text", TEXTS)
+    def test_matches_the_window(self, tmp_path, text):
+        path = tmp_path / "p.json"
+        path.write_text('{"v":[0,2,5],"e":[[0,5],[2,5]]}')
+        g = specs.parse_graph(text.format(json=path))
+        assert isinstance(g, G.DisjointUnion)
+        n = g.vertex_count()
+        fin = g.materialize()
+        assert fin == G.CountableGraph.window(g, n)
+        assert len(fin.vertices) == n
+
+    @pytest.mark.parametrize("text", ["du(c3,ray)", "du(k2,du(r2,l))",
+                                      "du(komega)"])
+    def test_infinite_part_refused(self, text):
+        g = specs.parse_graph(text)
+        with pytest.raises(BadParam) as new:
+            g.materialize()
+        with pytest.raises(BadParam) as old:
+            G.CountableGraph.materialize(g)
+        assert str(new.value) == str(old.value)
+
+
 def _graphs(texts):
     return [pytest.param(specs.parse_graph(t), id=t) for t in texts]
 

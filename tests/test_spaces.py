@@ -1,4 +1,5 @@
 import collections
+import copy
 import functools
 import itertools
 import json
@@ -9,7 +10,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import (is_acyclic, random_fin_graph,
+from helpers import (StageByStageFConvert, is_acyclic, random_fin_graph,
                      reference_dense_egr_name, reference_f_convert,
                      reference_gr_bit, reference_gr_to_egr,
                      reference_omega_lower, reference_omega_vertices,
@@ -477,6 +478,47 @@ class TestGrBits:
              for n in range(1000)]
         assert set(asked.values()) == {1}
         assert ends and all(has_vertex(v) for v in ends)
+
+
+class TestGrMirror:
+    """values(lo, hi) of a Gr name takes the bit at pair(i, j), j > i, from
+    its mirror pair(j, i) where the slice holds it, so it asks has_edge
+    once per vertex pair."""
+
+    TEXTS = ["l", "komega", "fbt", "omega(c4)", "cu(c4,ray)"]
+
+    # (lo, hi) that start and end inside a diagonal, across several
+    # diagonals, within one, and right at a mirror's far end
+    SLICES = [(pair(2, 5), pair(9, 4)), (pair(5, 2), pair(2, 11)),
+              (pair(4, 4), pair(1, 7) + 1), (pair(3, 9), pair(12, 0)),
+              (pair(6, 1), pair(40, 3)), (pair(6, 1), pair(1, 6) + 1),
+              (0, 1000)]
+
+    @pytest.mark.parametrize("text", TEXTS)
+    def test_slices_match_eval(self, text):
+        stream = specs.parse_name("gr:" + text).stream
+        assert isinstance(stream, SP._GrName)
+        for lo, hi in self.SLICES:
+            assert stream.values(lo, hi) == \
+                [stream.eval(n) for n in range(lo, hi)], (lo, hi)
+
+    @pytest.mark.parametrize("text, most", [("komega", 494),
+                                            ("omega(c4)", 312),
+                                            ("fbt", 101)])
+    def test_one_has_edge_per_vertex_pair(self, monkeypatch, text, most):
+        g = specs.parse_graph(text)
+        calls, has_edge = [], g.has_edge
+
+        def counting(a, b):
+            calls.append((a, b))
+            return has_edge(a, b)
+
+        monkeypatch.setattr(g, "has_edge", counting)
+        assert SP.name_of("Gr", g).stream.prefix(1000) == \
+            [reference_gr_bit(specs.parse_graph(text), n)
+             for n in range(1000)]
+        assert len(calls) <= most
+        assert len({frozenset(e) for e in calls}) == len(calls)
 
 
 class TestLowerNeighbors:
@@ -1260,6 +1302,68 @@ class TestRunUntil:
         with mock.patch.object(SP._FConvert, "run_until", counting):
             out.stream.values(0, pair(9, 9) + 1)   # diagonals 0 to 18
         assert runs == [19] and trace.stages_run == 19
+
+
+class TestFusedInjuryLoop:
+    """The injury construction run as one loop per run_until leaves the
+    trace that the stage-by-stage machine leaves."""
+
+    @staticmethod
+    def _trace(conv):
+        t = conv.trace
+        return (t.iota, t.first_emission, t.injuries, t.ones, t.stages_run)
+
+    @staticmethod
+    def _both(host):
+        return (SP._FConvert(specs.parse_name(host).stream),
+                StageByStageFConvert(specs.parse_name(host).stream))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.sampled_from([0, 0.3, 0.95]))
+    def test_finite_schedules(self, seed, stutter):
+        rng = random.Random(seed)
+        fin = random_fin_graph(rng, min_v=0, max_v=9, density=rng.random())
+        schedule = ("random", rng.randrange(10 ** 6), stutter)
+        name = SP.name_of("EGr", fin, schedule)
+        conv = SP._FConvert(name.stream)
+        ref = StageByStageFConvert(SP.name_of("EGr", fin, schedule).stream)
+        stages = len(name.stream.head)
+        conv.run_until(stages)
+        ref.run_until(stages)
+        assert self._trace(conv) == self._trace(ref)
+
+    @pytest.mark.parametrize("host", ["egr:komega", "egr:omega(c4)"])
+    @pytest.mark.parametrize("stages", [24, 48, 96])
+    def test_forced_in_one_run(self, host, stages):
+        conv, ref = self._both(host)
+        conv.run_until(stages)
+        ref.run_until(stages)
+        assert self._trace(conv) == self._trace(ref)
+        assert conv.trace.stages_run == stages
+
+    @pytest.mark.parametrize("host", ["egr:komega", "egr:omega(c4)"])
+    @pytest.mark.parametrize("stages", [24, 48, 96])
+    def test_forced_one_stage_at_a_time(self, host, stages):
+        conv, ref = self._both(host)
+        ref.run_until(stages)
+        for s in range(1, stages + 1):
+            conv.run_until(s)
+        assert self._trace(conv) == self._trace(ref)
+
+    @pytest.mark.parametrize("host", ["egr:komega", "egr(4,0.3):du(c3,k4)"])
+    def test_read_that_raises_runs_no_stage(self, host):
+        conv, ref = self._both(host)
+        conv.stream = _RaisesOnce(conv.stream, 20)
+        conv.run_until(10)
+        ref.run_until(10)
+        before = copy.deepcopy(self._trace(conv))
+        with pytest.raises(FuelExhausted):
+            conv.run_until(40)
+        assert conv.stage == 10 and self._trace(conv) == before
+        assert before == self._trace(ref)
+        conv.run_until(40)
+        ref.run_until(40)
+        assert self._trace(conv) == self._trace(ref)
 
 
 _SLICES = st.lists(st.tuples(st.integers(0, 400), st.integers(0, 60)),
