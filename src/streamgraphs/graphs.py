@@ -773,8 +773,9 @@ class ConnectedUnion(CountableGraph):
         return self._tails[i]
 
     def _glued(self, i):
-        """Part i's glued vertices, each mapped to its junction and to its
-        lower neighbours in the part; computed once."""
+        """Part i's glued vertices, each mapped to the code of its glue
+        vertex and to its lower neighbours in the part, and whether the
+        part lists all of those; computed once."""
         if i not in self._ends:
             ends = {}
             if i > 0:
@@ -782,7 +783,8 @@ class ConnectedUnion(CountableGraph):
             if i < len(self.parts) - 1:
                 ends[self._tail(i)] = i
             lower = self.parts[i].lower_neighbors
-            self._ends[i] = {u: (j, lower(u)) for u, j in ends.items()}
+            glued = {u: (pair(1, j), lower(u)) for u, j in ends.items()}
+            self._ends[i] = glued, None not in [b for _, b in glued.values()]
         return self._ends[i]
 
     # -- membership ----------------------------------------------------
@@ -798,7 +800,7 @@ class ConnectedUnion(CountableGraph):
         i, u = unpair(payload)
         if i >= len(self.parts):
             return None
-        if not self.parts[i].has_vertex(u) or u in self._glued(i):
+        if not self.parts[i].has_vertex(u) or u in self._glued(i)[0]:
             return None
         return ("ord", i, u)
 
@@ -844,18 +846,25 @@ class ConnectedUnion(CountableGraph):
         """An ordinary vertex: its part's list minus the glued vertices,
         plus the smaller glue vertices whose part vertex is adjacent to it.
         A glue vertex: its neighbours among the few smaller codes."""
-        tag, x = unpair(v)
-        if tag:
+        d = (isqrt(8 * v + 1) - 1) // 2   # (tag, x) = unpair(v), inlined
+        x = v - d * (d + 1) // 2
+        if x != d:   # tag d - x > 0: a glue vertex
             return [w for w in range(v) if self.has_edge(v, w)]
-        i, u = unpair(x)
+        d = (isqrt(8 * x + 1) - 1) // 2   # (i, u) = unpair(x), inlined
+        u = x - d * (d + 1) // 2
+        i = d - u
         lower = self.parts[i].lower_neighbors(u)
-        ends = self._glued(i)
-        if lower is None or None in (below for _, below in ends.values()):
+        ends, listed = self._glued(i)
+        if lower is None or not listed:
             return None
-        out = [pair(0, pair(i, w)) for w in lower if w not in ends]
-        for end, (j, below) in ends.items():
-            if (end in lower or u in below) and pair(1, j) < v:
-                out.append(pair(1, j))
+        out = []
+        for w in lower:
+            if w not in ends:
+                c = (i + w) * (i + w + 1) // 2 + w   # pair(0, pair(i, w))
+                out.append(c * (c + 3) // 2)
+        for end, (glue, below) in ends.items():
+            if glue < v and (end in lower or u in below):
+                out.append(glue)
         return out
 
     def vertex_count(self):
@@ -871,7 +880,7 @@ class ConnectedUnion(CountableGraph):
     def designated_head(self):
         """Part 0's head, or the glue vertex it became."""
         h = self._head(0)
-        return pair(1, 0) if h in self._glued(0) else pair(0, pair(0, h))
+        return pair(1, 0) if h in self._glued(0)[0] else pair(0, pair(0, h))
 
     @property
     def designated_tail(self):
@@ -881,7 +890,7 @@ class ConnectedUnion(CountableGraph):
 
     def _ordinary_codes(self, i):
         """Codes of part i's vertices that are not glued, increasing."""
-        ends = self._glued(i)
+        ends, _ = self._glued(i)
         return (pair(0, pair(i, u)) for u in _code_order(self.parts[i])
                 if u not in ends)
 

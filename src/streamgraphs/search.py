@@ -249,18 +249,24 @@ def _wait_for(predicate, fuel, after=0):
         s *= 2
 
 
-def _extend_walk(neighbors, walk, banned, fuel, after=0):
-    """Least fresh neighbour of the walk's tip, waiting on the growing
-    finite windows of the host; neighbors(v, s) lists v's neighbours in
-    the window at s, or is None when v is not in it (as at s <= after)."""
-    tip = walk[-1]
+def _extend_walk(neighbors, arrival, walk, banned, fuel, steps):
+    """Extend the walk to `steps` vertices, each the least neighbour of the
+    tip not on the walk nor banned, waiting on the growing finite windows of
+    the host: neighbors(v, s) lists v's neighbours in the window at s, or
+    is None when v is not in it, as at s <= arrival(v) (None: unknown).
+    One `seen` set serves the whole walk."""
     seen = set(walk) | set(banned)
+    while len(walk) < steps:
+        tip = walk[-1]
 
-    def probe(s):
-        cands = [w for w in neighbors(tip, s) or () if w not in seen]
-        return min(cands) if cands else None
+        def probe(s):
+            cands = [w for w in neighbors(tip, s) or () if w not in seen]
+            return min(cands) if cands else None
 
-    return _wait_for(probe, fuel, after)
+        w = _wait_for(probe, fuel, arrival(tip) or 0)
+        walk.append(w)
+        seen.add(w)
+    return walk
 
 
 def ray_follow(kind, host, fuel=2000, steps=10):
@@ -270,25 +276,20 @@ def ray_follow(kind, host, fuel=2000, steps=10):
     kind: "TwoWayRay" | ("CycleTailRay", n) | ("CompleteTailRay", m) |
     "FullBinaryTree".
 
-    The start waits on the prefixes of the probe schedule of `_wait_for`;
-    each probe looks only at what arrived since the previous one.
+    The start waits on the prefixes of the probe schedule of `_wait_for`.
+    A vertex probe looks only at what arrived since the previous one. A
+    pendant probe runs one search of its whole prefix: every earlier probe
+    found no copy, so the least copy there is the least new one.
     """
     view = HostView(host)
-    banned = set()
-    probed = 0
-
-    def delta(s):
-        nonlocal probed
-        vs, es = view.added(probed, s)
-        probed = s
-        return vs, es
-
+    banned = ()
     if kind == "TwoWayRay" or kind == "FullBinaryTree":
-        least = None
+        least, probed = None, 0
 
         def first_vertex(s):
-            nonlocal least
-            vs, _ = delta(s)
+            nonlocal least, probed
+            vs, _ = view.added(probed, s)
+            probed = s
             if vs:
                 least = min(vs) if least is None else min(least, *vs)
             return least
@@ -307,18 +308,16 @@ def ray_follow(kind, host, fuel=2000, steps=10):
         pend = Plan(FinGraph(range(size + 1), list(core.edges) + [(0, size)]))
 
         def find_pendant(s):
-            return least_new_embedding(pend, view, *delta(s))
+            view.grow(s)
+            return pend.first(view.adjacency)
 
         mapping = _wait_for(find_pendant, fuel)
         start = mapping[size]
-        banned = {mapping[i] for i in range(size)}
+        banned = [mapping[i] for i in range(size)]
     else:
         raise BadParam("unknown follower kind %r" % (kind,))
-    walk = [start]
-    while len(walk) < steps:
-        walk.append(_extend_walk(view.neighbors, walk, banned, fuel,
-                                 view.arrival(walk[-1])))
-    return walk
+    return _extend_walk(view.neighbors, view.arrival, [start], banned, fuel,
+                        steps)
 
 
 def emb_ray_r(host, lim_oracle, fuel=2000, steps=10):
@@ -355,10 +354,7 @@ def emb_ray_r(host, lim_oracle, fuel=2000, steps=10):
 
     choice = lim_oracle(GeneratorBacked(q_bit))
     walk = [w, v] if choice == 0 else [v, w]
-    while len(walk) < steps:
-        walk.append(_extend_walk(neighbors, walk, (), fuel,
-                                 arrival(walk[-1]) or 0))
-    return walk
+    return _extend_walk(neighbors, arrival, walk, (), fuel, steps)
 
 
 # ---------------------------------------------------------------------------

@@ -400,31 +400,53 @@ class HostView:
         return self._graph
 
     def grow(self, s):
-        """Extend `adjacency` by the positions below s not yet in it."""
+        """Extend `adjacency` by the positions below s not yet in it. A step
+        of up to one slice past what is read costs one read_pairs call,
+        made here to save a call per stage (longer reads, and reads that
+        meet zero_from, go through _read_to), then one dict lookup per end
+        of each new (i, j)."""
         if s <= self._stood:
             if s < 0:
                 raise BadParam("fuel must be >= 0, got %r" % (s,))
             return
-        if s > self._read:
-            self._read_to(s)
-        pos, pairs, k = self._pos, self._pairs, self._grown
+        k, lo = self._grown, self._read
+        if s > lo:
+            if self._top is None and s - lo <= self._SLICE:
+                pos, pairs = read_pairs(self.name.space, self.name.stream,
+                                        lo, s)
+                self._pos += pos
+                self._pairs += pairs
+                self._read = s
+            else:
+                self._read_to(s)
+        pos, pairs = self._pos, self._pairs
         # graph(s) may have read past s: only then search for where s ends
         end = len(pos) if s >= self._read else bisect_left(pos, s, k)
-        adj, arrivals, log = self.adjacency, self._arrivals, self._log
+        adj, arrivals, born, log = (self.adjacency, self._arrivals,
+                                    self._born, self._log)
         vs, es = self._new = [], []   # what this growth adds, for added()
         for k in range(k, end):
             p = pos[k]
             i, j = pairs[k]
-            for v in (i, j):
-                if v not in adj:
-                    adj[v] = set()
-                    arrivals[v] = []
-                    self._born[v] = p
-                    log.append((p, v, v))
-                    vs.append(v)
-            if i != j and j not in adj[i]:
-                adj[i].add(j)
-                adj[j].add(i)
+            a = adj.get(i)
+            if a is None:
+                adj[i] = a = set()
+                arrivals[i] = []
+                born[i] = p
+                log.append((p, i, i))
+                vs.append(i)
+            if i == j:
+                continue
+            b = adj.get(j)
+            if b is None:
+                adj[j] = b = set()
+                arrivals[j] = []
+                born[j] = p
+                log.append((p, j, j))
+                vs.append(j)
+            if j not in a:
+                a.add(j)
+                b.add(i)
                 arrivals[i].append((p, j))
                 arrivals[j].append((p, i))
                 log.append((p, i, j))

@@ -29,7 +29,7 @@ import json
 import os
 import re
 
-from .errors import ParseError
+from .errors import BadParam, DegreeUnknown, ParseError
 from .graphs import (FinGraph, Finite, OmegaCopies, connected_union,
                      construction, disjoint_union, standard)
 from .spaces import name_of
@@ -161,7 +161,7 @@ def parse_pattern(text):
         return g
     try:
         return g.materialize()
-    except Exception:
+    except (BadParam, DegreeUnknown):   # what a graph not finite raises
         raise ParseError("pattern %r is not a finite graph" % text)
 
 

@@ -12,7 +12,8 @@ import random
 
 from streamgraphs import cli
 from streamgraphs import graphs as G
-from streamgraphs.decide import embeddings, fin_subgraph
+from streamgraphs.decide import (Plan, embeddings, fin_subgraph,
+                                least_new_embedding)
 from streamgraphs.errors import FuelExhausted, NotInB, PatternNeverSeen
 from streamgraphs.gadgets import _first_primes
 from streamgraphs.spaces import (HostView, IotaTrace, SpaceName, Violation,
@@ -536,6 +537,33 @@ def _reference_wait_for(predicate, fuel):
     raise PatternNeverSeen("no witness within fuel %d" % fuel)
 
 
+def _pendant(kind):
+    """The cycle or clique of a tail-ray kind on 0..size-1, with the
+    pendant vertex size at 0."""
+    shape, size = kind
+    if shape == "CycleTailRay":
+        core = [(i, (i + 1) % size) for i in range(size)]
+    else:
+        core = [(a, b) for a in range(size) for b in range(a + 1, size)]
+    return G.FinGraph(range(size + 1), core + [(0, size)])
+
+
+def anchored_pendant(kind, host, fuel=2000):
+    """The pendant probe of `search.ray_follow` that searched only the
+    copies using what arrived since the previous probe: the mapping of
+    the least such copy at the first probe stage that has one."""
+    pend = Plan(_pendant(kind))
+    view, probed = HostView(host), 0
+
+    def find_pendant(s):
+        nonlocal probed
+        vs, es = view.added(probed, s)
+        probed = s
+        return least_new_embedding(pend, view, vs, es)
+
+    return _reference_wait_for(find_pendant, fuel)
+
+
 def reference_ray_follow(kind, host, fuel=2000, steps=10):
     """`search.ray_follow` reading a new snapshot graph at every probe."""
     view = HostView(host)
@@ -547,12 +575,7 @@ def reference_ray_follow(kind, host, fuel=2000, steps=10):
 
         start = _reference_wait_for(first_vertex, fuel)
     else:
-        shape, size = kind
-        if shape == "CycleTailRay":
-            core = [(i, (i + 1) % size) for i in range(size)]
-        else:
-            core = [(a, b) for a in range(size) for b in range(a + 1, size)]
-        pend = G.FinGraph(range(size + 1), core + [(0, size)])
+        size, pend = kind[1], _pendant(kind)
 
         def find_pendant(s):
             emb = fin_subgraph(pend, view.graph(s))

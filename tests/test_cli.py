@@ -419,6 +419,33 @@ class TestInternalErrors:
         assert captured.err == "internal error: RuntimeError: broken handler\n"
         assert "Traceback" not in captured.err
 
+    def test_fault_in_a_pattern_is_not_a_parse_error(self, capsys,
+                                                     monkeypatch):
+        """A pattern whose materialize fails for a reason other than being
+        infinite reports the fault, not "is not a finite graph"."""
+        def boom(_graph):
+            raise AttributeError("no such field")
+
+        monkeypatch.setattr(type(specs.parse_graph("c4")), "materialize",
+                            boom)
+        code = cli.main(["decide", "--pattern", "c4", "--host", "egr:l",
+                         "--fuel", "20"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == ("internal error: AttributeError: "
+                                "no such field\n")
+
+    @pytest.mark.parametrize("spec", [
+        "ray", "komega", "l", "fbt", "omega(c4)", "cu(c4,ray)",
+        "l1(fulltree,l)", "l2(fulltree,l)", "du(k1,ray)", "t1", "f1"])
+    def test_infinite_pattern_is_a_parse_error(self, capsys, spec):
+        code = cli.main(["decide", "--pattern", spec, "--host", "egr:l",
+                         "--fuel", "20"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == ("ParseError: pattern %r is not a finite "
+                                "graph\n" % spec)
+
     @pytest.mark.parametrize("command", [["truncate"], ["export", "json"],
                                          ["export", "dot"]])
     def test_code_too_long_to_print_is_refused(self, capsys, command):

@@ -5,8 +5,8 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (is_acyclic, is_connected, raising_once,
-                     random_fin_graph, reference_co_enum,
+from helpers import (anchored_pendant, is_acyclic, is_connected,
+                     raising_once, random_fin_graph, reference_co_enum,
                      reference_components, reference_find_s_finite,
                      reference_ray_follow, reference_restrict_to_connected)
 
@@ -551,6 +551,37 @@ class TestRayFollow:
     def test_long_walks_match_snapshot_probes(self, kind, host, steps):
         assert S.ray_follow(kind, specs.parse_name(host), steps=steps) == \
             reference_ray_follow(kind, specs.parse_name(host), steps=steps)
+
+    @pytest.mark.parametrize("kind, host", RAYS[:2])
+    def test_300_step_walks_match_snapshot_probes(self, kind, host):
+        """One `seen` set carried along a long walk bans what the set
+        rebuilt at every step banned."""
+        walk = S.ray_follow(kind, specs.parse_name(host), steps=300)
+        assert len(walk) == 300
+        assert walk == reference_ray_follow(kind, specs.parse_name(host),
+                                            steps=300)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2 ** 32))
+    def test_pendant_matches_anchored_probe(self, seed):
+        """The pendant probe's one search of its whole prefix finds the
+        mapping that the probe searching only the copies that use what
+        arrived since the previous probe found, or neither finds one."""
+        rng = random.Random(seed)
+        host = _random_host(rng)
+        kind = rng.choice([("CycleTailRay", 3), ("CycleTailRay", 4),
+                           ("CompleteTailRay", 3), ("CompleteTailRay", 4)])
+        fuel = rng.randrange(0, 300)
+        found, wait_for = [], S._wait_for
+
+        def recording(predicate, fuel, after=0):
+            found.append(wait_for(predicate, fuel, after))
+            return found[-1]
+
+        with mock.patch.object(S, "_wait_for", recording):
+            got = _outcome(lambda: S.ray_follow(kind, host, fuel, steps=1))
+        want = _outcome(lambda: anchored_pendant(kind, host, fuel))
+        assert (found[0] if found else got) == want
 
     @pytest.mark.parametrize("steps, fuel", [(4, 200), (6, 200), (8, 200),
                                              (10, 2000), (12, 2000)])

@@ -10,10 +10,11 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import (StageByStageFConvert, is_acyclic, random_fin_graph,
-                     reference_dense_egr_name, reference_f_convert,
-                     reference_gr_bit, reference_gr_to_egr,
-                     reference_omega_lower, reference_omega_vertices,
+from helpers import (StageByStageFConvert, is_acyclic, raising_once,
+                     random_fin_graph, reference_dense_egr_name,
+                     reference_f_convert, reference_gr_bit,
+                     reference_gr_to_egr, reference_omega_lower,
+                     reference_omega_vertices,
                      reference_random_schedule, reference_read_pairs,
                      reference_tree_vertices, reference_truncate,
                      reference_validate_egr, reference_validate_gr)
@@ -236,6 +237,22 @@ class TestDenseEgrName:
             text.startswith("l2(")
         name = specs.parse_name("egr:" + text)
         assert name.stream.prefix(1000) == reference_dense_egr_name(g, 1000)
+
+    def test_connected_union_decodes_inline(self):
+        """A 1000-position read of egr:cu(c4,ray) (500 vertices) decodes
+        and builds each ordinary code inline; graphs.unpair is left to the
+        glue vertex's has_edge tests (1,002 calls when every ordinary
+        vertex was unpaired twice)."""
+        calls, real = [], G.unpair
+
+        def counting(n):
+            calls.append(n)
+            return real(n)
+
+        with mock.patch.object(G, "unpair", counting):
+            fin = SP.truncate(specs.parse_name("egr:cu(c4,ray)"), 1000)
+        assert len(fin.vertices) == 500
+        assert len(calls) <= 10
 
     @settings(max_examples=150, deadline=None)
     @given(_infinite(2), st.lists(st.integers(1, 9), min_size=1,
@@ -931,6 +948,86 @@ class TestStageLoopCalls:
                     want[i].add(j)
                     want[j].add(i)
             assert view.adjacency == want
+
+
+def _step_name(text):
+    """A name for TestOnePositionStep; "ec" is a finite EventuallyConstant
+    name with padding, a repeated edge and an edge before its ends' own
+    emissions."""
+    if text == "ec":
+        return SP.SpaceName("EGr", EventuallyConstant(
+            [1, 0, pair(1, 1) + 1, pair(0, 1) + 1, 0, pair(0, 1) + 1,
+             pair(2, 3) + 1, pair(3, 3) + 1, pair(1, 2) + 1], 0))
+    return specs.parse_name(text)
+
+
+class TestOnePositionStep:
+    """A view stepped by added(s - 1, s), one position at a time, stands
+    where one bulk grow puts it."""
+
+    @pytest.mark.parametrize("text", ["gr:l", "egr(5,0.3):du(k3,c4)", "ec",
+                                      "egr:omega(c5)"])
+    def test_matches_one_bulk_grow(self, text):
+        n = 120
+        step, bulk = SP.HostView(_step_name(text)), SP.HostView(
+            _step_name(text))
+        added = [step.added(s - 1, s) for s in range(1, n + 1)]
+        bulk.grow(n)
+        assert step.adjacency == bulk.adjacency
+        assert added == [bulk.added(s - 1, s) for s in range(1, n + 1)]
+        vs = sorted(bulk.adjacency) + [max(bulk.adjacency) + 1]
+        assert [step.arrival(v) for v in vs] == [bulk.arrival(v) for v in vs]
+        for s in (0, 1, 5, n // 2, n):
+            assert [step.neighbors(v, s) for v in vs] == \
+                [bulk.neighbors(v, s) for v in vs]
+            assert step.graph(s) == bulk.graph(s) == reference_truncate(
+                _step_name(text), s)
+
+    @staticmethod
+    def _raising_name(kind, at):
+        """egr:omega(c5) whose read of position `at` raises once: through
+        values (a GeneratorBacked), or through a stage (a StagedPairs)."""
+        plain = specs.parse_name("egr:omega(c5)").stream
+        if kind == "values":
+            stream = raising_once(plain, at)
+        else:
+            step, calls = plain.step, []
+
+            def flaky():
+                calls.append(len(calls))
+                if len(calls) == at + 1:
+                    raise RuntimeError("flaky stage")
+                return step()
+
+            stream = StagedPairs(flaky)
+        return SP.SpaceName("EGr", stream)
+
+    @pytest.mark.parametrize("kind", ["values", "stage"])
+    def test_raising_step_changes_nothing(self, kind):
+        """A step whose read raises leaves the view as it was, and the next
+        step reads that position again. The stages of egr:omega(c5) emit
+        one pair or more each, so the stage that raises first covers some
+        position at or past `at`."""
+        at, n = 9, 60
+        view = SP.HostView(self._raising_name(kind, at))
+        bulk = SP.HostView(specs.parse_name("egr:omega(c5)"))
+        bulk.grow(n)
+        s = 0
+        while True:
+            before = (copy.deepcopy(view.adjacency), view.added(0, s),
+                      view.graph(s))
+            try:
+                view.added(s, s + 1)
+            except RuntimeError:
+                break
+            s += 1
+        assert at <= s < n
+        assert (view.adjacency, view.added(0, s), view.graph(s)) == before
+        assert view.added(s, s + 1) == bulk.added(s, s + 1)
+        for s in range(s + 2, n + 1):
+            assert view.added(s - 1, s) == bulk.added(s - 1, s)
+        assert view.adjacency == bulk.adjacency
+        assert view.graph(n) == bulk.graph(n)
 
 
 def _count_window_views(monkeypatch):
