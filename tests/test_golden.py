@@ -116,6 +116,12 @@ CLI_CASES = [
     ["gadget", "--name", "s11choice", "--in", "fintree:[[]]", "--fuel", "10"],
     ["truncate", "--in", "egr:cu(l1(fintree:[[],[0],[0,0]],ray),"
      "l1(path(ec:[];0),ray))", "--fuel", "20"],
+    ["truncate", "--in", "gr:du(c4,ray)", "--fuel", "60"],
+    ["decide", "--pattern", "r3", "--host", "egr:omega(c5)", "--mode", "is",
+     "--fuel", "100"],
+    ["search", "--solver", "t3", "--host", "egr:du(c4,komega)",
+     "--fuel", "50"],
+    ["truncate", "--in", "egr:l1(fulltree,k3)", "--fuel", "20"],
 ]
 
 
