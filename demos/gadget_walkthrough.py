@@ -22,7 +22,7 @@ def banner(title):
 
 def sigma1_demo():
     banner("sigma1: 'does the stream ever show a 1?' as graph containment")
-    k2 = standard("CompleteN", 2).materialize()
+    k2 = standard("CompleteN", 2)
     for bits, tail in (([0, 0, 0], 0), ([0, 0, 1], 0)):
         p = EventuallyConstant(bits, tail)
         name = sigma1_gadget(p, k2)

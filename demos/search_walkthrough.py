@@ -32,7 +32,7 @@ def ray_demo():
 def triangle_demo():
     banner("first triangle inside K_omega")
     host = parse_name("egr:komega")
-    k3 = standard("CompleteN", 3).materialize()
+    k3 = standard("CompleteN", 3)
     sol = find_s_finite(k3, host, fuel=400)
     print("  inclusion:", dict(sol.inclusion_pairs()))
 

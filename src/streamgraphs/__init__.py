@@ -6,8 +6,8 @@ from .streams import (pair, unpair, CertifiedStream, EventuallyConstant,
                       exists_one, infinitely_often, eventually_always, limit,
                       zero_from, parse_stream)
 from .graphs import (OMEGA, FinGraph, standard, disjoint_union,
-                     connected_union, construction, degree, isomorphic,
-                     OmegaCopies, Finite, CertTree, CertForest, ForestGraph)
+                     connected_union, construction, isomorphic, OmegaCopies,
+                     CertTree, CertForest, ForestGraph)
 from .trees import (FiniteTree, FullBinary, SinglePath, DisjointTreeUnion,
                     string_code, string_decode)
 from .spaces import (SpaceName, validate_prefix, validate_name, name_of,

@@ -9,8 +9,8 @@ alone yields Unknown.
 
 from .errors import (BadParam, DegreeUnknown, PredicateUnsupported,
                      StreamGraphsError, UndecidableWithoutCertificate)
-from .graphs import (OMEGA, CertForest, CertTree, CompleteN, CountableGraph,
-                     DisjointUnion, Finite, FinGraph, OmegaCopies, TreeAsGraph)
+from .graphs import (OMEGA, CertForest, CertTree, CountableGraph,
+                     DisjointUnion, FinGraph, OmegaCopies, complete_n)
 from .spaces import HostView, SpaceName, truncate
 from .streams import Periodic, infinitely_often, pair, zero_from
 from .trees import DisjointTreeUnion, FiniteTree, FullBinary, SinglePath
@@ -368,8 +368,6 @@ def _sufficient_window(parts, pattern_size):
 def _algebra_parts(g):
     """Flatten a graph algebra value into [(FinGraph, 1 or OMEGA)] parts, or
     None when it is not a finite/omega-replicated disjoint union."""
-    if isinstance(g, FinGraph):
-        return [(g, 1)]
     if isinstance(g, OmegaCopies):
         inner = _algebra_parts(g.base)
         if inner is None:
@@ -444,8 +442,7 @@ def decide(g, host, induced=False, fuel=1000):
         fin = truncate(host, fuel)
         if g > len(fin.adjacency):
             return _no_copy(host, fuel)
-        return _semidecide_in(fin, CompleteN(g).materialize(), host, induced,
-                              fuel)
+        return _semidecide_in(fin, complete_n(g), host, induced, fuel)
     if not induced or _is_complete(g):
         return semidecide_s(g, host, induced, fuel)
     view = HostView(host)   # one read for the whole graph and the window
@@ -507,8 +504,6 @@ def to_cert_forest(h):
         return h
     if isinstance(h, FinGraph):
         return CertForest([(t, 1) for t in _spanning_trees(h)])
-    if isinstance(h, Finite):
-        return to_cert_forest(h.materialize())
     if isinstance(h, OmegaCopies):
         inner = to_cert_forest(h.base)
         return CertForest([(t, OMEGA) for t, _ in inner.trees])
@@ -517,8 +512,6 @@ def to_cert_forest(h):
         for part in h.parts:
             trees.extend(to_cert_forest(part).trees)
         return CertForest(trees)
-    if isinstance(h, TreeAsGraph) and isinstance(h.tree, FiniteTree):
-        return to_cert_forest(h.materialize())
     if isinstance(h, CountableGraph):
         try:
             finite = h.vertex_count() != OMEGA

@@ -1,10 +1,10 @@
 """Finite graphs and the certified algebra of countable graphs.
 
-FinGraph is the truncation currency: a finite vertex set with symmetric,
-irreflexive edges. CountableGraph nodes form a closed algebra (standard
-families, disjoint/connected unions, layered tree constructions, certified
-forests); every node answers vertex/edge membership decidably, and most answer
-exact degrees in ℕ ∪ {ω}.
+FinGraph is the truncation currency and the algebra's one finite graph: a
+finite vertex set with symmetric, irreflexive edges. CountableGraph nodes
+form a closed algebra (standard families, disjoint/connected unions, layered
+tree constructions, certified forests); every node answers vertex/edge
+membership decidably, and most answer exact degrees in ℕ ∪ {ω}.
 """
 
 import heapq
@@ -31,6 +31,80 @@ def _mul(a, b):
 
 
 # ---------------------------------------------------------------------------
+# The countable-graph algebra
+# ---------------------------------------------------------------------------
+
+class CountableGraph:
+    """Base class: decidable vertex/edge membership under a fixed ℕ coding."""
+
+    designated_head = None
+    designated_tail = None
+
+    def has_vertex(self, v):
+        raise NotImplementedError
+
+    def has_edge(self, a, b):
+        raise NotImplementedError
+
+    def degree(self, v):
+        raise DegreeUnknown(type(self).__name__)
+
+    def vertex_count(self):
+        raise DegreeUnknown(type(self).__name__)
+
+    def lower_neighbors(self, v):
+        """The neighbours of vertex v whose code is smaller than v, as a
+        finite list, or None where they cannot be listed cheaply."""
+        return None
+
+    def iter_vertices(self):
+        """Every vertex exactly once, in an order fixed by the graph.
+
+        The default scans the codes upward, so it yields increasing code
+        order, and so do finite graphs, OmegaCopies and ConnectedUnion.
+        Other orders exist: TreeAsGraph and Layered go breadth-first over
+        an infinite, finitely branching tree, a ForestGraph (TreeT, ForestF,
+        the forests gadget) goes by growing digit bound, and an infinite
+        DisjointUnion merges its parts' orders by code. Wherever
+        lower_neighbors(v) is a list, every neighbour of v yielded before v
+        has a smaller code: a tree yields each parent first, and the other
+        orders are increasing or keep part orders."""
+        n = self.vertex_count()
+        found = 0
+        c = 0
+        while n == OMEGA or found < n:
+            if self.has_vertex(c):
+                yield c
+                found += 1
+            c += 1
+
+    def first_vertices(self, k):
+        return list(itertools.islice(self.iter_vertices(), k))
+
+    def materialize(self):
+        n = self.vertex_count()
+        if n == OMEGA:
+            raise BadParam("cannot materialize an infinite graph")
+        return self.window(int(n))
+
+    def window(self, k):
+        """Induced FinGraph on the first k enumerated vertices. A vertex
+        whose lower neighbours are listed takes its edges to smaller codes
+        from that list; any other one is tested against every smaller code
+        of the window."""
+        vs = self.first_vertices(k)
+        members = set(vs)
+        es = []
+        for b in vs:
+            lower = self.lower_neighbors(b)
+            if lower is None:
+                es += [(a, b) for a in vs if a < b and self.has_edge(a, b)]
+            else:
+                es += [(a, b) for a in lower if a in members]
+        return FinGraph(vs, es)
+
+
+# ---------------------------------------------------------------------------
 # FinGraph
 # ---------------------------------------------------------------------------
 
@@ -40,8 +114,9 @@ def _norm_edge(a, b):
     return (a, b) if a < b else (b, a)
 
 
-class FinGraph:
-    """Finite undirected graph without self-loops, vertices in ℕ."""
+class FinGraph(CountableGraph):
+    """Finite undirected graph without self-loops, vertices in ℕ: the
+    finite CountableGraph, its own materialization."""
 
     def __init__(self, vertices, edges=()):
         self.vertices = frozenset(vertices)
@@ -67,6 +142,15 @@ class FinGraph:
     def has_vertex(self, v):
         return v in self.vertices
 
+    def vertex_count(self):
+        return len(self.vertices)
+
+    def iter_vertices(self):
+        return iter(sorted(self.vertices))
+
+    def materialize(self):
+        return self
+
     @cached_property
     def adjacency(self):
         """vertex -> set of its neighbours, built on first use; read-only."""
@@ -81,6 +165,9 @@ class FinGraph:
 
     def neighbors(self, v):
         return sorted(self.adjacency.get(v, ()))
+
+    def lower_neighbors(self, v):
+        return [w for w in self.adjacency[v] if w < v]
 
     def degree(self, v):
         if v not in self.vertices:
@@ -139,9 +226,17 @@ class FinGraph:
 
     @classmethod
     def from_json(cls, text):
+        """The graph of the CLI's format; ParseError for any other text,
+        and for a vertex or edge end that is not a non-negative int."""
         try:
             obj = json.loads(text)
-            return cls(obj["v"], [tuple(e) for e in obj["e"]])
+            vs, es = obj["v"], [tuple(e) for e in obj["e"]]
+            bad = [v for v in itertools.chain(vs, *es)
+                   if type(v) is not int or v < 0]   # bool is not int here
+            if bad:
+                raise ValueError("vertex %s is not a non-negative integer"
+                                 % json.dumps(bad[0]))
+            return cls(vs, es)
         except (KeyError, TypeError, ValueError) as e:
             raise ParseError("bad graph JSON: %s" % e) from e
 
@@ -199,111 +294,6 @@ def isomorphic(g, h):
         return False
 
     return extend({})
-
-
-# ---------------------------------------------------------------------------
-# The countable-graph algebra
-# ---------------------------------------------------------------------------
-
-class CountableGraph:
-    """Base class: decidable vertex/edge membership under a fixed ℕ coding."""
-
-    designated_head = None
-    designated_tail = None
-
-    def has_vertex(self, v):
-        raise NotImplementedError
-
-    def has_edge(self, a, b):
-        raise NotImplementedError
-
-    def degree(self, v):
-        raise DegreeUnknown(type(self).__name__)
-
-    def vertex_count(self):
-        raise DegreeUnknown(type(self).__name__)
-
-    def is_finite(self):
-        return self.vertex_count() != OMEGA
-
-    def lower_neighbors(self, v):
-        """The neighbours of vertex v whose code is smaller than v, as a
-        finite list, or None where they cannot be listed cheaply."""
-        return None
-
-    def iter_vertices(self):
-        """Every vertex exactly once, in an order fixed by the graph.
-
-        The default scans the codes upward, so it yields increasing code
-        order, and so do finite graphs, OmegaCopies and ConnectedUnion.
-        Other orders exist: TreeAsGraph and Layered go breadth-first over
-        an infinite, finitely branching tree, a ForestGraph (TreeT, ForestF,
-        the forests gadget) goes by growing digit bound, and an infinite
-        DisjointUnion merges its parts' orders by code. Wherever
-        lower_neighbors(v) is a list, every neighbour of v yielded before v
-        has a smaller code: a tree yields each parent first, and the other
-        orders are increasing or keep part orders."""
-        n = self.vertex_count()
-        found = 0
-        c = 0
-        while n == OMEGA or found < n:
-            if self.has_vertex(c):
-                yield c
-                found += 1
-            c += 1
-
-    def first_vertices(self, k):
-        return list(itertools.islice(self.iter_vertices(), k))
-
-    def materialize(self):
-        n = self.vertex_count()
-        if n == OMEGA:
-            raise BadParam("cannot materialize an infinite graph")
-        return self.window(int(n))
-
-    def window(self, k):
-        """Induced FinGraph on the first k enumerated vertices. A vertex
-        whose lower neighbours are listed takes its edges to smaller codes
-        from that list; any other one is tested against every smaller code
-        of the window."""
-        vs = self.first_vertices(k)
-        members = set(vs)
-        es = []
-        for b in vs:
-            lower = self.lower_neighbors(b)
-            if lower is None:
-                es += [(a, b) for a in vs if a < b and self.has_edge(a, b)]
-            else:
-                es += [(a, b) for a in lower if a in members]
-        return FinGraph(vs, es)
-
-
-class Finite(CountableGraph):
-    def __init__(self, fin):
-        if not isinstance(fin, FinGraph):
-            fin = FinGraph(*fin)
-        self.fin = fin
-
-    def has_vertex(self, v):
-        return self.fin.has_vertex(v)
-
-    def has_edge(self, a, b):
-        return self.fin.has_edge(a, b)
-
-    def degree(self, v):
-        return self.fin.degree(v)
-
-    def lower_neighbors(self, v):
-        return [w for w in self.fin.adjacency[v] if w < v]
-
-    def vertex_count(self):
-        return len(self.fin.vertices)
-
-    def iter_vertices(self):
-        return iter(sorted(self.fin.vertices))
-
-    def materialize(self):
-        return self.fin
 
 
 class Ray(CountableGraph):
@@ -366,27 +356,23 @@ class CompleteOmega(CountableGraph):
         return OMEGA
 
 
-class RayN(Finite):
+def ray_n(n):
     """Path on n vertices 0..n-1 (R_1 = K_1)."""
-
-    def __init__(self, n):
-        if n <= 0:
-            raise BadParam("RayN needs n > 0")
-        super().__init__(FinGraph(range(n), [(i, i + 1) for i in range(n - 1)]))
+    if n <= 0:
+        raise BadParam("RayN needs n > 0")
+    return FinGraph(range(n), [(i, i + 1) for i in range(n - 1)])
 
 
-class CycleN(Finite):
-    def __init__(self, n):
-        if n < 3:
-            raise BadParam("CycleN needs n >= 3")
-        super().__init__(FinGraph(range(n), [(i, (i + 1) % n) for i in range(n)]))
+def cycle_n(n):
+    if n < 3:
+        raise BadParam("CycleN needs n >= 3")
+    return FinGraph(range(n), [(i, (i + 1) % n) for i in range(n)])
 
 
-class CompleteN(Finite):
-    def __init__(self, n):
-        if n <= 0:
-            raise BadParam("CompleteN needs n > 0")
-        super().__init__(FinGraph(range(n), itertools.combinations(range(n), 2)))
+def complete_n(n):
+    if n <= 0:
+        raise BadParam("CompleteN needs n > 0")
+    return FinGraph(range(n), itertools.combinations(range(n), 2))
 
 
 class TreeAsGraph(CountableGraph):
@@ -1030,7 +1016,7 @@ def standard(kind, *params):
         if params:
             raise BadParam("%s takes no parameter" % kind)
         return _STANDARD[kind]()
-    table = {"RayN": RayN, "CycleN": CycleN, "CompleteN": CompleteN,
+    table = {"RayN": ray_n, "CycleN": cycle_n, "CompleteN": complete_n,
              "TreeT": TreeT, "ForestF": ForestF}
     if kind not in table:
         raise BadParam("unknown standard family %r" % kind)
@@ -1049,7 +1035,3 @@ def connected_union(parts):
 
 def construction(mode, tree, graph):
     return Layered(mode, tree, graph)
-
-
-def degree(g, v):
-    return g.degree(v)

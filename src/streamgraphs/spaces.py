@@ -26,7 +26,7 @@ from math import isqrt
 from .errors import BadParam
 from .streams import (CertifiedStream, EventuallyConstant, Indicator,
                       StagedPairs, pair, unpair, zero_from)
-from .graphs import OMEGA, FinGraph, Finite
+from .graphs import OMEGA, FinGraph
 
 SPACES = ("Gr", "EGr", "Tr", "Tr2")
 
@@ -213,8 +213,6 @@ def name_of(space, g, schedule=None):
     seed, stutter) a seeded shuffled order with stutter padding; an
     infinite graph gets the dense name, and a schedule for it is refused.
     """
-    if isinstance(g, FinGraph):
-        g = Finite(g)
     if space not in ("Gr", "EGr"):
         raise BadParam("name_of supports Gr and EGr")
     if g.vertex_count() == OMEGA:

@@ -30,8 +30,8 @@ import os
 import re
 
 from .errors import BadParam, DegreeUnknown, ParseError
-from .graphs import (FinGraph, Finite, OmegaCopies, connected_union,
-                     construction, disjoint_union, standard)
+from .graphs import (FinGraph, OmegaCopies, connected_union, construction,
+                     disjoint_union, standard)
 from .spaces import name_of
 from .streams import parse_stream
 from .trees import FiniteTree, FullBinary, SinglePath
@@ -89,13 +89,6 @@ _ATOMS = {"ray": "Ray", "l": "TwoWayRay", "komega": "CompleteOmega",
           "fbt": "FullBinaryTree"}
 
 
-def _part(text):
-    """A graph expression as an operand of omega, du, cu, l1 or l2: a JSON
-    file's FinGraph becomes the Finite graph it denotes."""
-    g = parse_graph(text)
-    return Finite(g) if isinstance(g, FinGraph) else g
-
-
 def parse_graph(text):
     text = text.strip()
     low = text.lower()
@@ -113,9 +106,9 @@ def parse_graph(text):
     if call:
         head, args = call
         if head == "omega":
-            return OmegaCopies(_part(args))
+            return OmegaCopies(parse_graph(args))
         if head in ("du", "cu"):
-            parts = [_part(a) for a in _split_args(args)]
+            parts = [parse_graph(a) for a in _split_args(args)]
             if not parts:
                 raise ParseError("%s needs at least one part" % head)
             return (disjoint_union if head == "du"
@@ -125,7 +118,7 @@ def parse_graph(text):
             if len(parts) != 2:
                 raise ParseError("%s takes (tree, graph)" % head)
             return construction(head.upper(), parse_tree(parts[0]),
-                                _part(parts[1]))
+                                parse_graph(parts[1]))
     raise ParseError("cannot parse graph spec %r" % text)
 
 
@@ -157,8 +150,6 @@ def parse_name(text):
 def parse_pattern(text):
     """A finite pattern graph: JSON file or a finite graph expression."""
     g = parse_graph(text)
-    if isinstance(g, FinGraph):
-        return g
     try:
         return g.materialize()
     except (BadParam, DegreeUnknown):   # what a graph not finite raises

@@ -337,6 +337,27 @@ class TestJsonPartInComposites:
         assert json.loads(out)["verdict"] == "found"
 
 
+class TestJsonVertices:
+    """A JSON graph file is input from outside the program: a vertex that
+    is not a non-negative int, a bool included, is refused as a ParseError
+    wherever the file is read, never read as some other vertex."""
+
+    @pytest.mark.parametrize("text", [
+        '{"v":[-1,2],"e":[[-1,2]]}', '{"v":[1.5],"e":[]}',
+        '{"v":["a"],"e":[]}', '{"v":[true,3],"e":[]}'])
+    @pytest.mark.parametrize("argv", [
+        ["truncate", "--in", "gr:{}"], ["truncate", "--in", "egr:{}"],
+        ["decide", "--pattern", "{}", "--host", "egr:komega"]])
+    def test_refused(self, capsys, tmp_path, text, argv):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code = cli.main([a.format(path) for a in argv] + ["--fuel", "20"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("ParseError: ")
+
+
 class TestParserReuse:
     def test_calls_share_no_state(self, capsys):
         # r3 sits in C3 as a subgraph but not as an induced subgraph

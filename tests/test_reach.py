@@ -28,7 +28,8 @@ from test_golden import CLI_CASES, LIBRARY_CASES, run_cli
 from streamgraphs.errors import StreamGraphsError
 from streamgraphs.suites import SUITES, run_suite
 
-MODULES = ["trees", "problems", "spaces"]
+MODULES = ["trees", "problems", "spaces", "decide", "search", "specs",
+           "suites"]
 
 # Qualified names (a class name covers its methods) left unreached on
 # purpose, each with the reason.

@@ -185,8 +185,7 @@ class TestFindSFinite:
         for _ in range(30):
             g = random_fin_graph(rng, min_v=1, max_v=4, spread=1)
             junk = random_fin_graph(rng, min_v=1, max_v=3, spread=1)
-            host_fin = G.disjoint_union(
-                [G.Finite(g), G.Finite(junk)]).materialize()
+            host_fin = G.disjoint_union([g, junk]).materialize()
             host = SP.name_of("EGr", host_fin,
                               ("random", rng.randrange(10**6), 0.2))
             sol = S.find_s_finite(g, host)
