@@ -122,6 +122,11 @@ CLI_CASES = [
     ["search", "--solver", "t3", "--host", "egr:du(c4,komega)",
      "--fuel", "50"],
     ["truncate", "--in", "egr:l1(fulltree,k3)", "--fuel", "20"],
+    ["truncate", "--in", "egr:ray", "--fuel", "300"],
+    ["truncate", "--in", "egr:l", "--fuel", "1000"],
+    ["truncate", "--in", "egr:omega(komega)", "--fuel", "300"],
+    ["truncate", "--in", "egr:omega(du(k1,k2))", "--fuel", "300"],
+    ["truncate", "--in", "egr:omega(l2(fulltree,l))", "--fuel", "300"],
 ]
 
 
