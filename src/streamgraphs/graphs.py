@@ -54,11 +54,13 @@ class CountableGraph:
 
     def lower_neighbors(self, v):
         """The neighbours of vertex v whose code is smaller than v, as a
-        finite list, or None where they cannot be listed cheaply."""
+        finite list, or None where they cannot be listed cheaply; read
+        once per vertex by the default dense_step only."""
         return None
 
     def iter_vertices(self):
-        """Every vertex exactly once, in an order fixed by the graph.
+        """Every vertex exactly once, in an order fixed by the graph: the
+        order of the dense EGr name's stages (dense_step) and of window.
 
         The default scans the codes upward, so it yields increasing code
         order, and so do finite graphs, OmegaCopies and ConnectedUnion.
@@ -88,20 +90,55 @@ class CountableGraph:
         return self.window(int(n))
 
     def window(self, k):
-        """Induced FinGraph on the first k enumerated vertices. A vertex
-        whose lower neighbours are listed takes its edges to smaller codes
-        from that list; any other one is tested against every smaller code
-        of the window."""
-        vs = self.first_vertices(k)
-        members = set(vs)
-        es = []
-        for b in vs:
-            lower = self.lower_neighbors(b)
-            if lower is None:
-                es += [(a, b) for a in vs if a < b and self.has_edge(a, b)]
-            else:
-                es += [(a, b) for a in lower if a in members]
+        """Induced FinGraph on the first k enumerated vertices, read from
+        the first k stages of dense_step (fewer where the graph ends)."""
+        vs, es = [], []
+        for stage in itertools.islice(iter(self.dense_step(), None), k):
+            vs.append(stage[0][0])
+            es += stage[1:]
         return FinGraph(vs, es)
+
+    def dense_step(self):
+        """The step of the dense EGr name (spaces.name_of): each call gives
+        the next vertex v's stage [(v, v), (w, v), ...] in iter_vertices
+        order, one (min, max) pair per edge to an earlier w, in the order
+        the w came: the listed lower_neighbors(v) already emitted, or where
+        that is None, the earlier vertices that has_edge accepts. A call
+        whose lower_neighbors or has_edge raises commits nothing, so the
+        next call runs it again. A class whose own walk knows each vertex's
+        earlier neighbours overrides this; a subclass that overrides either
+        method must then run this step."""
+        has_edge = self.has_edge
+        lower_neighbors = self.lower_neighbors
+        vertices = self.iter_vertices()
+        index = {}     # emitted vertex -> its emission index, in order
+        v = None       # the vertex of the stage to run next, once drawn
+
+        def step():
+            nonlocal v
+            if v is None:
+                v = next(vertices)
+            lower = lower_neighbors(v)
+            if lower is None:
+                out = [(v, v)]
+                out += [(w, v) if w < v else (v, w) for w in index
+                        if has_edge(v, w)]
+            elif not lower:   # no listed neighbour, or one: no filter or sort
+                out = [(v, v)]
+            elif len(lower) == 1:
+                w = lower[0]
+                out = [(v, v), (w, v)] if w in index else [(v, v)]
+            else:
+                ws = [w for w in lower if w in index]
+                if len(ws) > 1:
+                    ws.sort(key=index.__getitem__)
+                out = [(v, v)]
+                out += [(w, v) for w in ws]
+            index[v] = len(index)
+            v = None
+            return out
+
+        return step
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +350,10 @@ class Ray(CountableGraph):
     def lower_neighbors(self, v):
         return [v - 1] if v else []
 
+    def dense_step(self):
+        return map(lambda v: [(v, v), (v - 1, v)] if v else [(0, 0)],
+                   itertools.count()).__next__
+
     def vertex_count(self):
         return OMEGA
 
@@ -335,6 +376,10 @@ class TwoWayRay(CountableGraph):
     def lower_neighbors(self, v):
         return [max(v - 2, 0)] if v else []
 
+    def dense_step(self):
+        return map(lambda v: [(v, v), (max(v - 2, 0), v)] if v else [(0, 0)],
+                   itertools.count()).__next__
+
     def vertex_count(self):
         return OMEGA
 
@@ -351,6 +396,10 @@ class CompleteOmega(CountableGraph):
 
     def lower_neighbors(self, v):
         return list(range(v))
+
+    def dense_step(self):
+        return map(lambda v: [(v, v)] + [(w, v) for w in range(v)],
+                   itertools.count()).__next__
 
     def vertex_count(self):
         return OMEGA
@@ -405,18 +454,28 @@ class TreeAsGraph(CountableGraph):
             return len(self.tree.nodes)
         return OMEGA
 
+    def _levels(self):
+        """Breadth-first levels of (string, code, parent code or None)."""
+        children = self.tree.children
+        level = [((), 0, None)] if self.tree.contains(()) else []
+        while level:
+            yield level
+            level = [(s + (d,), pair(c, d) + 1, c) for s, c, _ in level
+                     for d in children(s)]
+
     def iter_vertices(self):
         if isinstance(self.tree, FiniteTree):
-            yield from sorted(string_code(s) for s in self.tree.nodes)
-            return
-        # breadth-first, stable order; each node carries its code
-        children = self.tree.children
-        level = [((), 0)] if self.tree.contains(()) else []
-        while level:
-            for _, c in level:
-                yield c
-            level = [(s + (d,), pair(c, d) + 1) for s, c in level
-                     for d in children(s)]
+            return iter(sorted(string_code(s) for s in self.tree.nodes))
+        return (c for level in self._levels() for _, c, _ in level)
+
+    def dense_step(self):
+        """An infinite tree's stages from its levels: each node carries its
+        parent's code, so no stage decodes."""
+        if isinstance(self.tree, FiniteTree):
+            return super().dense_step()
+        return map(lambda n: [(n[1], n[1])] if n[2] is None
+                   else [(n[1], n[1]), (n[2], n[1])],
+                   itertools.chain.from_iterable(self._levels())).__next__
 
 
 # ---------------------------------------------------------------------------
@@ -644,6 +703,33 @@ class OmegaCopies(CountableGraph):
             t = d * (d + 1) // 2
             for u in base:
                 yield t + u
+
+    def dense_step(self):
+        """iter_vertices's walk carrying (copy i, base vertex u): pair(i, u)
+        emits pair(i, w) for u's lower base neighbours w, ascending, each
+        list taken once as u's diagonal opens (base.lower_neighbors, or
+        base.has_edge against the smaller base vertices where that is None)
+        and committed only after those base calls return."""
+        base, lowers = self.base, []   # (u, u's ascending lower list)
+        d, k = -1, 0   # the diagonal walked, and its next entry of lowers
+
+        def step():
+            nonlocal d, k
+            while k == len(lowers):   # open the next diagonal
+                e = d + 1
+                if base.has_vertex(e):
+                    lower = base.lower_neighbors(e)
+                    if lower is None:
+                        lower = [w for w, _ in lowers if base.has_edge(e, w)]
+                    lowers.append((e, sorted(lower)))
+                d, k = e, 0
+            u, lower = lowers[k]
+            i, v, k = d - u, d * (d + 1) // 2 + u, k + 1
+            out = [(v, v)]
+            out += [((i + w) * (i + w + 1) // 2 + w, v) for w in lower]
+            return out
+
+        return step
 
 
 class DisjointUnion(CountableGraph):

@@ -12,8 +12,10 @@ Spaces:
 The EGr wire shift (+1) keeps vertex 0 expressible while still giving padding
 a dedicated symbol; an all-padding stream denotes the empty graph.
 
-read_pairs decodes every slice of a Gr or EGr name that HostView, f_convert
-and acc_decode read; the readers that decode apart each say why.
+The dense EGr name of an infinite graph is the one its own
+CountableGraph.dense_step emits, one stage per vertex. read_pairs decodes
+every slice of a Gr or EGr name that HostView, f_convert and acc_decode
+read; the readers that decode apart each say why.
 """
 
 import random
@@ -162,47 +164,8 @@ class _GrName(CertifiedStream):
 
 
 def _dense_egr_name(g):
-    """EGr name of an infinite graph emitting each vertex at its enumeration
-    index, with edges to earlier vertices interleaved right after (no idle
-    padding): one stage per vertex, emitted as (min, max) pairs.
-
-    A new vertex's edges come from g.lower_neighbors: every neighbour
-    emitted before it has a smaller code (CountableGraph.iter_vertices), so
-    the listed ones already emitted are all of them, emitted in the order
-    they came, each as the edge (w, v). Where g cannot list them, the new
-    vertex is tested against every earlier one. A stage that raises keeps
-    its vertex, so the next read runs that stage again."""
-    has_edge = g.has_edge
-    lower_neighbors = g.lower_neighbors
-    vertices = g.iter_vertices()
-    index = {}     # emitted vertex -> its emission index, in order
-    v = None       # the vertex of the stage to run next, once drawn
-
-    def stage():
-        nonlocal v
-        if v is None:
-            v = next(vertices)
-        lower = lower_neighbors(v)
-        if lower is None:
-            out = [(v, v)]
-            out += [(w, v) if w < v else (v, w) for w in index
-                    if has_edge(v, w)]
-        elif not lower:   # no listed neighbour, or one: no filter or sort
-            out = [(v, v)]
-        elif len(lower) == 1:
-            w = lower[0]
-            out = [(v, v), (w, v)] if w in index else [(v, v)]
-        else:
-            ws = [w for w in lower if w in index]
-            if len(ws) > 1:
-                ws.sort(key=index.__getitem__)
-            out = [(v, v)]
-            out += [(w, v) for w in ws]
-        index[v] = len(index)
-        v = None
-        return out
-
-    return SpaceName("EGr", StagedPairs(stage), meta={"denotes": g})
+    """The dense EGr name of an infinite graph: g.dense_step()'s stages."""
+    return SpaceName("EGr", StagedPairs(g.dense_step()), meta={"denotes": g})
 
 
 def name_of(space, g, schedule=None):
@@ -211,7 +174,9 @@ def name_of(space, g, schedule=None):
     Gr: its characteristic bits. EGr: a finite graph emits its vertices in
     label order, then its edges in code order, or under schedule ('random',
     seed, stutter) a seeded shuffled order with stutter padding; an
-    infinite graph gets the dense name, and a schedule for it is refused.
+    infinite graph gets the dense name, the stages of g.dense_step() (each
+    vertex in iter_vertices order, then its edges to earlier vertices),
+    and a schedule for it is refused.
     """
     if space not in ("Gr", "EGr"):
         raise BadParam("name_of supports Gr and EGr")

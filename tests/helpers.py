@@ -309,6 +309,23 @@ def reference_dense_egr_name(g, positions, vertices=None):
     return out[:positions]
 
 
+def reference_window(g, k):
+    """Induced FinGraph on the first k enumerated vertices of g, built from
+    the vertex list: a vertex whose lower neighbours are listed takes its
+    edges to smaller codes from that list, any other one is tested against
+    every smaller code of the window."""
+    vs = g.first_vertices(k)
+    members = set(vs)
+    es = []
+    for b in vs:
+        lower = g.lower_neighbors(b)
+        if lower is None:
+            es += [(a, b) for a in vs if a < b and g.has_edge(a, b)]
+        else:
+            es += [(a, b) for a in lower if a in members]
+    return G.FinGraph(vs, es)
+
+
 def reference_ray_solution(path_vertex):
     """EGr name of the ray v0 - v1 - v2 - ... given by the vertex function,
     one value per position: v0 at 0, then v_t at 2t - 1 and its edge to

@@ -1,7 +1,9 @@
 """No module of the package imports a name at module level that it never
 uses. `__init__.py` re-exports, and a line marked `# noqa` is exempt.
 Every exception class of `errors.py` is named by another module, and every
-top-level function or class is reached from code other than the tests."""
+top-level function or class is reached from code other than the tests. No
+graph class of `graphs.py` overrides lower_neighbors or has_edge under a
+dense_step it inherits from a class that steps its own walk."""
 
 import ast
 import pathlib
@@ -146,3 +148,50 @@ def test_every_definition_is_reached():
              for p in sorted((ROOT / folder).rglob("*.py"))]
     modules = [p.read_text(encoding="utf-8") for p in MODULES]
     assert unreached(modules, users, UNREACHED_ON_PURPOSE) == []
+
+
+def unguarded_steps(text):
+    """The classes defined at the top of the text that define
+    lower_neighbors or has_edge while they inherit dense_step from a class
+    other than CountableGraph: that step walks its class's own rule, so it
+    would not follow theirs. Bases are searched depth-first, left to right;
+    an assignment `dense_step = ...` counts as a definition."""
+    classes = {node.name: node for node in ast.parse(text).body
+               if isinstance(node, ast.ClassDef)}
+
+    def defined(node):
+        return ({n.name for n in node.body if isinstance(n, ast.FunctionDef)}
+                | {t.id for n in node.body if isinstance(n, ast.Assign)
+                   for t in n.targets if isinstance(t, ast.Name)})
+
+    def step_owner(name):
+        node = classes.get(name)
+        if node is None or "dense_step" in defined(node):
+            return name if node is not None else None
+        owners = (step_owner(b.id) for b in node.bases
+                  if isinstance(b, ast.Name))
+        return next((o for o in owners if o is not None), None)
+
+    return [name for name, node in classes.items()
+            if step_owner(name) not in (name, "CountableGraph", None)
+            and defined(node) & {"lower_neighbors", "has_edge"}]
+
+
+def test_checker_finds_unguarded_steps():
+    text = ("class CountableGraph:\n    def dense_step(self):\n        pass\n"
+            "class Walk(CountableGraph):\n    def dense_step(self):\n"
+            "        pass\n    def has_edge(self, a, b):\n        pass\n"
+            "class Plain(CountableGraph):\n    def has_edge(self, a, b):\n"
+            "        pass\n"
+            "class Bad(Walk):\n    def lower_neighbors(self, v):\n"
+            "        pass\n"
+            "class Worse(Bad):\n    def has_edge(self, a, b):\n        pass\n"
+            "class Reset(Walk):\n    dense_step = CountableGraph.dense_step\n"
+            "    def has_edge(self, a, b):\n        pass\n"
+            "class Quiet(Walk):\n    def degree(self, v):\n        pass\n")
+    assert unguarded_steps(text) == ["Bad", "Worse"]
+
+
+def test_no_graph_overrides_what_its_step_skips():
+    text = (PACKAGE / "graphs.py").read_text(encoding="utf-8")
+    assert unguarded_steps(text) == []

@@ -17,7 +17,8 @@ from helpers import (StageByStageFConvert, is_acyclic, raising_once,
                      reference_omega_vertices,
                      reference_random_schedule, reference_read_pairs,
                      reference_tree_vertices, reference_truncate,
-                     reference_validate_egr, reference_validate_gr)
+                     reference_validate_egr, reference_validate_gr,
+                     reference_window)
 
 from streamgraphs import cli
 from streamgraphs import gadgets as GD
@@ -228,13 +229,17 @@ class TestDenseEgrName:
 
     @pytest.mark.parametrize("text", ["komega", "omega(c4)", "omega(c5)",
                                       "l", "fbt", "cu(c4,ray)",
-                                      "l2(fulltree,l)"])
+                                      "l2(fulltree,l)", "omega(l)",
+                                      "omega(komega)",
+                                      "omega(l2(fulltree,l))"])
     def test_long_prefixes(self, text):
-        """The families the benchmark reads, to 1000 positions; l2(...)
-        lists no lower neighbours, so each new vertex is tested."""
+        """The families the benchmark reads, and omega(...) over bases with
+        and without lists, to 1000 positions; l2(...) lists no lower
+        neighbours, so each new vertex is tested (in omega(...), each new
+        base vertex)."""
         g = specs.parse_graph(text)
         assert (g.lower_neighbors(g.first_vertices(3)[-1]) is None) == \
-            text.startswith("l2(")
+            ("l2(" in text)
         name = specs.parse_name("egr:" + text)
         assert name.stream.prefix(1000) == reference_dense_egr_name(g, 1000)
 
@@ -281,9 +286,11 @@ class TestDenseEgrName:
     def test_raising_stage_commits_nothing(self):
         """A stage whose has_edge raises adds no pair, and the next read runs
         that stage again; the stub ray lists no lower neighbours, so each
-        new vertex is tested, and has_edge raises once at vertex 3."""
+        new vertex is tested, and has_edge raises once at vertex 3. The
+        stub runs the default step, which calls both stubbed methods."""
         class FlakyRay(G.Ray):
             raised = False
+            dense_step = G.CountableGraph.dense_step
 
             def lower_neighbors(self, v):
                 return None
@@ -308,9 +315,11 @@ class TestDenseEgrName:
     def test_raising_lower_neighbors_commits_nothing(self, base):
         """A stage whose listed lower_neighbors raises adds no pair, and
         the next read gives the reference name; the stub raises once, at
-        vertex 3, whose list holds one neighbour or (komega) three."""
+        vertex 3, whose list holds one neighbour or (komega) three. The
+        stub runs the default step, which calls lower_neighbors."""
         class Flaky(base):
             raised = False
+            dense_step = G.CountableGraph.dense_step
 
             def lower_neighbors(self, v):
                 if v == 3 and not self.raised:
@@ -326,6 +335,41 @@ class TestDenseEgrName:
             stream.pairs(0, at + 1)
         assert stream._pairs == want[:at]
         assert stream.pairs(0, 40) == want
+
+    @pytest.mark.parametrize("method, lists", [("has_vertex", True),
+                                               ("lower_neighbors", True),
+                                               ("has_vertex", False),
+                                               ("has_edge", False)])
+    def test_raising_omega_base_commits_nothing(self, method, lists):
+        """egr:omega(l) steps its own diagonal walk: where the base's
+        has_vertex, lower_neighbors or (a base without lists) has_edge
+        raises once, as base vertex 3's diagonal opens, the step adds no
+        pair, and the next read gives the reference name."""
+        real = getattr(G.TwoWayRay, method)
+
+        class Flaky(G.TwoWayRay):
+            raised = False
+
+            def lower_neighbors(self, v):
+                return super().lower_neighbors(v) if lists else None
+
+        def flaky(self, v, *rest):
+            if v == 3 and not self.raised:
+                self.raised = True
+                raise FuelExhausted("not yet")
+            return real(self, v, *rest)
+
+        setattr(Flaky, method, flaky)
+        g = G.OmegaCopies(Flaky())
+        want = [unpair(v - 1) for v in reference_dense_egr_name(
+            G.OmegaCopies(G.TwoWayRay()), 60)]
+        at = want.index((6, 6))   # pair(3, 0), the first of diagonal 3
+        stream = SP._dense_egr_name(g).stream
+        assert stream.pairs(0, at) == want[:at]
+        with pytest.raises(FuelExhausted):
+            stream.pairs(0, at + 1)
+        assert stream._pairs == want[:at]
+        assert stream.pairs(0, 60) == want
 
     @pytest.mark.parametrize("text, coders",
                              [("omega(c4)", ("pair", "unpair")),
@@ -418,6 +462,104 @@ class TestPinnedEnumeration:
             name = SP._dense_egr_name(G.TreeAsGraph(tree))
             assert name.stream.prefix(k) == reference_dense_egr_name(
                 g, k, reference_tree_vertices(tree))
+
+
+def _graph_nodes(g):
+    """g and every graph it is built from."""
+    yield g
+    subs = [getattr(g, "base", None), getattr(g, "graph", None)]
+    for sub in subs + list(getattr(g, "parts", ())):
+        if isinstance(sub, G.CountableGraph):
+            yield from _graph_nodes(sub)
+
+
+def _counted(calls, key, fn):
+    def wrapper(*args):
+        calls[key] += 1
+        return fn(*args)
+    return wrapper
+
+
+class TestOwnSteps:
+    """A graph whose class steps its own dense name (Ray, TwoWayRay,
+    CompleteOmega, OmegaCopies, an infinite TreeAsGraph) gives the stages
+    of CountableGraph.dense_step, and asks its own lower_neighbors and
+    has_edge nothing: counted calls, not time."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_infinite(2) | st.builds("omega(l2({},{}))".format, _TREE, _LINE),
+           st.none() | _OMEGA_BASES, st.integers(1, 60))
+    def test_matches_the_default_step(self, text, base, stages):
+        """Over the spec grammar, and omega(...) over every base of
+        TestPinnedEnumeration, listing lower neighbours or not."""
+        graphs = list(_graph_nodes(specs.parse_graph(text)))
+        if base is not None:
+            graphs.append(G.OmegaCopies(_base_graph(base)))
+        if "path(" in text + str(base):
+            # path codes grow doubly exponentially with depth
+            stages = min(stages, 8)
+        for g in graphs:
+            if type(g).dense_step is G.CountableGraph.dense_step:
+                continue
+            got = itertools.islice(iter(g.dense_step(), None), stages)
+            want = itertools.islice(
+                iter(G.CountableGraph.dense_step(g), None), stages)
+            assert list(got) == list(want)
+
+    def test_base_lists_in_any_order(self):
+        """A base may list its lower neighbours in any order (a FinGraph in
+        its adjacency set's); omega(...) emits them in the order they came,
+        which is ascending."""
+        class Descending(G.CompleteOmega):
+            dense_step = G.CountableGraph.dense_step
+
+            def lower_neighbors(self, v):
+                return list(range(v))[::-1]
+
+        g = G.OmegaCopies(Descending())
+        got = itertools.islice(iter(g.dense_step(), None), 100)
+        want = itertools.islice(iter(G.CountableGraph.dense_step(g), None),
+                                100)
+        assert list(got) == list(want)
+
+    @pytest.mark.parametrize("text, cls", [("ray", G.Ray),
+                                           ("l", G.TwoWayRay),
+                                           ("komega", G.CompleteOmega),
+                                           ("omega(c4)", G.OmegaCopies),
+                                           ("fbt", G.TreeAsGraph)])
+    def test_read_asks_the_host_nothing(self, monkeypatch, text, cls):
+        """1000 positions call neither the host's lower_neighbors nor its
+        has_edge, nor graphs.unpair."""
+        calls = collections.Counter()
+        for method in ("lower_neighbors", "has_edge"):
+            monkeypatch.setattr(cls, method,
+                                _counted(calls, method, getattr(cls, method)))
+        monkeypatch.setattr(G, "unpair", _counted(calls, "unpair", G.unpair))
+        got = specs.parse_name("egr:" + text).stream.pairs(0, 1000)
+        assert calls == {}
+        monkeypatch.undo()
+        want = reference_dense_egr_name(specs.parse_graph(text), 1000)
+        assert got == [unpair(v - 1) for v in want]
+
+    def test_unlisted_base_is_tested_once_per_pair(self, monkeypatch):
+        """egr:omega(l2(fulltree,l)): the base lists no lower neighbours, so
+        each new base vertex is tested once against the smaller ones, not
+        each new vertex against every earlier one (25,425 has_edge calls on
+        the host at 1000 positions, about 3x per doubling). has_edge calls
+        grow at most 2.2x per doubling of the positions read."""
+        calls = collections.Counter()
+        for cls in (G.OmegaCopies, G.Layered):
+            monkeypatch.setattr(cls, "has_edge",
+                                _counted(calls, cls, cls.has_edge))
+        counts = []
+        for positions in (250, 500, 1000):
+            calls.clear()
+            specs.parse_name("egr:omega(l2(fulltree,l))").stream.pairs(
+                0, positions)
+            counts.append(sum(calls.values()))
+        assert calls[G.OmegaCopies] == 0
+        assert 0 < counts[0]
+        assert all(b <= 2.2 * a for a, b in zip(counts, counts[1:])), counts
 
 
 class TestOneBuilder:
@@ -569,6 +711,25 @@ class TestLowerNeighbors:
         want = G.FinGraph(vs, [(a, b) for a, b in itertools.combinations(vs, 2)
                                if g.has_edge(a, b)])
         assert g.window(len(vs)) == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(_SMALL | _parts(_SMALL).map("du({})".format)
+           | _parts(_FINITE).map("cu({})".format) | st.just("t0")
+           | st.builds("{}(fintree:[[],[0],[1],[0,0]],{})".format,
+                       st.sampled_from(["l1", "l2"]), _CODED | st.just("fbt"))
+           | _infinite(1), st.integers(0, 30))
+    def test_window_matches_reference(self, text, k):
+        """window(k), read from the first k stages of dense_step, is the
+        window built from the vertex list (tests/helpers.reference_window),
+        on finite spec graphs (k may exceed their size) and infinite
+        ones; a finite graph's materialization is its whole window."""
+        g = specs.parse_graph(text)
+        # path codes grow doubly exponentially with depth
+        k = min(k, 8) if "path(" in text else k
+        assert g.window(k) == reference_window(g, k)
+        n = g.vertex_count()
+        if n != G.OMEGA:
+            assert g.materialize() == reference_window(g, n)
 
     @pytest.mark.parametrize("text", ["fbt", "t3", "l1(fulltree,l)"])
     def test_tree_names_call_no_tree_has_edge(self, monkeypatch, text):
